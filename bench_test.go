@@ -355,14 +355,30 @@ func BenchmarkSteadyStateRun(b *testing.B) {
 // the steady-state cost of the indexed claim/broadcast path (per-bank
 // index claims, index-list bus cycles, enumerated staging), tracked by
 // the benchstat gate alongside the strided hot paths.
-func BenchmarkGather(b *testing.B) {
+func BenchmarkGather(b *testing.B) { benchGather(b, DefaultConfig()) }
+
+// BenchmarkGatherXOR4ch is BenchmarkGather on four channels under the
+// xor decoder with 4-partition PCM, the indexed-4ch-pcm benchmark
+// configuration. Every command there is pre-claimed by the channel
+// dispatcher, so this tracks the cost of the per-element decode and the
+// per-transaction claim lists, which the 1-channel word configuration
+// of BenchmarkGather reaches only for its indexed commands.
+func BenchmarkGatherXOR4ch(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Channels, cfg.AddrMap, cfg.Tech, cfg.Partitions = 4, "xor", "pcm", 4
+	benchGather(b, cfg)
+}
+
+// benchGather times warm Runs of the gather kernel on one System built
+// from cfg.
+func benchGather(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	k, err := KernelByName("gather")
 	if err != nil {
 		b.Fatal(err)
 	}
 	trace := k.Build(PaperParams(4, 1))
-	sys, err := NewSystem(DefaultConfig())
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

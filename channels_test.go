@@ -192,3 +192,66 @@ func TestUnknownAddrMapRejected(t *testing.T) {
 		t.Fatal("Sweep accepted unknown addrmap")
 	}
 }
+
+// TestTxnPoolScanNoDeadlock pins the multi-channel transaction-pool
+// scan. When all eight transaction IDs are outstanding, a channel's
+// broadcast scan must skip the commands that are not yet issued and
+// keep going: a younger issued command may still need that channel's
+// broadcast before any ID can retire. A scan that stopped at the oldest
+// unissued command deadlocked every cell below, so each must complete
+// under the watchdog, match the functional reference, and take exactly
+// the pinned cycles.
+func TestTxnPoolScanNoDeadlock(t *testing.T) {
+	cells := []struct {
+		channels uint32
+		addrMap  string
+		tech     string // "", "salp" (4 subarrays) or "pcm" (4 partitions)
+		kernel   string
+		stride   uint32
+		align    int
+		system   SystemKind
+		cycles   uint64
+	}{
+		{2, "word", "", "spmv", 1, 3, PVASRAM, 1818},
+		{2, "word", "", "spmv", 1, 3, PVASDRAM, 1840},
+		{2, "word", "pcm", "spmv", 4, 4, PVASDRAM, 1932},
+		{2, "xor", "", "spmv", 1, 4, PVASDRAM, 1880},
+		{2, "xor", "pcm", "spmv", 1, 4, PVASDRAM, 1880},
+		{2, "xor", "pcm", "spmv", 4, 4, PVASDRAM, 1939},
+		{4, "line", "pcm", "spmv", 16, 1, PVASDRAM, 1042},
+		{4, "line", "pcm", "spmv", 19, 3, PVASDRAM, 1058},
+		{4, "word", "pcm", "gather", 16, 1, PVASDRAM, 2316},
+		{4, "word", "", "spmv", 1, 3, PVASRAM, 1170},
+		{4, "word", "", "spmv", 1, 4, PVASRAM, 1193},
+		{4, "word", "", "spmv", 8, 0, PVASRAM, 1182},
+		{4, "word", "", "spmv", 19, 2, PVASRAM, 1174},
+		{4, "word", "salp", "spmv", 1, 3, PVASDRAM, 1192},
+		{4, "word", "pcm", "spmv", 1, 4, PVASDRAM, 1227},
+		{4, "word", "pcm", "spmv", 8, 0, PVASDRAM, 1224},
+		{4, "xor", "", "spmv", 1, 4, PVASRAM, 1193},
+		{4, "xor", "", "spmv", 2, 4, PVASRAM, 1174},
+		{4, "xor", "salp", "spmv", 8, 0, PVASDRAM, 1195},
+		{4, "xor", "pcm", "spmv", 1, 3, PVASDRAM, 1196},
+		{4, "xor", "pcm", "spmv", 1, 4, PVASDRAM, 1241},
+		{4, "xor", "pcm", "spmv", 2, 4, PVASDRAM, 1218},
+	}
+	for _, c := range cells {
+		o := SweepOptions{Channels: c.channels, AddrMap: c.addrMap, Tech: c.tech, Verify: true, Watchdog: 10_000}
+		switch c.tech {
+		case "salp":
+			o.Subarrays = 4
+		case "pcm":
+			o.Partitions = 4
+		}
+		name := fmt.Sprintf("%s stride %d align %d on %s, %d channels, %s, %q",
+			c.kernel, c.stride, c.align, c.system, c.channels, c.addrMap, c.tech)
+		pt, err := RunKernelWithOptions(c.system, c.kernel, PaperParams(c.stride, c.align), o)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if pt.Cycles != c.cycles {
+			t.Errorf("%s: %d cycles, want %d", name, pt.Cycles, c.cycles)
+		}
+	}
+}

@@ -342,8 +342,8 @@ func appendMod(dst []core.Hit, channels uint32, v core.Vector) []core.Hit {
 // A ChannelSplitter's hits are true arithmetic subvectors (element
 // First + j*Delta for j < Count); for enumerated decoders a channel's
 // elements need not be evenly spaced, so only First and Count are
-// meaningful and Delta is a nominal 1 — the bank controllers under such
-// decoders enumerate their own address lists via BankView instead.
+// meaningful and Delta is a nominal 1 — the channel dispatcher hands the
+// bank controllers under such decoders explicit element lists instead.
 func SplitVector(d Decoder, v core.Vector) []core.Hit {
 	return AppendSplit(nil, d, v)
 }
@@ -374,20 +374,14 @@ func AppendSplit(dst []core.Hit, d Decoder, v core.Vector) []core.Hit {
 	return dst
 }
 
-// BankView is one bank controller's window onto a decoder: ownership and
-// the device-word mapping for a fixed (channel, bank). Bank controllers
-// under a decoder with no closed-form hit math use it to enumerate their
-// subvectors and to address the backing store.
+// BankView is one bank controller's window onto a decoder: the
+// device-word mapping for a fixed (channel, bank). Bank controllers
+// under a decoder with no closed-form hit math use it to address the
+// backing store.
 type BankView struct {
 	D       Decoder
 	Channel uint32
 	Bank    uint32
-}
-
-// Owns reports whether this bank holds word address a.
-func (v BankView) Owns(a uint32) bool {
-	c := v.D.Decode(a)
-	return c.Channel == v.Channel && c.Bank == v.Bank
 }
 
 // BankWord returns the device word index of a (which must be owned).

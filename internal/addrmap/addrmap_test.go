@@ -55,15 +55,24 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestOwnershipPartition: every address belongs to exactly one
-// (channel, bank) BankView.
+// (channel, bank). Decode names the owner, and of all the banks' device
+// views only the owner's stores the address at its bank word, so the
+// per-bank element lists the channel dispatcher builds from Decode
+// partition a command's elements.
 func TestOwnershipPartition(t *testing.T) {
 	for _, d := range decoders(t, 4, 8) {
 		for _, a := range testAddrs() {
+			c := d.Decode(a)
 			owners := 0
 			for ch := uint32(0); ch < d.Channels(); ch++ {
 				for b := uint32(0); b < d.Banks(); b++ {
-					if (BankView{D: d, Channel: ch, Bank: b}).Owns(a) {
-						owners++
+					if (BankView{D: d, Channel: ch, Bank: b}).Compose(c.BankWord) != a {
+						continue
+					}
+					owners++
+					if ch != c.Channel || b != c.Bank {
+						t.Fatalf("%s: address %#x decodes to (%d, %d) but is stored by (%d, %d)",
+							d.Name(), a, c.Channel, c.Bank, ch, b)
 					}
 				}
 			}

@@ -9,7 +9,16 @@
 //
 //   - FirstHit Predict (FHP): snoop logic evaluated in the broadcast
 //     cycle; decides hit/no-hit and, for power-of-two strides, the
-//     first-hit address (ObserveCommand).
+//     first-hit address (ObserveCommand). It has two paths. Strided
+//     commands under word interleaving use the closed-form stride PLA.
+//     Every other command (indexed commands, and strided commands under
+//     a decoder without closed-form hit math) arrives pre-claimed: the
+//     channel dispatcher decodes each element once when the command
+//     claims its transaction ID, sorts the element indices by (channel,
+//     bank), and hands each controller its own ascending list. The
+//     timing is that of the snoop it replaces: indexed claims and
+//     power-of-two strides resolve in the broadcast cycle, other strides
+//     pay the FHC multiply-add.
 //   - Request FIFO (RQF) + Register File (RF): an eight-entry queue of
 //     pending vector requests (one per outstanding bus transaction).
 //   - FirstHit Calculate (FHC): the two-cycle multiply-add that resolves
@@ -42,14 +51,13 @@ import (
 )
 
 // AddrView is a bank controller's window onto a non-default address
-// decoder: ownership of word addresses, the device word index of an
-// owned address, and the inverse used for store addressing. When a
-// Config carries no view, the controller assumes plain word interleaving
-// across Config.Banks units and uses the closed-form FirstHit/NextHit
-// mathematics; with a view it enumerates its subvector instead.
+// decoder: the device word index of an owned address, and the inverse
+// used for store addressing. When a Config carries no view, the
+// controller assumes plain word interleaving across Config.Banks units
+// and uses the closed-form FirstHit/NextHit mathematics for strided
+// commands; with a view every command arrives pre-claimed.
 // addrmap.BankView implements this interface.
 type AddrView interface {
-	Owns(a uint32) bool
 	BankWord(a uint32) uint32
 	Compose(bankWord uint32) uint32
 }
@@ -59,7 +67,7 @@ type Config struct {
 	Bank      uint32         // this controller's external bank number
 	Banks     uint32         // M, total external banks
 	Geom      core.Geometry  // word-interleave hit math for M banks
-	View      AddrView       // non-nil: decode via this view instead of word interleave
+	View      AddrView       // non-nil: address the device via this view; commands arrive pre-claimed
 	SGeom     addr.SDRAMGeom // device geometry
 	Timing    sdram.Timing   // device timing
 	Tech      dramtech.Spec  // device back end (zero value: plain SDRAM)
@@ -97,7 +105,7 @@ type request struct {
 	txn  int
 	hit  core.Hit // first index, delta, count for this bank
 	addr uint32   // global word address of the first owned element
-	idxs []uint32 // owned element indices when enumerated (AddrView or indexed command); nil: closed form
+	idxs []uint32 // owned element indices when pre-claimed (AddrView or indexed command); nil: closed form
 
 	// cmdIdx is the command's explicit index list for indexed
 	// (vector-indirect) requests: element i lives at v.Base + cmdIdx[i].
@@ -225,32 +233,25 @@ func (bc *BC) Busy() bool {
 	return bc.rqfLen() > 0 || bc.sched.busy()
 }
 
-// ObserveCommand is the FirstHit Predict block: called in the cycle a
-// VEC_READ or VEC_WRITE is broadcast. It decides whether this bank owns
-// any elements, resolves the first-hit address for power-of-two strides,
-// and queues the request. Banks owning nothing deassert the transaction
-// line immediately.
-func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, txn int) {
-	bc.observeCmd(op, v, nil, txn)
-}
-
-// ObserveIndexed is ObserveCommand for an indexed (vector-indirect)
-// command: element i lives at v.Base + idx[i], and the bank claims its
-// elements by decoding each broadcast index — the paper's "simple
-// bit-mask operation" (Section 7) — as the index words stream past.
-// Claims resolve within the broadcast burst, like the FHP fast path.
-func (bc *BC) ObserveIndexed(op memsys.Op, v core.Vector, idx []uint32, txn int) {
-	bc.observeCmd(op, v, idx, txn)
-}
-
-func (bc *BC) observeCmd(op memsys.Op, v core.Vector, idx []uint32, txn int) {
-	var idxs []uint32
+// ObserveCommand is the FirstHit Predict block, called in the cycle a
+// VEC_READ or VEC_WRITE is broadcast. idx is an indexed command's
+// offsets (element i lives at v.Base + idx[i]; nil for strided
+// commands). owned selects the predictor: nil runs the stride PLA,
+// which only strided commands under word interleaving may use;
+// otherwise it is this bank's pre-claimed element list, ascending, and
+// empty when the bank owns nothing. The controller keeps owned, read
+// only, until txn is released. Banks owning nothing deassert the
+// transaction line immediately.
+func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, idx, owned []uint32, txn int) {
 	var hit core.Hit
 	switch {
-	case idx != nil:
-		idxs, hit = bc.claim(v, idx)
-	case bc.cfg.View != nil:
-		idxs, hit = bc.enumerate(v)
+	case owned != nil:
+		hit = core.Hit{First: core.NoHit, Delta: 1, Count: uint32(len(owned))}
+		if len(owned) > 0 {
+			hit.First = owned[0]
+		}
+	case idx != nil || bc.cfg.View != nil:
+		fault.Invariantf("bankctl", "bank %d: command without closed-form hit math arrived unclaimed", bc.cfg.Bank)
 	default:
 		hit = bc.subVector(v)
 	}
@@ -269,11 +270,11 @@ func (bc *BC) observeCmd(op memsys.Op, v core.Vector, idx []uint32, txn int) {
 		// condition.
 		fault.Invariantf("bankctl", "bank %d register file overflow", bc.cfg.Bank)
 	}
-	r := request{op: op, v: v, txn: txn, hit: hit, idxs: idxs, cmdIdx: idx, enqueuedAt: bc.cycle}
+	r := request{op: op, v: v, txn: txn, hit: hit, idxs: owned, cmdIdx: idx, enqueuedAt: bc.cycle}
 	switch {
 	case idx != nil:
-		// Indexed claim: the first owned address fell out of the bank-
-		// select compare during the broadcast, no arithmetic left to do.
+		// Indexed claim: the first owned address is known from the
+		// broadcast offsets, no arithmetic left to do.
 		r.addr = r.elemAddr(hit.First)
 		r.acc = true
 		bc.stats.FHPPow2++
@@ -497,50 +498,6 @@ func (bc *BC) bankWord(a uint32) uint32 {
 		return bc.cfg.View.BankWord(a)
 	}
 	return a >> bc.cfg.Geom.Log2Banks()
-}
-
-// enumerate is the FirstHit predictor for decoders without closed-form
-// hit math: it walks the vector once and records the element indices
-// this bank owns. In hardware this is the same snoop comparators
-// evaluated per element instead of the stride PLA; the timing model
-// (FHP within the broadcast cycle for power-of-two strides, the FHC
-// multiply-add otherwise) is kept identical.
-func (bc *BC) enumerate(v core.Vector) ([]uint32, core.Hit) {
-	var idxs []uint32
-	for i := uint32(0); i < v.Length; i++ {
-		if bc.cfg.View.Owns(v.Addr(i)) {
-			idxs = append(idxs, i)
-		}
-	}
-	if len(idxs) == 0 {
-		return nil, core.Hit{First: core.NoHit, Delta: 1}
-	}
-	return idxs, core.Hit{First: idxs[0], Delta: 1, Count: uint32(len(idxs))}
-}
-
-// claim is the FirstHit predictor for indexed commands: every broadcast
-// index is decoded and kept when this bank owns its address — the bank-
-// select bit mask under word interleaving, the decoder view otherwise.
-// The owned element indices feed the same enumerated-request scheduler
-// path the AddrView decoders use.
-func (bc *BC) claim(v core.Vector, idx []uint32) ([]uint32, core.Hit) {
-	var idxs []uint32
-	for i := uint32(0); i < v.Length; i++ {
-		a := v.Base + idx[i]
-		var owns bool
-		if bc.cfg.View != nil {
-			owns = bc.cfg.View.Owns(a)
-		} else {
-			owns = bc.cfg.Geom.DecodeBank(a) == bc.cfg.Bank
-		}
-		if owns {
-			idxs = append(idxs, i)
-		}
-	}
-	if len(idxs) == 0 {
-		return nil, core.Hit{First: core.NoHit, Delta: 1}
-	}
-	return idxs, core.Hit{First: idxs[0], Delta: 1, Count: uint32(len(idxs))}
 }
 
 // subVector evaluates the FirstHit predictor for this bank via the

@@ -36,7 +36,7 @@ func (r *rig) startRead(v core.Vector) int {
 			r.board.Done(b, txn)
 		}
 	}
-	r.bc.ObserveCommand(memsys.Read, v, txn)
+	r.bc.ObserveCommand(memsys.Read, v, nil, nil, txn)
 	return txn
 }
 
@@ -164,7 +164,7 @@ func TestWriteCommitsAndDeasserts(t *testing.T) {
 	}
 	r.bc.StageWriteData(txn, line)
 	v := core.Vector{Base: 0, Stride: 16, Length: 32}
-	r.bc.ObserveCommand(memsys.Write, v, txn)
+	r.bc.ObserveCommand(memsys.Write, v, nil, nil, txn)
 	r.tickUntilDone(t, txn, 200)
 	for i := uint32(0); i < 32; i++ {
 		if got := r.store.Read(v.Addr(i)); got != 0x700+i {
@@ -177,7 +177,7 @@ func TestWriteWithoutStagedDataErrors(t *testing.T) {
 	r := newRig(t, 0)
 	txn, _ := r.board.Alloc()
 	r.board.Open(txn)
-	r.bc.ObserveCommand(memsys.Write, core.Vector{Base: 0, Stride: 16, Length: 4}, txn)
+	r.bc.ObserveCommand(memsys.Write, core.Vector{Base: 0, Stride: 16, Length: 4}, nil, nil, txn)
 	var err error
 	for i := 0; i < 20 && err == nil; i++ {
 		err = r.bc.Tick()
@@ -200,7 +200,7 @@ func TestRegisterFileOverflowPanics(t *testing.T) {
 			txn, _ = r.board.Alloc()
 		}
 		r.board.Open(txn)
-		r.bc.ObserveCommand(memsys.Read, core.Vector{Base: 0, Stride: 16, Length: 32}, txn)
+		r.bc.ObserveCommand(memsys.Read, core.Vector{Base: 0, Stride: 16, Length: 32}, nil, nil, txn)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestPolarityStallsCounted(t *testing.T) {
 	}
 	line := make([]uint32, 32)
 	r.bc.StageWriteData(txnW, line)
-	r.bc.ObserveCommand(memsys.Write, core.Vector{Base: 1 << 12, Stride: 16, Length: 32}, txnW)
+	r.bc.ObserveCommand(memsys.Write, core.Vector{Base: 1 << 12, Stride: 16, Length: 32}, nil, nil, txnW)
 	r.tickUntilDone(t, txnR, 300)
 	r.tickUntilDone(t, txnW, 300)
 	if s := r.bc.Stats(); s.PolarityStalls == 0 {
@@ -299,7 +299,7 @@ func TestStaticModeNoRowOps(t *testing.T) {
 	for b := uint32(1); b < 16; b++ {
 		board.Done(b, txn)
 	}
-	bc.ObserveCommand(memsys.Read, core.Vector{Base: 0, Stride: 16, Length: 32}, txn)
+	bc.ObserveCommand(memsys.Read, core.Vector{Base: 0, Stride: 16, Length: 32}, nil, nil, txn)
 	for i := 0; i < 100 && !board.AllDone(txn); i++ {
 		if err := bc.Tick(); err != nil {
 			t.Fatal(err)

@@ -337,12 +337,6 @@ type chanState struct {
 	fbIdxs   []uint32 // element indices re-routed through the fallback engine
 	fbDoneAt uint64   // cycle the fallback finishes this command's share
 	fbDone   bool     // fallback complete (vacuously true when fbIdxs is empty)
-
-	// idxMax is, for an indexed command, the largest per-bank element
-	// claim on this channel — the broadcast's serialization floor,
-	// accumulated into Stats.IndexedMaxBankClaim at delivery. Zero for
-	// base-stride commands.
-	idxMax uint32
 }
 
 // live returns the element count serviced by this channel's live bank
@@ -467,10 +461,11 @@ type frontEnd struct {
 	idxElems    []uint64 // elements moved by indexed commands
 	idxMaxClaim []uint64 // summed per-broadcast max per-bank claims
 
-	// claimScratch is the indexed channel dispatcher's per-(channel,
-	// bank) claim histogram, allocated once (C*M entries) and re-zeroed
-	// per indexed command.
-	claimScratch []uint32
+	// closedForm marks a decoder with closed-form hit math (HitMath).
+	// claims holds the pre-claimed element lists, one per transaction
+	// ID (see claimList and preClaimed).
+	closedForm bool
+	claims     [bus.MaxTransactions]claimList
 
 	// pending is set while an Issue call is pumping the engine under
 	// backpressure: a command is waiting at the admission gate. The
@@ -618,13 +613,9 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 	st := cmdState{acceptedAt: now, ch: fe.getChans(C)}
 	if c.Indexed() {
 		// Indexed commands have no closed-form channel split: decode
-		// every element once, building the per-(channel, bank) claim
-		// histogram that yields each channel's element count, its
-		// imbalance figure, and the command's address bounds.
-		scratch := fe.claimScratch
-		for j := range scratch {
-			scratch[j] = 0
-		}
+		// every element's channel once for each channel's element count,
+		// and bound the command's addresses. The per-bank claims are
+		// built when the command takes its transaction ID.
 		lo, hi := uint64(^uint64(0)), uint64(0)
 		for e := uint32(0); e < c.V.Length; e++ {
 			a := c.Addr(e)
@@ -634,23 +625,11 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 			if uint64(a) > hi {
 				hi = uint64(a)
 			}
-			co := fe.cfg.Decoder.Decode(a)
-			scratch[int(co.Channel)*M+int(co.Bank)]++
+			st.ch[fe.cfg.Decoder.Decode(a).Channel].count++
 		}
 		st.lo, st.hi = lo, hi
 		for ch := 0; ch < C; ch++ {
-			var n, mx uint32
-			for b := 0; b < M; b++ {
-				if k := scratch[ch*M+b]; k > 0 {
-					n += k
-					if k > mx {
-						mx = k
-					}
-				}
-			}
-			st.ch[ch].count = n
-			st.ch[ch].active = n > 0
-			st.ch[ch].idxMax = mx
+			st.ch[ch].active = st.ch[ch].count > 0
 			st.ch[ch].fbDone = true // until fallback elements are found below
 		}
 	} else {
@@ -887,7 +866,14 @@ func (fe *frontEnd) Step(now uint64) error {
 				}
 				fe.boards[ch].Open(st.txn)
 				M := len(fe.bcs[ch])
+				claimed := fe.preClaimed(c)
+				var maxClaim uint32 // the broadcast's serialization floor
 				for b, bc := range fe.bcs[ch] {
+					var owned []uint32
+					if claimed {
+						owned = fe.claims[st.txn].bank(ch*M + b)
+						maxClaim = max(maxClaim, uint32(len(owned)))
+					}
 					if fe.offline[ch*M+b] {
 						// Hard-faulted controller: its wired-OR line would
 						// never deassert, so the dispatcher deasserts it at
@@ -904,18 +890,14 @@ func (fe *frontEnd) Step(now uint64) error {
 							return err
 						}
 					}
-					if c.Indexed() {
-						bc.ObserveIndexed(c.Op, c.V, c.Idx, st.txn)
-					} else {
-						bc.ObserveCommand(c.Op, c.V, st.txn)
-					}
+					bc.ObserveCommand(c.Op, c.V, c.Idx, owned, st.txn)
 					fe.groups[ch].Wake(fe.gidx[ch][b], now)
 				}
 				cs.broadcastDone = true
 				if c.Indexed() {
 					fe.idxBus[ch] += uint64(dataCycles(cs.count))
 					fe.idxElems[ch] += uint64(cs.count)
-					fe.idxMaxClaim[ch] += uint64(cs.idxMax)
+					fe.idxMaxClaim[ch] += uint64(maxClaim)
 				}
 				fe.progress(now)
 				if !cs.fbDone {
@@ -1061,6 +1043,12 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		}
 		c := &fe.cmds[i]
 		if !st.issued {
+			if fe.issuedLive >= bus.MaxTransactions {
+				// All eight transactions are outstanding. Keep scanning:
+				// a younger issued command may still need this channel's
+				// broadcast before any transaction can retire.
+				continue
+			}
 			ok, err := fe.eligible(i)
 			if err != nil {
 				return err
@@ -1073,7 +1061,7 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 			// its channel's share independently.
 			txn, free := fe.boards[0].Alloc()
 			if !free {
-				break // all eight transactions outstanding
+				fault.Invariantf("pvaunit", "transaction pool empty with %d issued", fe.issuedLive)
 			}
 			for _, board := range fe.boards[1:] {
 				board.Claim(txn)
@@ -1081,6 +1069,9 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 			st.txn = txn
 			st.issued = true
 			st.issuedAt = now
+			if fe.preClaimed(c) {
+				fe.claims[txn].build(fe.cfg.Decoder, c)
+			}
 			if i+1 > fe.issuedHi {
 				fe.issuedHi = i + 1
 			}
@@ -1139,8 +1130,8 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 // reserve a bus tenure for a command that has not been admitted yet: on
 // every channel whose decision point has arrived, either an admitted
 // command will claim the tenure (an unadmitted command, being youngest,
-// would never be reached) or the scheduler's scan ends at a transaction
-// Alloc failure (which blocks younger commands too). Issue pumps the
+// would never be reached) or the transaction pool is empty (so no
+// command that is not yet issued can claim it). Issue pumps the
 // engine only across sealed cycles, which is what makes a stream with
 // backpressure land every admission on exactly the cycle the batch
 // engine would first act on the command. It is conservative: reporting
@@ -1174,8 +1165,9 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 		}
 		return true
 	}
-	// Priority 2: the first candidate either reserves the tenure or
-	// fails transaction Alloc — both block anything younger.
+	// Priority 2: the first candidate reserves the tenure, which blocks
+	// anything younger. With the transaction pool empty, commands not yet
+	// issued are skipped, as scheduleChannel skips them.
 	for i := fe.first; i < len(fe.state); i++ {
 		st := &fe.state[i]
 		if st.completed {
@@ -1192,6 +1184,9 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 			continue
 		}
 		if !st.issued {
+			if fe.issuedLive >= bus.MaxTransactions {
+				continue
+			}
 			ok, err := fe.eligible(i)
 			if err != nil {
 				return true // the real step will surface the error

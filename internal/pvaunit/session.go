@@ -154,8 +154,9 @@ func (s *System) Open() (*Session, error) {
 	dec := s.cfg.Decoder
 	// Decoders whose combined (channel, bank) selection is plain word
 	// interleaving keep the paper's closed-form hit math: bank b of
-	// channel ch is interleave unit b*C+ch of a C*M-unit system. Other
-	// decoders hand each controller a BankView and enumerate.
+	// channel ch is interleave unit b*C+ch of a C*M-unit system. Under
+	// other decoders each controller addresses its device through a
+	// BankView and receives every command pre-claimed.
 	var geom core.Geometry
 	hm, closedForm := dec.(addrmap.HitMath)
 	if closedForm {
@@ -251,10 +252,10 @@ func (s *System) Open() (*Session, error) {
 		fallbk:     make([]uint64, C),
 		obsBuf:     obsBuf,
 
-		idxBus:       make([]uint64, C),
-		idxElems:     make([]uint64, C),
-		idxMaxClaim:  make([]uint64, C),
-		claimScratch: make([]uint32, C*M),
+		idxBus:      make([]uint64, C),
+		idxElems:    make([]uint64, C),
+		idxMaxClaim: make([]uint64, C),
+		closedForm:  closedForm,
 	}
 	eng := engine.New(engine.Config{
 		MaxCycles:       s.cfg.MaxCycles,

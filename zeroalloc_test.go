@@ -103,3 +103,63 @@ func TestSteadyStateZeroAllocParallel(t *testing.T) {
 		t.Fatalf("parallel steady-state Run allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// steadyIndexedTrace mixes strided and indexed reads and preset-data
+// writes, with duplicate offsets and a dependence across the two kinds.
+// Like steadyTrace it carries no Compute writes.
+func steadyIndexedTrace() Trace {
+	data := make([]uint32, 32)
+	for i := range data {
+		data[i] = uint32(i)*7 + 1
+	}
+	dups := fuzzIdx(9, 32)
+	dups[3], dups[17] = dups[1], dups[1]
+	return Trace{Cmds: []VectorCmd{
+		{Op: Write, V: Vector{Base: 1 << 20, Stride: 0, Length: 32}, Idx: fuzzIdx(4, 32), Data: data},
+		{Op: Read, V: Vector{Base: 1 << 20, Stride: 0, Length: 32}, Idx: fuzzIdx(4, 32), DependsOn: []int{0}},
+		{Op: Read, V: Vector{Base: 5, Stride: 19, Length: 32}},
+		{Op: Read, V: Vector{Base: 64, Stride: 0, Length: 32}, Idx: dups},
+		{Op: Write, V: Vector{Base: 3, Stride: 8, Length: 32}, Data: data},
+		{Op: Read, V: Vector{Base: 1 << 12, Stride: 16, Length: 32}},
+	}}
+}
+
+// TestSteadyStateZeroAllocIndexed extends the pin to the pre-claimed
+// path: under decoders without closed-form hit math every command's
+// per-bank element lists come from the dispatcher's per-transaction
+// storage, which must be reused rather than rebuilt once warm. It runs
+// on four channels under the xor decoder with 4-partition PCM, and
+// under a tuned XOR-hash spec.
+func TestSteadyStateZeroAllocIndexed(t *testing.T) {
+	xorPCM := DefaultConfig()
+	xorPCM.Channels = 4
+	xorPCM.AddrMap = "xor"
+	xorPCM.Tech = "pcm"
+	xorPCM.Partitions = 4
+	tuned := DefaultConfig()
+	tuned.Channels = 4
+	tuned.AddrMap = "tuned:0x9,0x12,0x24,0x3"
+	tr := steadyIndexedTrace()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"xor-pcm4", xorPCM}, {"tuned", tuned}} {
+		sys, err := NewSystem(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := sys.Run(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := sys.Run(tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state Run allocates %.1f objects/op, want 0", tc.name, allocs)
+		}
+	}
+}
