@@ -448,31 +448,39 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkAutotuneSearch is the decoder-search ladder on one small
-// fixed budget. ladder/pooled is the default two-rung search with
+// BenchmarkAutotuneSearch is the decoder-search ladder. ladder/pooled
+// is the default two-rung search on one small fixed budget, with
 // survivor evaluations fanned out over the engine pool; ladder/serial
 // is the same search on one goroutine (the candidate-evaluation
 // scaling); fullsim is the identical budget with the surrogate rung
 // disabled, every greedy step a full simulation — the cost the
-// surrogate prune saves (the benchstat gate tracks the pooled search).
+// surrogate prune saves. Full simulations dominate all three.
+// paper-swap is the default-budget search for swap at the paper
+// strides on 1024-element vectors, where the surrogate climbs dominate.
+// The benchstat gate tracks ladder/pooled and paper-swap.
 func BenchmarkAutotuneSearch(b *testing.B) {
 	base := AutotuneOptions{Seed: 1, Restarts: 2, MaskBits: 8}
 	serial := base
 	serial.Workers = 1
 	fullsim := base
 	fullsim.DisableSurrogate = true
+	ladder := []uint32{1, 19}
 	for _, c := range []struct {
-		name string
-		o    AutotuneOptions
+		name     string
+		kernel   string
+		strides  []uint32
+		elements uint32
+		o        AutotuneOptions
 	}{
-		{"ladder/pooled", base},
-		{"ladder/serial", serial},
-		{"fullsim", fullsim},
+		{"ladder/pooled", "copy", ladder, 64, base},
+		{"ladder/serial", "copy", ladder, 64, serial},
+		{"fullsim", "copy", ladder, 64, fullsim},
+		{"paper-swap", "swap", nil, 1024, AutotuneOptions{Seed: 1}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := AutotuneKernel("copy", []uint32{1, 19}, 64, c.o); err != nil {
+				if _, err := AutotuneKernel(c.kernel, c.strides, c.elements, c.o); err != nil {
 					b.Fatal(err)
 				}
 			}

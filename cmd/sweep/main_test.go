@@ -140,3 +140,21 @@ func TestSweepAutotuneCLI(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepAutotuneRejectsNegativeBudget: a negative -restarts or
+// -survivors is reported as an error naming the budget field, with a
+// non-zero exit, never a panic and its goroutine dump.
+func TestSweepAutotuneRejectsNegativeBudget(t *testing.T) {
+	for _, c := range []struct{ flag, field string }{
+		{"-survivors", "Survivors"},
+		{"-restarts", "Restarts"},
+	} {
+		code, _, stderr := sweepRun("-autotune", "-kernels", "copy", "-elements", "64", c.flag, "-1")
+		if code == 0 {
+			t.Errorf("%s -1 exited 0", c.flag)
+		}
+		if !strings.Contains(stderr, c.field) || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%s -1: stderr does not name %s cleanly:\n%s", c.flag, c.field, stderr)
+		}
+	}
+}

@@ -8,29 +8,33 @@
 // The search is a two-rung evaluation ladder. The bottom rung is the
 // decode-only surrogate (surrogate.go): greedy per-bit refinement with
 // seeded random restarts walks the mask space on surrogate cost alone,
-// thousands of evaluations per second. The top rung is the real
-// cycle-accurate simulator: only the surrogate's best few locally
-// optimal candidates (Options.Survivors) are promoted, each evaluated
-// by running the full workload warm-started from a shared
-// copy-on-write checkpoint, fanned out over the process-global engine
-// worker pool. The winner is the survivor with the fewest measured
+// each neighbour scored by delta — one XOR per element on labels kept
+// under the climb's current masks. The climbs are independent, so they
+// fan out over the process-global engine worker pool, one scorer per
+// worker. The top rung is the real cycle-accurate simulator: only the
+// surrogate's best few locally optimal candidates (Options.Survivors)
+// are promoted, each evaluated by running the full workload
+// warm-started from a shared copy-on-write checkpoint, fanned out over
+// the same pool. The winner is the survivor with the fewest measured
 // cycles; because zero masks reproduce the paper's word interleave and
 // the XOR-fold masks reproduce the classic bank hash, both landmarks
 // are always in the starting population and the tuned result can never
 // search worse than them under the surrogate's ranking.
 //
 // Everything is deterministic for a fixed Options.Seed: restarts come
-// from a splitmix64 stream, greedy scans bits in ascending order,
-// candidates are deduplicated and ordered by (cost, spec), and the
-// parallel full evaluations land in indexed slots so scheduling order
-// cannot leak into the result.
+// from a splitmix64 stream, greedy scans bits in ascending order, each
+// climb and each full evaluation lands in its own indexed slot, and
+// candidates are deduplicated and ordered by (cost, spec) in start
+// order, so scheduling order cannot leak into the result.
 package autotune
 
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pva/internal/addrmap"
 	"pva/internal/engine"
@@ -78,9 +82,12 @@ type Options struct {
 	// Survivors is how many locally optimal candidates are promoted to
 	// full cycle-accurate evaluation (0: 4).
 	Survivors int
-	// Workers selects the full-evaluation engine: 1 runs survivors
-	// serially inline, anything else fans them out over the shared
-	// engine worker pool.
+	// Workers selects where both rungs run: 1 runs the greedy climbs
+	// and the full simulations serially inline; anything else fans the
+	// climbs out over the shared engine worker pool (at most
+	// min(GOMAXPROCS, starts) tasks, each reusing one scorer across its
+	// climbs) and the full simulations one task each. The Result is
+	// bit-identical at any value.
 	Workers int
 	// DisableSurrogate makes every evaluation — greedy refinement
 	// included — a full cycle-accurate simulation. It exists to measure
@@ -156,7 +163,7 @@ type searcher struct {
 	scorer  *scorer
 	baseImg *memsys.Image // shared cold checkpoint all evaluations warm-start from
 	lm      uint          // log2 banks
-	varyBit []uint32      // single-bit masks the search may toggle
+	varyBit []uint        // bank-word bits the search may toggle, ascending
 	surEval int
 	fullMu  sync.Mutex
 	full    int
@@ -165,6 +172,12 @@ type searcher struct {
 // Search runs the autotuner over a workload and returns the winning
 // decoder with its evidence. Deterministic for a fixed Options.Seed.
 func Search(w Workload, o Options) (*Result, error) {
+	if o.Restarts < 0 {
+		return nil, fmt.Errorf("autotune: Restarts %d is negative", o.Restarts)
+	}
+	if o.Survivors < 0 {
+		return nil, fmt.Errorf("autotune: Survivors %d is negative", o.Survivors)
+	}
 	o = o.withDefaults()
 	if len(w.Traces) == 0 {
 		return nil, fmt.Errorf("autotune: workload %q has no traces", w.Name)
@@ -173,16 +186,22 @@ func Search(w Workload, o Options) (*Result, error) {
 	if _, err := addrmap.NewTuned(o.Channels, o.Banks, nil); err != nil {
 		return nil, err
 	}
+	if units := uint64(o.Channels) * uint64(o.Banks); units > maxUnits {
+		return nil, fmt.Errorf("autotune: Channels*Banks = %d exceeds the surrogate's %d units", units, maxUnits)
+	}
 
 	captured := make([]kernels.AddressTrace, len(w.Traces))
 	for i, tr := range w.Traces {
 		captured[i] = kernels.CaptureAddresses(tr)
 	}
-	cfg := pvaunit.PaperConfig()
+	sc, err := newScorer(captured, pvaunit.PaperConfig().SGeom, o.Channels, o.Banks)
+	if err != nil {
+		return nil, err
+	}
 	s := &searcher{
 		w:      w,
 		o:      o,
-		scorer: newScorer(captured, cfg.SGeom, o.Channels, o.Banks),
+		scorer: sc,
 		lm:     uint(bits.TrailingZeros32(o.Banks)),
 	}
 
@@ -207,13 +226,13 @@ func Search(w Workload, o Options) (*Result, error) {
 		vary &= 1<<o.MaskBits - 1
 	}
 	for v := vary; v != 0; v &= v - 1 {
-		s.varyBit = append(s.varyBit, v&-v)
+		s.varyBit = append(s.varyBit, uint(bits.TrailingZeros32(v)))
 	}
 
 	// Shared base checkpoint: the cold memory image every candidate's
 	// evaluation (and every baseline's) warm-starts from, so full
 	// simulations never re-materialize pages another already has.
-	base, err := s.newSystem(addrmap.MustTuned(o.Channels, o.Banks, nil))
+	base, err := s.newSystem(s.tuned(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -233,32 +252,23 @@ func Search(w Workload, o Options) (*Result, error) {
 		starts = append(starts, m)
 	}
 
-	// Rung one: greedy per-bit refinement of every start.
+	// Rung one: greedy per-bit refinement of every start, each climb in
+	// its own slot, then deduplicated in start order.
 	var locals []Candidate
 	seen := map[string]bool{}
-	var evalErr error
-	eval := func(masks []uint32) uint64 {
-		if o.DisableSurrogate {
-			c, err := s.fullCycles(addrmap.MustTuned(o.Channels, o.Banks, masks))
-			if err != nil && evalErr == nil {
-				evalErr = err
-			}
-			return c
+	for _, c := range s.climbAll(starts) {
+		if c.err != nil {
+			return nil, c.err
 		}
-		s.surEval++
-		return s.scorer.cost(addrmap.MustTuned(o.Channels, o.Banks, masks))
-	}
-	for _, start := range starts {
-		masks, score := s.greedy(start, eval)
-		if evalErr != nil {
-			return nil, evalErr
+		if !o.DisableSurrogate {
+			s.surEval += c.evals
 		}
-		spec := addrmap.MustTuned(o.Channels, o.Banks, masks).String()
+		spec := s.tuned(c.masks).String()
 		if seen[spec] {
 			continue
 		}
 		seen[spec] = true
-		locals = append(locals, Candidate{Masks: masks, Spec: spec, Surrogate: score})
+		locals = append(locals, Candidate{Masks: c.masks, Spec: spec, Surrogate: c.cost})
 	}
 	sort.Slice(locals, func(i, j int) bool {
 		if locals[i].Surrogate != locals[j].Surrogate {
@@ -275,8 +285,7 @@ func Search(w Workload, o Options) (*Result, error) {
 		locals = locals[:o.Survivors]
 	}
 	for _, lmk := range [][]uint32{make([]uint32, s.lm), addrmap.XORFoldMasks(o.Channels, o.Banks)} {
-		d := addrmap.MustTuned(o.Channels, o.Banks, lmk)
-		spec := d.String()
+		spec := s.tuned(lmk).String()
 		dup := false
 		for _, c := range locals {
 			if c.Spec == spec {
@@ -290,13 +299,13 @@ func Search(w Workload, o Options) (*Result, error) {
 		c := Candidate{Masks: lmk, Spec: spec}
 		if !o.DisableSurrogate {
 			s.surEval++
-			c.Surrogate = s.scorer.cost(d)
+			c.Surrogate, _ = s.scorer.load(lmk) // the surrogate never fails
 		}
 		locals = append(locals, c)
 	}
 	decs := make([]addrmap.Decoder, len(locals))
 	for i, c := range locals {
-		decs[i] = addrmap.MustTuned(o.Channels, o.Banks, c.Masks)
+		decs[i] = s.tuned(c.Masks)
 	}
 	cycles, err := s.evalAll(decs)
 	if err != nil {
@@ -344,28 +353,116 @@ func Search(w Workload, o Options) (*Result, error) {
 	}, nil
 }
 
+// tuned returns the tuned decoder for masks in the searched shape.
+func (s *searcher) tuned(masks []uint32) *addrmap.Tuned {
+	return addrmap.MustTuned(s.o.Channels, s.o.Banks, masks)
+}
+
+// rung scores one climb's candidates: the surrogate (*scorer), or full
+// simulation (fullRung) under Options.DisableSurrogate.
+type rung interface {
+	// load makes masks the climb's current set and scores it.
+	load(masks []uint32) (uint64, error)
+	// neighbour scores the current set with bank-word bit b toggled in
+	// mask j; masks already carries the toggle.
+	neighbour(masks []uint32, j int, b uint) (uint64, error)
+	// accept makes that neighbour the current set.
+	accept(j int, b uint)
+}
+
+// fullRung scores every candidate by full simulation and keeps no
+// state between calls.
+type fullRung struct{ s *searcher }
+
+func (r fullRung) load(masks []uint32) (uint64, error) { return r.s.fullCycles(r.s.tuned(masks)) }
+
+func (r fullRung) neighbour(masks []uint32, _ int, _ uint) (uint64, error) { return r.load(masks) }
+
+func (fullRung) accept(int, uint) {}
+
+// climb is one start's greedy refinement: the local optimum, its cost,
+// and how many candidates the climb scored.
+type climb struct {
+	masks []uint32
+	cost  uint64
+	evals int
+	err   error
+}
+
 // greedy hill-climbs one mask set to a local optimum: toggle every
 // (bank bit, bank-word bit) pair, keep strict improvements, repeat
 // until a full pass finds none. Bits scan in ascending order so the
 // walk is deterministic.
-func (s *searcher) greedy(start []uint32, eval func([]uint32) uint64) ([]uint32, uint64) {
-	cur := make([]uint32, len(start))
-	copy(cur, start)
-	best := eval(cur)
+func (s *searcher) greedy(r rung, start []uint32) climb {
+	cur := append([]uint32(nil), start...)
+	best, err := r.load(cur)
+	if err != nil {
+		return climb{err: err}
+	}
+	evals := 1
 	for improved := true; improved; {
 		improved = false
 		for j := range cur {
-			for _, bit := range s.varyBit {
-				cur[j] ^= bit
-				if c := eval(cur); c < best {
+			for _, b := range s.varyBit {
+				cur[j] ^= 1 << b
+				c, err := r.neighbour(cur, j, b)
+				if err != nil {
+					return climb{err: err}
+				}
+				evals++
+				if c < best {
 					best, improved = c, true
+					r.accept(j, b)
 				} else {
-					cur[j] ^= bit
+					cur[j] ^= 1 << b
 				}
 			}
 		}
 	}
-	return cur, best
+	return climb{masks: cur, cost: best, evals: evals}
+}
+
+// climbAll refines every start into its own slot. Unless Workers is 1,
+// min(GOMAXPROCS, starts) tasks on the engine pool take starts in turn,
+// each climbing on its own rung; a single task runs inline. Surrogate
+// rungs are forked before any task starts, one per task, and reused
+// across that task's climbs: load relabels every element, so no climb
+// sees another's state.
+func (s *searcher) climbAll(starts [][]uint32) []climb {
+	out := make([]climb, len(starts))
+	n := 1
+	if s.o.Workers != 1 {
+		n = min(runtime.GOMAXPROCS(0), len(starts))
+	}
+	rungs := make([]rung, n)
+	for i := range rungs {
+		switch {
+		case s.o.DisableSurrogate:
+			rungs[i] = fullRung{s}
+		case i == 0:
+			rungs[i] = s.scorer
+		default:
+			rungs[i] = s.scorer.fork()
+		}
+	}
+	if n == 1 {
+		for i, st := range starts {
+			out[i] = s.greedy(rungs[0], st)
+		}
+		return out
+	}
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for _, r := range rungs {
+		engine.Go(func() {
+			for i := int(next.Add(1)) - 1; i < len(starts); i = int(next.Add(1)) - 1 {
+				out[i] = s.greedy(r, starts[i])
+			}
+		}, &wg)
+	}
+	wg.Wait()
+	return out
 }
 
 // newSystem builds the cycle-accurate PVA SDRAM system under a decoder.

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pva/internal/kernels"
@@ -19,31 +20,60 @@ func testWorkload(t *testing.T, name string) Workload {
 	return KernelWorkload(k, []uint32{1, 4, 19}, 0, 64)
 }
 
+// TestAutotuneSearchDeterministic pins the Result to the seed alone:
+// rerunning, pooling the climbs and the full simulations, running the
+// full-simulation-only climbs pooled, and handing the pool more starts
+// than it has workers must all reproduce the serial search bit for bit.
+// The CI race job runs it at GOMAXPROCS 1, 2 and 8.
 func TestAutotuneSearchDeterministic(t *testing.T) {
 	w := testWorkload(t, "copy")
-	opts := Options{Seed: 42, Restarts: 3}
+	for _, opts := range []Options{
+		{Seed: 42, Restarts: 3},
+		{Seed: 42, Restarts: 9}, // 11 starts: more than the climbing tasks below GOMAXPROCS 11
+		{Seed: 5, Restarts: 2, MaskBits: 3, DisableSurrogate: true},
+	} {
+		serial := opts
+		serial.Workers = 1
+		a, err := Search(w, serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Search(w, serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: same seed, different results:\n%+v\n%+v", opts, a, b)
+		}
 
-	serial := opts
-	serial.Workers = 1
-	a, err := Search(w, serial)
-	if err != nil {
-		t.Fatal(err)
+		pooled := opts // Workers 0: fan out over the engine pool
+		c, err := Search(w, pooled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, c) {
+			t.Fatalf("%+v: serial and pooled disagree:\nserial %+v\npooled %+v", opts, a, c)
+		}
 	}
-	b, err := Search(w, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
-	}
+}
 
-	pooled := opts // Workers 0: fan out over the engine pool
-	c, err := Search(w, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, c) {
-		t.Fatalf("serial and pooled disagree:\nserial %+v\npooled %+v", a, c)
+// TestAutotuneRejectsBadOptions: a negative budget or a shape beyond the
+// surrogate's unit labels is an error naming the field, not a panic or a
+// silently clamped search.
+func TestAutotuneRejectsBadOptions(t *testing.T) {
+	w := testWorkload(t, "copy")
+	for _, c := range []struct {
+		o    Options
+		want string
+	}{
+		{Options{Restarts: -1}, "Restarts"},
+		{Options{Survivors: -1}, "Survivors"},
+		{Options{Channels: 256, Banks: 512}, "Channels*Banks"},
+	} {
+		res, err := Search(w, c.o)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, %v; want an error naming %s", c.o, res, err, c.want)
+		}
 	}
 }
 
