@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"flag"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,11 +14,104 @@ import (
 	"pva"
 )
 
+var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
+
 // sweepRun invokes the CLI entry point in-process.
 func sweepRun(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
 	code = run(args, &out, &errb)
 	return code, out.String(), errb.String()
+}
+
+// TestSweepGoldens regenerates the sweep's reports at 64 elements and
+// diffs them against testdata/: the figure set, the raw JSON points
+// (gzipped), the channel-scaling table and the back-end table. The
+// trailing timing line of a text report is not part of its golden.
+// go test ./cmd/sweep -run TestSweepGoldens -update rewrites them.
+func TestSweepGoldens(t *testing.T) {
+	for _, c := range []struct {
+		file string
+		args []string
+	}{
+		{"figures_e64.txt", nil},
+		{"points_e64.json.gz", []string{"-json"}},
+		{"channels_e64.txt", []string{"-channels", "1,2,4"}},
+		{"techs_e64.txt", []string{"-techscaling"}},
+	} {
+		code, got, stderr := sweepRun(append([]string{"-elements", "64"}, c.args...)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d\nstderr: %s", c.file, code, stderr)
+		}
+		gz := strings.HasSuffix(c.file, ".gz")
+		if !gz {
+			got = got[:strings.LastIndex(strings.TrimSuffix(got, "\n"), "\n")+1]
+		}
+		path := filepath.Join("testdata", c.file)
+		if *update {
+			if err := writeGolden(path, got, gz); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := readGolden(path, gz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == want {
+			continue
+		}
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
+				t.Errorf("%s differs from the golden first at line %d:\ngot  %q\nwant %q",
+					c.file, i+1, line(gl, i), line(wl, i))
+				break
+			}
+		}
+	}
+}
+
+func line(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of output>"
+}
+
+func readGolden(path string, gz bool) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var r io.Reader = f
+	if gz {
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			return "", err
+		}
+		r = zr
+	}
+	b, err := io.ReadAll(r)
+	return string(b), err
+}
+
+func writeGolden(path, data string, gz bool) error {
+	if !gz {
+		return os.WriteFile(path, []byte(data), 0o644)
+	}
+	var buf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&buf, gzip.BestCompression)
+	if err != nil {
+		return err
+	}
+	if _, err := zw.Write([]byte(data)); err != nil {
+		return err
+	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // TestSweepFailureExitsNonzeroWithCoordinates is the worker-error
