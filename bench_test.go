@@ -268,7 +268,7 @@ func BenchmarkIndirectGather(b *testing.B) {
 func BenchmarkSweepSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepWithOptions(nil, nil, nil, SweepOptions{Workers: 1}); err != nil {
+		if _, err := SweepWithOptions(Grid{}, SweepOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 func BenchmarkSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepWithOptions(nil, nil, nil, SweepOptions{Workers: 0}); err != nil {
+		if _, err := SweepWithOptions(Grid{}, SweepOptions{Workers: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -442,7 +442,7 @@ func BenchmarkParallelTickLoop(b *testing.B) {
 func BenchmarkSweepWarmStart(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepWithOptions(nil, nil, nil, SweepOptions{Workers: 1}); err != nil {
+		if _, err := SweepWithOptions(Grid{}, SweepOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

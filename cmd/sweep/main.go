@@ -1,7 +1,9 @@
 // Command sweep regenerates the paper's evaluation: the full
 // kernel x stride x alignment x system cross product (Section 6.2's 240
 // points per system) and the text form of every figure plus the
-// headline speedup ratios.
+// headline speedup ratios. Channel counts and pva-sdram device back
+// ends are two more axes of the same grid; a grid over several of
+// either prints its channel-scaling or back-end table instead.
 //
 // Usage:
 //
@@ -10,15 +12,14 @@
 //	sweep -elements 256   # faster, shorter vectors
 //	sweep -workers 1      # force the serial engine (0: one per CPU)
 //	sweep -json           # raw measured points as JSON
-//	sweep -channels 1,2,4 # channel-scaling experiment instead of figures
-//	sweep -techscaling    # device back-end ladder (SDRAM, SALP, PCM)
+//	sweep -channels 1,2,4 # channel-scaling table instead of figures
+//	sweep -tech sdram,salp-2,salp-4,salp-8,pcm-4p  # back-end table
+//	sweep -tech salp-4    # the figures on one back end
 //	sweep -autotune       # search a tuned address decoder per kernel
 //	sweep -autotune -seed 7 -restarts 8 -survivors 6
-//	sweep -tech salp -subarrays 4  # whole sweep on one back end
 //	sweep -journal dir    # crash-safe sweep: journal results, resume on rerun
 //	sweep -isolate        # quarantine failing cells, finish the rest
 //	sweep -cell-timeout 30s -retries 2 -retry-backoff 100ms
-//	sweep -bench-snapshot 5  # write the BENCH_5.json perf-trajectory point
 //	sweep -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Exit status: 0 on success, 1 on a sweep error, 2 on a usage or
@@ -37,7 +38,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"pva"
@@ -57,26 +57,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers      = fs.Int("workers", 0, "sweep worker goroutines (0: one per CPU, 1: serial)")
 		parChan      = fs.Bool("parallel-channels", false, "tick PVA memory channels concurrently inside each cycle (bit-identical results)")
 		addrmap      = fs.String("addrmap", "word", "address decoder: word, line, xor, tuned:<mask,mask,...>")
-		channelsFlag = fs.String("channels", "", "comma-separated channel counts (e.g. 1,2,4): run the channel-scaling experiment")
+		channelsFlag = fs.String("channels", "", "comma-separated channel counts (e.g. 1,2,4); several print the channel-scaling table (default 1)")
+		techFlag     = fs.String("tech", "", "comma-separated pva-sdram device back ends: sdram, salp-<subarrays>, pcm-<partitions>p (e.g. sdram,salp-4,pcm-4p); several print the back-end table (default sdram)")
 		jsonOut      = fs.Bool("json", false, "emit measured points as JSON instead of the figures")
-
-		techScaling = fs.Bool("techscaling", false, "run the technology-scaling experiment across the default back-end ladder")
 
 		autotuneFlag = fs.Bool("autotune", false, "search a conflict-minimal tuned address decoder per kernel and report it against the fixed decoders")
 		seed         = fs.Uint64("seed", 0, "autotune search seed (equal seeds: bit-identical results)")
 		restarts     = fs.Int("restarts", 0, "autotune random restarts beside the word/xor landmarks (0: default)")
 		survivors    = fs.Int("survivors", 0, "autotune candidates promoted to full simulation (0: default)")
-		tech         = fs.String("tech", "", "device back end for the PVA SDRAM system: sdram, salp, pcm (default sdram)")
-		subarrays    = fs.Uint("subarrays", 0, "subarrays per internal bank (tech=salp; power of two)")
-		partitions   = fs.Uint("partitions", 0, "partitions per internal bank (tech=pcm; power of two)")
 
 		journalDir   = fs.String("journal", "", "crash-safe sweep: append results to <dir>/sweep.journal and resume completed cells on rerun (implies -isolate)")
 		isolate      = fs.Bool("isolate", false, "quarantine failing cells instead of aborting; the rest of the grid completes")
 		cellTimeout  = fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline, above the simulated-cycle watchdog (0: none)")
 		retries      = fs.Int("retries", 0, "re-attempts per failing cell before quarantine (fresh systems each attempt)")
 		retryBackoff = fs.Duration("retry-backoff", 0, "sleep before the first retry, doubled each further attempt")
-
-		benchSnap = fs.Int("bench-snapshot", -1, "run the perf-trajectory benchmarks and write BENCH_<n>.json for this snapshot number (-1: off)")
 
 		faultSeed = fs.Uint64("fault-seed", 0, "seed driving every fault-injection decision")
 		faultRate = fs.Float64("fault-rate", 0, "base fault rate p: single-bit flip rate p, double-bit p/100, broadcast drop p/10 (PVA systems only)")
@@ -119,13 +113,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *benchSnap >= 0 {
-		return benchSnapshot(*benchSnap, stdout, stderr)
-	}
-
-	var names []string
+	var grid pva.Grid
 	if *kernelsFlag != "" {
-		names = strings.Split(*kernelsFlag, ",")
+		grid.Kernels = strings.Split(*kernelsFlag, ",")
+	}
+	if *channelsFlag != "" {
+		channels, err := parseChannels(*channelsFlag)
+		if err != nil {
+			fmt.Fprintf(stderr, "sweep: %v\n", err)
+			return 2
+		}
+		grid.Channels = channels
+	}
+	if *techFlag != "" {
+		grid.Techs = strings.Split(*techFlag, ",")
 	}
 	opts := pva.SweepOptions{
 		Elements: uint32(*elements),
@@ -140,21 +141,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 		Watchdog:         *watchdog,
 		ParallelChannels: *parChan,
-		Tech:             *tech,
-		Subarrays:        uint32(*subarrays),
-		Partitions:       uint32(*partitions),
 		CellTimeout:      *cellTimeout,
 		Retries:          *retries,
 		RetryBackoff:     *retryBackoff,
 	}
-	if err := opts.Validate(); err != nil {
+	if err := pva.ValidateGrid(grid, opts); err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2
 	}
 
 	start := time.Now()
 	if *autotuneFlag {
-		points, err := pva.Autotune(names, nil, uint32(*elements), pva.AutotuneOptions{
+		points, err := pva.Autotune(grid.Kernels, nil, uint32(*elements), pva.AutotuneOptions{
 			Seed:      *seed,
 			Restarts:  *restarts,
 			Survivors: *survivors,
@@ -171,40 +169,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%d kernels in %v\n", len(points), time.Since(start).Round(time.Millisecond))
 		return 0
 	}
-	if *techScaling {
-		points, err := pva.TechSweep(names, nil, nil, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-		if *jsonOut {
-			return emitJSON(stdout, stderr, points)
-		}
-		pva.RenderTechScaling(stdout, points)
-		fmt.Fprintf(stdout, "%d points in %v\n", len(points), time.Since(start).Round(time.Millisecond))
-		return 0
-	}
-	if *channelsFlag != "" {
-		channels, err := parseChannels(*channelsFlag)
-		if err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 2
-		}
-		points, err := pva.ChannelSweep(names, nil, channels, nil, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-		if *jsonOut {
-			return emitJSON(stdout, stderr, points)
-		}
-		pva.RenderChannelScaling(stdout, points)
-		fmt.Fprintf(stdout, "%d points in %v\n", len(points), time.Since(start).Round(time.Millisecond))
-		return 0
-	}
-
 	if *journalDir != "" || *isolate {
-		out, err := pva.ResumableSweep(names, nil, nil, *journalDir, opts)
+		out, err := pva.ResumableSweep(grid, *journalDir, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "sweep: %v\n", err)
 			return 1
@@ -232,11 +198,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	points, err := pva.SweepWithOptions(names, nil, nil, opts)
+	points, err := pva.SweepWithOptions(grid, opts)
 	if err != nil {
 		// The harness wraps every failure with its cell coordinates
-		// (kernel, stride, alignment, system), so the message printed here
-		// names the failing cell.
+		// (kernel, stride, alignment, system, channels, back end), so the
+		// message printed here names the failing cell.
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 1
 	}
@@ -246,201 +212,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pva.Figures(stdout, points)
 	fmt.Fprintf(stdout, "%d points in %v%s\n", len(points), time.Since(start).Round(time.Millisecond),
 		map[bool]string{true: " (verified against reference)", false: ""}[*verify])
-	return 0
-}
-
-// benchSnapshot measures the perf-trajectory benchmarks in-process and
-// writes BENCH_<n>.json in the current directory. The workloads bracket
-// the simulator's cost envelope: the pooled steady-state Run on a reused
-// System, the cold event-driven / strict tick loops that rebuild a
-// System per run, the same tick loop with the channels on the worker
-// pool, and the full warm-started serial sweep. EXPERIMENTS.md
-// documents the file format.
-func benchSnapshot(n int, stdout, stderr io.Writer) int {
-	k, err := pva.KernelByName("vaxpy")
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	trace := k.Build(pva.PaperParams(19, 1))
-	strict := pva.DefaultConfig()
-	strict.DisableIdleSkip = true
-
-	cold := func(cfg pva.Config) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys, err := pva.NewSystem(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sys.Run(trace); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	// The steady-state workload mirrors the TestSteadyStateZeroAlloc
-	// trace: reads and preset-data writes only, since Compute closures
-	// allocate their result lines by design. On a warm reused System
-	// its allocs_per_op must read 0.
-	data := make([]uint32, 32)
-	for i := range data {
-		data[i] = uint32(i) * 3
-	}
-	steadyTrace := pva.Trace{Cmds: []pva.VectorCmd{
-		{Op: pva.Write, V: pva.Vector{Base: 0, Stride: 4, Length: 32}, Data: data},
-		{Op: pva.Read, V: pva.Vector{Base: 1, Stride: 19, Length: 32}},
-		{Op: pva.Read, V: pva.Vector{Base: 7, Stride: 5, Length: 32}},
-		{Op: pva.Write, V: pva.Vector{Base: 3, Stride: 8, Length: 32}, Data: data},
-		{Op: pva.Read, V: pva.Vector{Base: 0, Stride: 4, Length: 32}, DependsOn: []int{0}},
-	}}
-	steady := func(b *testing.B) {
-		b.ReportAllocs()
-		sys, err := pva.NewSystem(pva.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(steadyTrace); err != nil { // warm the pools
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Run(steadyTrace); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	// The parallel tick loop reuses one multi-channel System with the
-	// worker pool on; allocs_per_op must stay 0 on the warm path.
-	parCfg := pva.DefaultConfig()
-	parCfg.Channels = 4
-	parCfg.ParallelChannels = true
-	parallel := func(b *testing.B) {
-		b.ReportAllocs()
-		sys, err := pva.NewSystem(parCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(trace); err != nil { // warm the pools
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Run(trace); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// The indexed gather kernel on a reused System: the steady-state
-	// cost of the indexed claim/broadcast path.
-	gk, err := pva.KernelByName("gather")
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	gatherTrace := gk.Build(pva.PaperParams(4, 1))
-	gather := func(b *testing.B) {
-		b.ReportAllocs()
-		sys, err := pva.NewSystem(pva.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(gatherTrace); err != nil { // warm the pools
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.Run(gatherTrace); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// The autotune searches measure the decoder-search ladder on one small
-	// fixed budget: the default two-rung search pooled and serial (the
-	// cloned-worker candidate-evaluation scaling), and the same budget
-	// with the surrogate rung disabled — every greedy step a full
-	// simulation — which is what the surrogate prune saves.
-	autotuneOpts := pva.AutotuneOptions{Seed: 1, Restarts: 2, MaskBits: 8}
-	autotuneBench := func(o pva.AutotuneOptions) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := pva.AutotuneKernel("copy", []uint32{1, 19}, 64, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	autotuneSerial := autotuneOpts
-	autotuneSerial.Workers = 1
-	autotuneFull := autotuneOpts
-	autotuneFull.DisableSurrogate = true
-
-	// The serial sweep is the paper's full 960-point cross product on one
-	// goroutine, warm-starting each cell from the copy-on-write
-	// post-construction checkpoint.
-	sweepSerial := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pva.SweepWithOptions(nil, nil, nil, pva.SweepOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	snapshot := struct {
-		Snapshot   int     `json:"snapshot"`
-		GoVersion  string  `json:"go_version"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{Snapshot: n, GoVersion: runtime.Version()}
-	for _, bm := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"SteadyStateRun", steady},
-		{"SkippingTickLoop", cold(pva.DefaultConfig())},
-		{"StrictTickLoop", cold(strict)},
-		{"ParallelTickLoop", parallel},
-		{"Gather", gather},
-		{"SweepSerial", sweepSerial},
-		{"AutotuneSearch", autotuneBench(autotuneOpts)},
-		{"AutotuneSearchSerial", autotuneBench(autotuneSerial)},
-		{"AutotuneFullSimOnly", autotuneBench(autotuneFull)},
-	} {
-		r := testing.Benchmark(bm.fn)
-		snapshot.Benchmarks = append(snapshot.Benchmarks, entry{
-			Name:        bm.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	path := fmt.Sprintf("BENCH_%d.json", n)
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snapshot); err != nil {
-		f.Close()
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return 0
 }
 

@@ -36,7 +36,7 @@ func TestSweepGoldens(t *testing.T) {
 		{"figures_e64.txt", nil},
 		{"points_e64.json.gz", []string{"-json"}},
 		{"channels_e64.txt", []string{"-channels", "1,2,4"}},
-		{"techs_e64.txt", []string{"-techscaling"}},
+		{"techs_e64.txt", []string{"-tech", "sdram,salp-2,salp-4,salp-8,pcm-4p"}},
 	} {
 		code, got, stderr := sweepRun(append([]string{"-elements", "64"}, c.args...)...)
 		if code != 0 {
@@ -154,25 +154,56 @@ func TestSweepIsolatePartialSuccess(t *testing.T) {
 }
 
 // TestSweepJournalResume: a journaled run followed by a rerun with the
-// same flags must replay every cell and produce byte-identical JSON.
+// same flags must replay every cell and produce byte-identical JSON, on
+// one machine and on a grid over channel counts and back ends.
 func TestSweepJournalResume(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "journal")
-	args := []string{"-kernels", "scale", "-elements", "64", "-journal", dir, "-json"}
-	code, first, stderr := sweepRun(args...)
-	if code != 0 {
-		t.Fatalf("journaled sweep exited %d\nstderr: %s", code, stderr)
+	for _, axes := range [][]string{nil, {"-channels", "1,2", "-tech", "sdram,pcm-4p"}} {
+		dir := filepath.Join(t.TempDir(), "journal")
+		args := append([]string{"-kernels", "scale", "-elements", "64", "-journal", dir, "-json"}, axes...)
+		code, first, stderr := sweepRun(args...)
+		if code != 0 {
+			t.Fatalf("%v: journaled sweep exited %d\nstderr: %s", axes, code, stderr)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "sweep.journal")); err != nil {
+			t.Fatalf("%v: no journal written: %v", axes, err)
+		}
+		code, second, stderr := sweepRun(args...)
+		if code != 0 {
+			t.Fatalf("%v: resumed sweep exited %d\nstderr: %s", axes, code, stderr)
+		}
+		if first != second {
+			t.Fatalf("%v: resumed sweep output is not byte-identical to the original run", axes)
+		}
+		// Changed flags must refuse the journal rather than merge.
+		for _, changed := range [][]string{{"-elements", "128"}, {"-channels", "1,4"}, {"-tech", "sdram,salp-4"}} {
+			code, _, stderr = sweepRun(append(args, changed...)...)
+			if code != 1 || !strings.Contains(stderr, "journal") {
+				t.Fatalf("%v changed by %v: exit %d, stderr %q", axes, changed, code, stderr)
+			}
+		}
 	}
-	code, second, stderr := sweepRun(args...)
-	if code != 0 {
-		t.Fatalf("resumed sweep exited %d\nstderr: %s", code, stderr)
-	}
-	if first != second {
-		t.Fatal("resumed sweep output is not byte-identical to the original run")
-	}
-	// Changed flags must refuse the journal rather than merge.
-	code, _, stderr = sweepRun("-kernels", "scale", "-elements", "128", "-journal", dir, "-json")
-	if code != 1 || !strings.Contains(stderr, "journal") {
-		t.Fatalf("changed flags: exit %d, stderr %q", code, stderr)
+}
+
+// TestSweepRejectsBadAxes: an unknown or invalid back end, a channel
+// count the decoder cannot split, and a value an axis lists twice are
+// usage errors (exit 2), caught before any simulation starts.
+func TestSweepRejectsBadAxes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tech", "bogus"},
+		{"-tech", "salp"},
+		{"-tech", "salp-3"},
+		{"-tech", "sdram,sdram"},
+		{"-channels", "3"},
+		{"-channels", "2,2"},
+		{"-channels", "0"},
+		{"-channels", ",,"},
+		{"-kernels", "copy,copy"},
+		{"-kernels", "nope"},
+	} {
+		code, _, stderr := sweepRun(append([]string{"-elements", "64"}, args...)...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2\nstderr: %s", args, code, stderr)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"time"
 
+	"pva/internal/dramtech"
 	"pva/internal/harness"
 	"pva/internal/kernels"
 )
@@ -19,7 +20,8 @@ type Kernel = kernels.Kernel
 // KernelParams selects stride, vector length and relative alignment.
 type KernelParams = kernels.Params
 
-// SweepPoint is one measured (kernel, stride, alignment, system) cell.
+// SweepPoint is one measured cell: kernel, stride, alignment, system,
+// channel count and pva-sdram back end.
 type SweepPoint = harness.Point
 
 // SystemKind enumerates the four memory systems of the evaluation.
@@ -91,13 +93,21 @@ func RunKernelWithOptions(kind SystemKind, kernel string, p KernelParams, o Swee
 	return r.RunPoint(k, p.Stride, p.Alignment, kind)
 }
 
-// Sweep measures kernels x strides x alignments x systems. Nil slices
-// select the paper's full sets. Verify replays every point against the
-// functional reference.
+// Sweep measures kernels x strides x alignments x systems on the paper's
+// machine, serially. Nil slices select the paper's full sets. Verify
+// replays every point against the functional reference.
 func Sweep(kernelNames []string, strides []uint32, systems []SystemKind, verify bool) ([]SweepPoint, error) {
 	r := harness.Runner{Verify: verify}
-	return r.Sweep(kernelNames, strides, systems)
+	return r.Sweep(Grid{Kernels: kernelNames, Strides: strides, Systems: systems}, 1)
 }
+
+// Grid selects a sweep's cells: kernels x strides x the five alignments
+// x systems x channel counts x pva-sdram back ends. A nil axis takes its
+// default: every strided kernel, the paper's strides, all four systems,
+// and the SweepOptions' own channel count and back end. Techs names back
+// ends by the labels the reports print: "sdram", "salp-<subarrays>",
+// "pcm-<partitions>p"; the other systems run once per channel count.
+type Grid = harness.Grid
 
 // SweepOptions tunes SweepWithOptions beyond the grid selection.
 type SweepOptions struct {
@@ -112,7 +122,8 @@ type SweepOptions struct {
 	// checkpoint, and results land at their planned index.
 	Workers int
 	// Channels selects multi-channel system variants; 0 or 1 is the
-	// paper's single-channel configuration.
+	// paper's single-channel configuration. A Grid's Channels axis
+	// overrides it.
 	Channels uint32
 	// AddrMap names the address decoder ("word", "line", "xor", or a
 	// "tuned:<mask,...>" XOR-hash spec); empty means the paper's word
@@ -132,7 +143,8 @@ type SweepOptions struct {
 	ParallelChannels bool
 	// Tech selects the PVA SDRAM system's device back end ("sdram",
 	// "salp", "pcm"; empty: sdram). The serial baselines and the PVA
-	// SRAM system ignore it.
+	// SRAM system ignore it. A Grid's Techs axis overrides it, with
+	// Subarrays and Partitions.
 	Tech string
 	// Subarrays sets subarrays per internal bank for Tech="salp".
 	Subarrays uint32
@@ -152,7 +164,8 @@ type SweepOptions struct {
 
 // Validate rejects option combinations no sweep can honor. The plain
 // Sweep/SweepWithOptions entry points tolerate the zero value without
-// calling it; the CLIs call it on flag-built options.
+// calling it; the CLIs call it (through ValidateGrid for a sweep) on
+// flag-built options.
 func (o SweepOptions) Validate() error {
 	if o.CellTimeout < 0 {
 		return fmt.Errorf("pva: CellTimeout %v is negative", o.CellTimeout)
@@ -172,7 +185,18 @@ func (o SweepOptions) Validate() error {
 	if _, err := ParseAddrMap(o.AddrMap, o.Channels); err != nil {
 		return err
 	}
-	return nil
+	return dramtech.ValidateSelection(o.Tech, o.Subarrays, o.Partitions)
+}
+
+// ValidateGrid is Validate plus the grid's axes: it rejects unknown
+// kernels, systems and back ends, channel counts the decoder cannot
+// split, and values an axis lists twice. Every sweep runs the grid
+// checks before its first cell.
+func ValidateGrid(g Grid, o SweepOptions) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	return o.runner().Validate(g)
 }
 
 func (o SweepOptions) runner() harness.Runner {
@@ -193,14 +217,11 @@ func (o SweepOptions) runner() harness.Runner {
 	}
 }
 
-// SweepWithOptions measures kernels x strides x alignments x systems
-// with explicit engine options. Nil slices select the paper's full sets.
-func SweepWithOptions(kernelNames []string, strides []uint32, systems []SystemKind, o SweepOptions) ([]SweepPoint, error) {
-	r := o.runner()
-	if o.Workers == 1 {
-		return r.Sweep(kernelNames, strides, systems)
-	}
-	return r.ParallelSweep(kernelNames, strides, systems, o.Workers)
+// SweepWithOptions measures a grid's cells with explicit engine
+// options, failing fast: the first failing cell aborts the sweep with
+// an error naming it.
+func SweepWithOptions(g Grid, o SweepOptions) ([]SweepPoint, error) {
+	return o.runner().Sweep(g, o.Workers)
 }
 
 // SweepOutcome is a fault-isolated sweep's result: the full grid with
@@ -221,8 +242,8 @@ var (
 	ErrJournalMismatch = harness.ErrJournalMismatch
 )
 
-// ResumableSweep measures the grid with per-cell failure isolation and,
-// when journalDir is non-empty, crash-safe journaling: every completed
+// ResumableSweep measures a grid's cells with per-cell failure isolation
+// and, when journalDir is non-empty, crash-safe journaling: every completed
 // cell is appended (checksummed, fsynced) to journalDir/sweep.journal
 // and the post-construction memory checkpoint is persisted to
 // journalDir/base.ckpt, so re-running after a crash with the same
@@ -231,76 +252,22 @@ var (
 // that keep failing after SweepOptions.Retries attempts are quarantined
 // into the outcome's Failures manifest while the rest of the grid
 // completes; Outcome.Err() summarizes the manifest. A journal written
-// under different arguments is refused with ErrJournalMismatch.
-func ResumableSweep(kernelNames []string, strides []uint32, systems []SystemKind, journalDir string, o SweepOptions) (*SweepOutcome, error) {
+// under different arguments or over a different grid is refused with
+// ErrJournalMismatch.
+func ResumableSweep(g Grid, journalDir string, o SweepOptions) (*SweepOutcome, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return o.runner().ResumableSweep(kernelNames, strides, systems, o.Workers,
-		harness.JournalConfig{Dir: journalDir})
+	return o.runner().ResumableGrid(g, o.Workers, harness.JournalConfig{Dir: journalDir})
 }
 
-// ChannelPoint is one cell of the channel-scaling experiment: the
-// minimum-over-alignments execution time of an access pattern at one
-// channel count, with its speedup over the single-channel baseline.
-type ChannelPoint = harness.ChannelPoint
-
-// ChannelSweep runs the channel-scaling experiment: every selected
-// kernel and stride at each channel count, on the PVA SDRAM system by
-// default (pass systems to compare the baselines too). channels nil
-// means {1, 2, 4}; o.Channels is ignored — the channel list drives the
-// experiment — while o.AddrMap picks the decoder at every count.
-func ChannelSweep(kernelNames []string, strides []uint32, channels []uint32, systems []SystemKind, o SweepOptions) ([]ChannelPoint, error) {
-	return o.runner().ChannelScaling(kernelNames, strides, channels, systems, o.Workers)
-}
-
-// RenderChannelScaling writes the channel-scaling table for a
-// ChannelSweep's points.
-func RenderChannelScaling(w io.Writer, points []ChannelPoint) {
-	harness.RenderChannelScaling(w, points)
-}
-
-// TechConfig names one device back end for the technology-scaling
-// experiment ("sdram"; "salp" with Subarrays; "pcm" with Partitions).
-type TechConfig = harness.TechConfig
-
-// TechPoint is one cell of the technology-scaling experiment: the PVA
-// system's minimum-over-alignments time on one back end, its conflict
-// counters at that cell, and its speedups over the serial baselines.
-type TechPoint = harness.TechPoint
-
-// TechSweep runs the technology-scaling experiment: every selected
-// kernel and stride on each device back end. configs nil means
-// SDRAM, SALP at 2/4/8 subarrays, and 4-partition PCM; o's own
-// Tech/Subarrays/Partitions are ignored — the config list drives the
-// experiment.
-func TechSweep(kernelNames []string, strides []uint32, configs []TechConfig, o SweepOptions) ([]TechPoint, error) {
-	return o.runner().TechScaling(kernelNames, strides, configs, o.Workers)
-}
-
-// RenderTechScaling writes the technology-scaling table for a
-// TechSweep's points.
-func RenderTechScaling(w io.Writer, points []TechPoint) {
-	harness.RenderTechScaling(w, points)
-}
-
-// Figures writes the text form of every evaluation figure (7-11) plus
-// the headline ratios for a full sweep's points.
+// Figures writes the text report of a sweep's points. A grid over
+// several channel counts gets the channel-scaling table (min-over-
+// alignments cycles per channel count, with the speedup over the first)
+// and one over several pva-sdram back ends the back-end table (speedup
+// over cache-line serial, and each back end's conflict work); a
+// one-machine grid gets every evaluation figure (7-11) plus the
+// headline ratios.
 func Figures(w io.Writer, points []SweepPoint) {
-	coll := harness.Collate(points)
-	for _, k := range harness.Figure7Kernels() {
-		harness.RenderStrideChart(w, coll, k, harness.PaperStrides())
-	}
-	for _, k := range harness.Figure8Kernels() {
-		harness.RenderStrideChart(w, coll, k, harness.PaperStrides())
-	}
-	names := harness.KernelsIn(points)
-	for _, s := range harness.Figure9Strides() {
-		harness.RenderKernelChart(w, coll, s, names)
-	}
-	for _, s := range harness.Figure10Strides() {
-		harness.RenderKernelChart(w, coll, s, names)
-	}
-	harness.RenderAlignmentDetail(w, points, "vaxpy", harness.PaperStrides())
-	harness.RenderHeadlines(w, harness.Headlines(coll))
+	harness.Report(w, points)
 }

@@ -13,7 +13,6 @@ import (
 	"io"
 
 	"pva/internal/autotune"
-	"pva/internal/kernels"
 )
 
 // AutotunePoint is one kernel's autotuning outcome.
@@ -41,17 +40,9 @@ type AutotunePoint struct {
 // the paper's 1024. The search options' shape fields default to the
 // paper machine; o.Seed fixes the whole experiment's determinism.
 func Autotune(kernelNames []string, strides []uint32, elements uint32, o autotune.Options) ([]AutotunePoint, error) {
-	var ks []kernels.Kernel
-	if kernelNames == nil {
-		ks = kernels.All()
-	} else {
-		for _, n := range kernelNames {
-			k, err := kernels.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			ks = append(ks, k)
-		}
+	ks, err := kernelsByName(kernelNames)
+	if err != nil {
+		return nil, err
 	}
 	if strides == nil {
 		strides = PaperStrides()

@@ -83,35 +83,30 @@ func (k *SystemKind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// NewSystem constructs a fresh instance of a memory system.
+// NewSystem constructs a fresh instance of a memory system on the
+// paper's machine.
 func NewSystem(k SystemKind) (memsys.System, error) {
-	switch k {
-	case PVASDRAM:
-		return pvaunit.New(pvaunit.PaperConfig())
-	case CacheLineSerial:
-		return baseline.NewCacheLineSerial(), nil
-	case GatheringSerial:
-		return baseline.NewGatheringSerial(), nil
-	case PVASRAM:
-		return pvaunit.New(pvaunit.SRAMConfig())
-	default:
-		return nil, fmt.Errorf("harness: unknown system %d", int(k))
-	}
+	return Runner{}.newSystem(k)
 }
 
 // PaperStrides are the six strides of Figures 7–10.
 func PaperStrides() []uint32 { return []uint32{1, 2, 4, 8, 16, 19} }
 
-// Point is one measured experimental point.
+// Point is one measured experimental point: a cell's coordinates and
+// its measurements.
 type Point struct {
-	Kernel    string         `json:"kernel"`
-	Stride    uint32         `json:"stride"`
-	Alignment int            `json:"alignment"`
-	System    SystemKind     `json:"system"`
-	Channels  uint32         `json:"channels"`
-	Cycles    uint64         `json:"cycles"`
-	Stats     memsys.Stats   `json:"stats"`
-	PerChan   []memsys.Stats `json:"channel_stats,omitempty"`
+	Kernel    string     `json:"kernel"`
+	Stride    uint32     `json:"stride"`
+	Alignment int        `json:"alignment"`
+	System    SystemKind `json:"system"`
+	Channels  uint32     `json:"channels"`
+	// Tech labels a pva-sdram cell's device back end ("salp-4",
+	// "pcm-4p"); empty for the paper's SDRAM and for the systems the
+	// back end does not apply to.
+	Tech    string         `json:"tech,omitempty"`
+	Cycles  uint64         `json:"cycles"`
+	Stats   memsys.Stats   `json:"stats"`
+	PerChan []memsys.Stats `json:"channel_stats,omitempty"`
 }
 
 // Runner configures a sweep.
@@ -123,7 +118,8 @@ type Runner struct {
 	// cycle-level models are self-checking either way).
 	Verify bool
 	// Channels selects multi-channel system variants; 0 or 1 is the
-	// paper's single-channel configuration.
+	// paper's single-channel configuration. A Grid's Channels axis
+	// overrides it.
 	Channels uint32
 	// AddrMap names the address decoder ("word", "line", "xor", or a
 	// "tuned:<mask,...>" XOR-hash spec); empty means the paper's word
@@ -143,7 +139,8 @@ type Runner struct {
 	Parallel bool
 	// Tech selects the PVA SDRAM system's device back end ("sdram",
 	// "salp", "pcm"; empty: sdram). The serial baselines and the SRAM
-	// system ignore it.
+	// system ignore it. A Grid's Techs axis overrides it, Subarrays and
+	// Partitions included.
 	Tech string
 	// Subarrays sets subarrays per internal bank for Tech="salp".
 	Subarrays uint32
@@ -169,16 +166,11 @@ func (r Runner) channels() uint32 {
 	return r.Channels
 }
 
-// newSystem constructs the system for one point, honoring the runner's
-// channel count and address decoder. The single-channel word-interleave
-// case takes the exact legacy construction path, keeping it bit-identical
-// to the paper configuration by code identity rather than by argument.
+// newSystem constructs the system for one point on the runner's
+// machine: its channel count, address decoder, back end and fault
+// settings. The zero Runner builds the paper's machine; the 960-point
+// seed golden pins that.
 func (r Runner) newSystem(k SystemKind) (memsys.System, error) {
-	if r.channels() <= 1 && (r.AddrMap == "" || r.AddrMap == "word") &&
-		!r.Fault.Active() && r.Watchdog == 0 && !r.Parallel &&
-		(r.Tech == "" || r.Tech == "sdram") && r.Subarrays <= 1 && r.Partitions <= 1 {
-		return NewSystem(k)
-	}
 	switch k {
 	case PVASDRAM, PVASRAM:
 		cfg := pvaunit.PaperConfig()
@@ -199,13 +191,8 @@ func (r Runner) newSystem(k SystemKind) (memsys.System, error) {
 		return pvaunit.New(cfg)
 	case CacheLineSerial:
 		// A line-fill system parallelizes at line granularity whatever the
-		// PVA decoder is; only the channel count matters — but the spec
-		// must still parse, so a mistyped -addrmap fails here exactly as
-		// it does on every other system instead of being silently ignored.
-		cfg := pvaunit.PaperConfig()
-		if _, err := addrmap.Parse(r.AddrMap, r.channels(), cfg.Banks, cfg.LineWords); err != nil {
-			return nil, err
-		}
+		// PVA decoder is; only the channel count matters. Planning has
+		// rejected a mistyped decoder before any system is built.
 		return baseline.NewCacheLineSerialChannels(r.channels()), nil
 	case GatheringSerial:
 		cfg := pvaunit.PaperConfig()
@@ -219,14 +206,6 @@ func (r Runner) newSystem(k SystemKind) (memsys.System, error) {
 	}
 }
 
-func (r Runner) params(stride uint32, alignment int) kernels.Params {
-	p := kernels.PaperParams(stride, alignment)
-	if r.Elements != 0 {
-		p.Elements = r.Elements
-	}
-	return p
-}
-
 // RunPoint measures one (kernel, stride, alignment, system) cell on a
 // freshly constructed system. Sweeps use the warm-start path instead
 // (see cellRunner); the two are bit-identical.
@@ -235,22 +214,25 @@ func (r Runner) RunPoint(kernel kernels.Kernel, stride uint32, alignment int, ki
 	if err != nil {
 		return Point{}, err
 	}
-	return r.measure(sys, job{kernel: kernel, stride: stride, alignment: alignment, system: kind})
+	return r.measure(sys, job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
 }
 
 // measure runs one cell's trace on an already-constructed (fresh or
-// rewound-to-cold) system and assembles its Point.
+// rewound-to-cold) system of the cell's machine, r being configured for
+// that machine, and assembles its Point.
 func (r Runner) measure(sys memsys.System, j job) (Point, error) {
-	trace := j.kernel.Build(r.params(j.stride, j.alignment))
+	p := kernels.PaperParams(j.stride, j.alignment)
+	if r.Elements != 0 {
+		p.Elements = r.Elements
+	}
+	trace := j.kernel.Build(p)
 	res, err := sys.Run(trace)
 	if err != nil {
-		return Point{}, fmt.Errorf("harness: %s stride %d align %d on %s: %w",
-			j.kernel.Name, j.stride, j.alignment, j.system, err)
+		return Point{}, fmt.Errorf("harness: %v: %w", j, err)
 	}
 	if r.Verify {
 		if err := verify(sys, trace, res); err != nil {
-			return Point{}, fmt.Errorf("harness: %s stride %d align %d on %s: %w",
-				j.kernel.Name, j.stride, j.alignment, j.system, err)
+			return Point{}, fmt.Errorf("harness: %v: %w", j, err)
 		}
 	}
 	// ChannelStats is the session's reusable buffer; the Point outlives
@@ -265,6 +247,7 @@ func (r Runner) measure(sys memsys.System, j job) (Point, error) {
 		Alignment: j.alignment,
 		System:    j.system,
 		Channels:  r.channels(),
+		Tech:      j.tech.label(),
 		Cycles:    res.Cycles,
 		Stats:     res.Stats,
 		PerChan:   perChan,
@@ -301,101 +284,52 @@ func verify(sys memsys.System, trace memsys.Trace, res memsys.Result) error {
 	return nil
 }
 
-// job is one cell of a planned sweep.
-type job struct {
-	kernel    kernels.Kernel
-	stride    uint32
-	alignment int
-	system    SystemKind
-}
-
-// plan expands a sweep request into its cell list in canonical order:
-// kernel-major, then stride, alignment, system. Both the serial and the
-// parallel engines execute exactly this list, so their point slices are
-// index-for-index identical.
-func plan(kernelNames []string, strides []uint32, systems []SystemKind) ([]job, error) {
-	ks := kernels.All()
-	if kernelNames != nil {
-		ks = ks[:0:0]
-		for _, n := range kernelNames {
-			k, err := kernels.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			ks = append(ks, k)
-		}
-	}
-	if strides == nil {
-		strides = PaperStrides()
-	}
-	if systems == nil {
-		systems = AllSystems()
-	}
-	jobs := make([]job, 0, len(ks)*len(strides)*kernels.Alignments*len(systems))
-	for _, k := range ks {
-		for _, s := range strides {
-			for a := 0; a < kernels.Alignments; a++ {
-				for _, sys := range systems {
-					jobs = append(jobs, job{kernel: k, stride: s, alignment: a, system: sys})
-				}
-			}
-		}
-	}
-	return jobs, nil
-}
-
-// Sweep measures the full cross product serially. kernelNames nil means
-// all kernels; strides nil means the paper's; systems nil means all
-// four; alignments is always the full 0..4 range.
-func (r Runner) Sweep(kernelNames []string, strides []uint32, systems []SystemKind) ([]Point, error) {
-	jobs, err := plan(kernelNames, strides, systems)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]Point, len(jobs))
-	cells := cellRunner{r: r}
-	for i, j := range jobs {
-		p, err := cells.runPoint(j)
-		if err != nil {
-			return nil, err
-		}
-		points[i] = p
-	}
-	return points, nil
-}
-
-// Range is the min/max execution time of a cell across alignments.
+// Range is a collated cell's execution time over the alignment sweep,
+// with the point of its fastest alignment (the first, on a tie), whose
+// counters the back-end table reports.
 type Range struct {
 	Min, Max uint64
+	Best     Point
 }
 
-// Collate reduces points to per-(kernel, stride, system) ranges over the
-// alignment sweep.
+// Collate reduces points to one Range per cell over the alignment
+// sweep, keyed by every other coordinate.
 func Collate(points []Point) map[Key]Range {
 	out := make(map[Key]Range)
 	for _, p := range points {
-		k := Key{Kernel: p.Kernel, Stride: p.Stride, System: p.System}
+		k := Key{Kernel: p.Kernel, Stride: p.Stride, System: p.System, Channels: p.Channels, Tech: p.Tech}
 		r, ok := out[k]
-		if !ok {
-			r = Range{Min: p.Cycles, Max: p.Cycles}
-		} else {
-			if p.Cycles < r.Min {
-				r.Min = p.Cycles
-			}
-			if p.Cycles > r.Max {
-				r.Max = p.Cycles
-			}
+		switch {
+		case !ok:
+			r = Range{Min: p.Cycles, Max: p.Cycles, Best: p}
+		case p.Cycles < r.Min:
+			r.Min, r.Best = p.Cycles, p
+		case p.Cycles > r.Max:
+			r.Max = p.Cycles
 		}
 		out[k] = r
 	}
 	return out
 }
 
-// Key identifies a collated cell.
+// Key identifies a collated cell: every coordinate but the alignment.
 type Key struct {
-	Kernel string
-	Stride uint32
-	System SystemKind
+	Kernel   string
+	Stride   uint32
+	System   SystemKind
+	Channels uint32
+	Tech     string
+}
+
+// withSystem returns the key of system sys's cell in k's row: the same
+// kernel, stride and channel count, the back end kept for pva-sdram
+// only.
+func (k Key) withSystem(sys SystemKind) Key {
+	k.System = sys
+	if sys != PVASDRAM {
+		k.Tech = ""
+	}
+	return k
 }
 
 // Headline summarizes the abstract's claims over a collated sweep:
@@ -415,44 +349,29 @@ type Headline struct {
 // Headlines computes the summary ratios. Comparisons use each system's
 // minimum-over-alignments time against the PVA's minimum, matching the
 // paper's normalization to "the minimum PVA SDRAM cycle time for each
-// access pattern". Cells are visited in sorted key order so ties break
-// deterministically (map iteration order must not leak into reports).
+// access pattern", on the same channel count. Cells are visited in
+// sorted key order so ties break deterministically (map iteration order
+// must not leak into reports).
 func Headlines(coll map[Key]Range) Headline {
-	keys := make([]Key, 0, len(coll))
-	for k := range coll {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		if a.Stride != b.Stride {
-			return a.Stride < b.Stride
-		}
-		return a.System < b.System
-	})
 	var h Headline
-	for _, k := range keys {
-		if k.System != PVASDRAM {
-			continue
-		}
+	for _, k := range sortedKeys(coll, func(k Key) (Key, bool) { return k, k.System == PVASDRAM }) {
 		pva := coll[k].Min
-		if cl, ok := coll[Key{k.Kernel, k.Stride, CacheLineSerial}]; ok {
+		clKey, gsKey := k.withSystem(CacheLineSerial), k.withSystem(GatheringSerial)
+		if cl, ok := coll[clKey]; ok {
 			ratio := float64(cl.Min) / float64(pva)
 			if ratio > h.MaxVsCacheLine {
 				h.MaxVsCacheLine = ratio
-				h.MaxVsCacheLineAt = Key{k.Kernel, k.Stride, CacheLineSerial}
+				h.MaxVsCacheLineAt = clKey
 			}
 			if k.Stride == 1 && ratio > h.UnitStrideWorst {
 				h.UnitStrideWorst = ratio
 			}
 		}
-		if gs, ok := coll[Key{k.Kernel, k.Stride, GatheringSerial}]; ok {
+		if gs, ok := coll[gsKey]; ok {
 			ratio := float64(gs.Min) / float64(pva)
 			if ratio > h.MaxVsGathering {
 				h.MaxVsGathering = ratio
-				h.MaxVsGatheringAt = Key{k.Kernel, k.Stride, GatheringSerial}
+				h.MaxVsGatheringAt = gsKey
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,7 +28,7 @@ func TestRunPointAllSystems(t *testing.T) {
 }
 
 func TestSweepSmallVerified(t *testing.T) {
-	points, err := quick.Sweep([]string{"copy", "scale"}, []uint32{1, 8, 19}, nil)
+	points, err := quick.Sweep(Grid{Kernels: []string{"copy", "scale"}, Strides: []uint32{1, 8, 19}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +40,20 @@ func TestSweepSmallVerified(t *testing.T) {
 
 func TestCollateRanges(t *testing.T) {
 	points := []Point{
-		{Kernel: "k", Stride: 1, Alignment: 0, System: PVASDRAM, Cycles: 10},
+		{Kernel: "k", Stride: 1, Alignment: 0, System: PVASDRAM, Cycles: 20},
 		{Kernel: "k", Stride: 1, Alignment: 1, System: PVASDRAM, Cycles: 30},
-		{Kernel: "k", Stride: 1, Alignment: 2, System: PVASDRAM, Cycles: 20},
+		{Kernel: "k", Stride: 1, Alignment: 2, System: PVASDRAM, Cycles: 10},
+		{Kernel: "k", Stride: 1, Alignment: 3, System: PVASDRAM, Cycles: 10},
+		{Kernel: "k", Stride: 1, Alignment: 0, System: PVASDRAM, Tech: "pcm-4p", Cycles: 50},
+		{Kernel: "k", Stride: 1, Alignment: 0, System: PVASDRAM, Channels: 2, Cycles: 5},
 	}
 	coll := Collate(points)
-	r := coll[Key{"k", 1, PVASDRAM}]
-	if r.Min != 10 || r.Max != 30 {
-		t.Fatalf("range = %+v", r)
+	if len(coll) != 3 {
+		t.Fatalf("%d collated cells, want one per back end and channel count", len(coll))
+	}
+	r := coll[Key{Kernel: "k", Stride: 1, System: PVASDRAM}]
+	if r.Min != 10 || r.Max != 30 || r.Best.Alignment != 2 {
+		t.Fatalf("range = %+v, want 10..30 with the first fastest alignment, 2", r)
 	}
 }
 
@@ -54,47 +62,50 @@ func TestCollateRanges(t *testing.T) {
 // to be faithful.
 func TestPaperTrends(t *testing.T) {
 	r := Runner{Elements: 256}
-	points, err := r.Sweep([]string{"copy", "scale"}, []uint32{1, 4, 16, 19}, nil)
+	points, err := r.Sweep(Grid{Kernels: []string{"copy", "scale"}, Strides: []uint32{1, 4, 16, 19}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coll := Collate(points)
 	for _, kernel := range []string{"copy", "scale"} {
+		at := func(s uint32, sys SystemKind) Range {
+			return coll[Key{Kernel: kernel, Stride: s, System: sys, Channels: 1}]
+		}
 		// (1) Unit stride: cache-line serial is close to the PVA
 		// (paper: 100-109% of PVA time).
-		pva1 := coll[Key{kernel, 1, PVASDRAM}].Min
-		cl1 := coll[Key{kernel, 1, CacheLineSerial}].Min
+		pva1 := at(1, PVASDRAM).Min
+		cl1 := at(1, CacheLineSerial).Min
 		if ratio := float64(cl1) / float64(pva1); ratio < 0.8 || ratio > 1.6 {
 			t.Errorf("%s stride 1: cacheline/pva = %.2f, expected near parity", kernel, ratio)
 		}
 		// (2) The cache-line system degrades sharply with stride.
-		cl16 := coll[Key{kernel, 16, CacheLineSerial}].Min
-		pva16 := coll[Key{kernel, 16, PVASDRAM}].Min
+		cl16 := at(16, CacheLineSerial).Min
+		pva16 := at(16, PVASDRAM).Min
 		if float64(cl16)/float64(pva16) < 3 {
 			t.Errorf("%s stride 16: cacheline only %.1fx PVA, expected >3x",
 				kernel, float64(cl16)/float64(pva16))
 		}
 		// (3) Prime stride 19 restores full parallelism: PVA near its
 		// unit-stride time, cache-line system at its worst.
-		pva19 := coll[Key{kernel, 19, PVASDRAM}].Min
+		pva19 := at(19, PVASDRAM).Min
 		if float64(pva19) > 1.4*float64(pva1) {
 			t.Errorf("%s: stride-19 PVA %d much slower than unit stride %d", kernel, pva19, pva1)
 		}
-		cl19 := coll[Key{kernel, 19, CacheLineSerial}].Min
+		cl19 := at(19, CacheLineSerial).Min
 		if float64(cl19)/float64(pva19) < 10 {
 			t.Errorf("%s stride 19: cacheline only %.1fx PVA, expected >10x",
 				kernel, float64(cl19)/float64(pva19))
 		}
 		// (4) PVA stride 16 (single bank) is its worst stride.
 		for _, s := range []uint32{1, 4, 19} {
-			if coll[Key{kernel, s, PVASDRAM}].Min > pva16 {
+			if at(s, PVASDRAM).Min > pva16 {
 				t.Errorf("%s: stride %d slower than stride 16 on PVA", kernel, s)
 			}
 		}
 		// (5) Gathering serial is stride-invariant and slower than PVA
 		// at full parallelism.
-		g1 := coll[Key{kernel, 1, GatheringSerial}].Min
-		g19 := coll[Key{kernel, 19, GatheringSerial}].Min
+		g1 := at(1, GatheringSerial).Min
+		g19 := at(19, GatheringSerial).Min
 		if g1 != g19 {
 			t.Errorf("%s: gathering serial varies with stride (%d vs %d)", kernel, g1, g19)
 		}
@@ -109,7 +120,7 @@ func TestPaperTrends(t *testing.T) {
 // sweep: PVA SDRAM stays within a modest factor of idealized SRAM.
 func TestSDRAMTracksSRAM(t *testing.T) {
 	r := Runner{Elements: 256}
-	points, err := r.Sweep([]string{"vaxpy"}, []uint32{1, 4, 16, 19}, []SystemKind{PVASDRAM, PVASRAM})
+	points, err := r.Sweep(Grid{Kernels: []string{"vaxpy"}, Strides: []uint32{1, 4, 16, 19}, Systems: []SystemKind{PVASDRAM, PVASRAM}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,38 +131,70 @@ func TestSDRAMTracksSRAM(t *testing.T) {
 	t.Logf("worst PVA-SDRAM/PVA-SRAM ratio: %.3f", worst)
 }
 
+// TestRenderers renders a one-machine grid's figures through Report;
+// the cmd/sweep goldens pin the full text byte for byte.
 func TestRenderers(t *testing.T) {
 	r := Runner{Elements: 128}
-	points, err := r.Sweep([]string{"copy"}, []uint32{1, 19}, nil)
+	points, err := r.Sweep(Grid{Kernels: []string{"vaxpy"}, Strides: []uint32{1, 19}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coll := Collate(points)
 	var buf bytes.Buffer
-	RenderStrideChart(&buf, coll, "copy", []uint32{1, 19})
-	if !strings.Contains(buf.String(), "copy") || !strings.Contains(buf.String(), "pva-sdram") {
-		t.Error("stride chart missing expected content")
+	Report(&buf, points)
+	for _, want := range []string{
+		"vaxpy — execution cycles by stride", // stride chart
+		"pva-sdram",
+		"stride 19 — normalized execution time", // kernel chart
+		"aligned", // alignment detail
+		"32.8x",   // headlines
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("figures lack %q:\n%s", want, buf.String())
+		}
 	}
-	buf.Reset()
-	RenderKernelChart(&buf, coll, 19, []string{"copy"})
-	if !strings.Contains(buf.String(), "stride 19") {
-		t.Error("kernel chart missing header")
+}
+
+// TestGridReportNamesEveryCell: a grid varying both machine axes
+// reports every cell's minimum over alignments, each in the row of its
+// kernel, stride, system and back end and the column of its channel
+// count, so no axis value is dropped.
+func TestGridReportNamesEveryCell(t *testing.T) {
+	r := Runner{Elements: 128}
+	chans := []uint32{1, 2}
+	points, err := r.Sweep(Grid{Kernels: []string{"saxpy"}, Strides: []uint32{1, 16},
+		Systems: []SystemKind{PVASDRAM, CacheLineSerial}, Channels: chans, Techs: []string{"sdram", "pcm-4p"}}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	buf.Reset()
-	RenderAlignmentDetail(&buf, points, "copy", []uint32{1, 19})
-	if !strings.Contains(buf.String(), "aligned") {
-		t.Error("alignment detail missing alignment names")
+	var buf bytes.Buffer
+	Report(&buf, points)
+	lines := strings.Split(buf.String(), "\n")
+	coll := Collate(points)
+	if len(coll) != 2*2*3 {
+		t.Fatalf("%d collated cells, want 12", len(coll))
 	}
-	buf.Reset()
-	RenderHeadlines(&buf, Headlines(coll))
-	if !strings.Contains(buf.String(), "32.8x") {
-		t.Error("headline rendering missing paper reference")
+	for k, rg := range coll {
+		name := k.System.String()
+		if k.Tech != "" {
+			name += "/" + k.Tech
+		}
+		prefix := fmt.Sprintf("%10s %8d %18s", k.Kernel, k.Stride, name)
+		col := slices.Index(chans, k.Channels)
+		found := false
+		for _, l := range lines {
+			if rest, ok := strings.CutPrefix(l, prefix); ok && len(rest) == 19*len(chans) {
+				found = strings.HasPrefix(strings.TrimSpace(rest[19*col:19*(col+1)]), fmt.Sprintf("%d (", rg.Min))
+			}
+		}
+		if !found {
+			t.Errorf("report lacks %+v's minimum %d:\n%s", k, rg.Min, buf.String())
+		}
 	}
 }
 
 func TestHeadlines(t *testing.T) {
 	r := Runner{Elements: 256}
-	points, err := r.Sweep([]string{"copy"}, []uint32{1, 19}, nil)
+	points, err := r.Sweep(Grid{Kernels: []string{"copy"}, Strides: []uint32{1, 19}, Channels: []uint32{1, 2}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

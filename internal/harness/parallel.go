@@ -1,16 +1,15 @@
-// The parallel sweep engine: the same cell list the serial Sweep
-// executes, sharded over a bounded worker pool. Every worker owns a
-// private cellRunner (warm-started systems are never shared between
-// goroutines; clones and checkpoints may share immutable pages only),
-// and results land at their planned index, making the output
-// deterministically identical to the serial sweep regardless of
+// The sweep engine: a planned cell list sharded over a bounded worker
+// pool. Every worker owns a private cellRunner (warm-started systems are
+// never shared between goroutines; clones and checkpoints may share
+// immutable pages only), and results land at their planned index,
+// making the output identical at every worker count regardless of
 // scheduling.
 //
-// One engine, runJobs, serves every execution mode: the historical
-// fail-fast sweep (first error aborts), the fault-isolated sweep
-// (failing cells are quarantined, the rest of the grid completes), and
-// the journaled resumable sweep (resume.go layers replay and durable
-// record appends on top via runConfig).
+// One engine, runJobs, serves every execution mode: the fail-fast sweep
+// (first error aborts), the fault-isolated sweep (failing cells are
+// quarantined, the rest of the grid completes), and the journaled
+// resumable sweep (resume.go layers replay and durable record appends
+// on top via runConfig).
 
 package harness
 
@@ -24,7 +23,7 @@ import (
 )
 
 // cellRunner executes sweep cells with warm-started systems: the first
-// cell of each kind constructs the system and captures its
+// cell of each machine constructs the system and captures its
 // post-construction (cold-memory) checkpoint; every later cell rewinds
 // the memory image to that checkpoint — an O(1) copy-on-write pointer
 // swap — and reuses the cached session hardware instead of rebuilding
@@ -32,26 +31,32 @@ import (
 // equivalence tests and the seed-cycle golden.
 type cellRunner struct {
 	r    Runner
-	sys  [numSystems]memsys.Snapshotter
-	base [numSystems]memsys.Checkpoint
-	// baseImg, when non-nil, seeds each kind's first construction: the
+	warm map[machine]warmSystem
+	// baseImg, when non-nil, seeds each machine's first construction: the
 	// memory rewinds to this durable (decoded-from-disk) image before
 	// the warm-start checkpoint is taken, so a resumed sweep provably
 	// runs on the image the journal's base checkpoint recorded.
 	baseImg *memsys.Image
 }
 
+// warmSystem is a constructed system and its post-construction
+// checkpoint.
+type warmSystem struct {
+	sys  memsys.Snapshotter
+	base memsys.Checkpoint
+}
+
 // runPoint measures one cell, warm-starting when the system supports it
 // and falling back to fresh construction when it does not.
 func (c *cellRunner) runPoint(j job) (Point, error) {
-	k := j.system
-	if c.sys[k] != nil {
-		if err := c.sys[k].Restore(c.base[k]); err != nil {
+	r := c.r.on(j.machine)
+	if w, ok := c.warm[j.machine]; ok {
+		if err := w.sys.Restore(w.base); err != nil {
 			return Point{}, err
 		}
-		return c.r.measure(c.sys[k], j)
+		return r.measure(w.sys, j)
 	}
-	sys, err := c.r.newSystem(k)
+	sys, err := r.newSystem(j.system)
 	if err != nil {
 		return Point{}, err
 	}
@@ -61,10 +66,12 @@ func (c *cellRunner) runPoint(j job) (Point, error) {
 		}
 	}
 	if sn, ok := sys.(memsys.Snapshotter); ok {
-		c.sys[k] = sn
-		c.base[k] = sn.Snapshot()
+		if c.warm == nil {
+			c.warm = make(map[machine]warmSystem)
+		}
+		c.warm[j.machine] = warmSystem{sn, sn.Snapshot()}
 	}
-	return c.r.measure(sys, j)
+	return r.measure(sys, j)
 }
 
 // runPointSafe measures one cell, converting any panic escaping the
@@ -75,40 +82,14 @@ func (c *cellRunner) runPoint(j job) (Point, error) {
 func (c *cellRunner) runPointSafe(j job) (p Point, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = fmt.Errorf("harness: panic in %s stride %d align %d on %s: %v",
-				j.kernel.Name, j.stride, j.alignment, j.system, rec)
+			err = fmt.Errorf("harness: panic in %v: %v", j, rec)
 		}
 	}()
 	return c.runPoint(j)
 }
 
-// ParallelSweep measures the same cross product as Sweep using up to
-// workers goroutines (workers <= 0 selects runtime.NumCPU()). The
-// returned points are in the exact order Sweep would produce. On error
-// the first failure observed is returned and remaining work is
-// abandoned.
-func (r Runner) ParallelSweep(kernelNames []string, strides []uint32, systems []SystemKind, workers int) ([]Point, error) {
-	jobs, err := plan(kernelNames, strides, systems)
-	if err != nil {
-		return nil, err
-	}
-	return r.sweep(jobs, workers)
-}
-
-// sweep executes a planned job list over the pool with the historical
-// fail-fast semantics; split from ParallelSweep so tests can drive
-// hand-built jobs (e.g. a kernel whose builder panics) through the
-// exact production worker path.
-func (r Runner) sweep(jobs []job, workers int) ([]Point, error) {
-	out, err := r.runJobs(jobs, workers, runConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return out.Points, nil
-}
-
 // runConfig selects a runJobs execution mode. The zero value is the
-// historical fail-fast sweep.
+// fail-fast sweep.
 type runConfig struct {
 	// isolate quarantines failing cells into Outcome.Failures and keeps
 	// going, instead of aborting the sweep on the first error.
@@ -172,7 +153,7 @@ func (r Runner) runJobs(jobs []job, workers int, rc runConfig) (*Outcome, error)
 			i := todo[n]
 			p, attempts, err := g.run(jobs[i])
 			if err == nil {
-				if jerr := rc.sink.appendDone(i, p); jerr != nil {
+				if jerr := rc.sink.append(recCellDone, cellDoneRec{Index: i, Point: p}); jerr != nil {
 					fail(jerr)
 					return
 				}
@@ -190,10 +171,12 @@ func (r Runner) runJobs(jobs []job, workers int, rc runConfig) (*Outcome, error)
 				Stride:    jobs[i].stride,
 				Alignment: jobs[i].alignment,
 				System:    jobs[i].system,
+				Channels:  jobs[i].channels,
+				Tech:      jobs[i].tech.label(),
 				Attempts:  attempts,
 				Err:       err.Error(),
 			}
-			if jerr := rc.sink.appendFailure(f); jerr != nil {
+			if jerr := rc.sink.append(recCellFailure, f); jerr != nil {
 				fail(jerr)
 				return
 			}

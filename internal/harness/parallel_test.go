@@ -11,34 +11,38 @@ import (
 
 // TestParallelSweepMatchesSerial requires the parallel engine to produce
 // the serial sweep's point slice exactly — same order, same cycles, same
-// stats — at several pool widths, including more workers than cells.
+// stats — at several pool widths, including more workers than cells, on
+// a one-machine grid and on one over channel counts and back ends.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	r := Runner{Elements: 128}
-	kernels := []string{"copy", "saxpy"}
-	strides := []uint32{1, 16, 19}
-	serial, err := r.Sweep(kernels, strides, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 3, 1000} {
-		par, err := r.ParallelSweep(kernels, strides, nil, workers)
+	for _, g := range []Grid{
+		{Kernels: []string{"copy", "saxpy"}, Strides: []uint32{1, 16, 19}},
+		{Kernels: []string{"saxpy"}, Strides: []uint32{16, 19}, Channels: []uint32{1, 2}, Techs: []string{"sdram", "salp-4", "pcm-4p"}},
+	} {
+		serial, err := r.Sweep(g, 1)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: parallel sweep diverged from serial", workers)
-		}
-		if !reflect.DeepEqual(Collate(serial), Collate(par)) {
-			t.Fatalf("workers=%d: collated ranges diverged", workers)
+		for _, workers := range []int{0, 2, 3, 1000} {
+			par, err := r.Sweep(g, workers)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatalf("%+v workers=%d: parallel sweep diverged from serial", g, workers)
+			}
+			if !reflect.DeepEqual(Collate(serial), Collate(par)) {
+				t.Fatalf("%+v workers=%d: collated ranges diverged", g, workers)
+			}
 		}
 	}
 }
 
-// TestParallelSweepError requires a failing cell to surface its error
+// TestParallelSweepError requires a bad grid to surface its error
 // rather than a partial point slice.
 func TestParallelSweepError(t *testing.T) {
 	r := Runner{Elements: 128}
-	if _, err := r.ParallelSweep([]string{"no-such-kernel"}, nil, nil, 4); err == nil {
+	if _, err := r.Sweep(Grid{Kernels: []string{"no-such-kernel"}}, 4); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -59,17 +63,18 @@ func TestParallelSweepPanicPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pva := machine{system: PVASDRAM, channels: 1}
 	var jobs []job
 	for s := uint32(1); s <= 8; s++ {
-		jobs = append(jobs, job{kernel: good, stride: s, alignment: 0, system: PVASDRAM})
+		jobs = append(jobs, job{kernel: good, stride: s, machine: pva})
 	}
-	jobs = append(jobs, job{kernel: bomb, stride: 19, alignment: 2, system: PVASDRAM})
+	jobs = append(jobs, job{kernel: bomb, stride: 19, alignment: 2, machine: pva})
 
 	r := Runner{Elements: 128}
 	for _, workers := range []int{1, 4} {
-		points, err := r.sweep(jobs, workers)
+		out, err := r.runJobs(jobs, workers, runConfig{})
 		if err == nil {
-			t.Fatalf("workers=%d: panicking kernel produced %d points and no error", workers, len(points))
+			t.Fatalf("workers=%d: panicking kernel produced %d points and no error", workers, len(out.Points))
 		}
 		for _, want := range []string{"panic", "bomb", "stride 19", "align 2", "builder exploded"} {
 			if !strings.Contains(err.Error(), want) {
@@ -81,19 +86,20 @@ func TestParallelSweepPanicPropagates(t *testing.T) {
 
 // TestWarmStartMatchesCold pins the warm-start sweep path: every cell
 // measured on a Restore()d reused system must equal the same cell
-// measured on a freshly constructed one, across all system kinds,
-// with Verify on so the functional reference also checks the restored
-// memory image. It also requires later warm runs not to corrupt earlier
-// Points (the per-channel stats buffer must be copied out).
+// measured on a freshly constructed one, across all system kinds and
+// several back ends, with Verify on so the functional reference also
+// checks the restored memory image. It also requires later warm runs
+// not to corrupt earlier Points (the per-channel stats buffer must be
+// copied out).
 func TestWarmStartMatchesCold(t *testing.T) {
 	r := Runner{Elements: 128, Verify: true, Channels: 2}
-	jobs, err := plan([]string{"copy", "saxpy"}, []uint32{1, 4, 19}, nil)
+	jobs, err := r.plan(Grid{Kernels: []string{"copy", "saxpy"}, Strides: []uint32{1, 4, 19}, Techs: []string{"sdram", "pcm-4p"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := make([]Point, len(jobs))
 	for i, j := range jobs {
-		p, err := r.RunPoint(j.kernel, j.stride, j.alignment, j.system)
+		p, err := r.on(j.machine).RunPoint(j.kernel, j.stride, j.alignment, j.system)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,9 +118,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	// early Point would have been clobbered by later runs.
 	for i := range jobs {
 		if !reflect.DeepEqual(cold[i], warm[i]) {
-			t.Errorf("cell %d (%s stride %d align %d on %s) diverged:\ncold %+v\nwarm %+v",
-				i, jobs[i].kernel.Name, jobs[i].stride, jobs[i].alignment, jobs[i].system,
-				cold[i], warm[i])
+			t.Errorf("cell %d (%v) diverged:\ncold %+v\nwarm %+v", i, jobs[i], cold[i], warm[i])
 		}
 	}
 }

@@ -1,31 +1,161 @@
-// Text renderers for the evaluation figures. Each function reproduces
-// the rows/series behind one figure of the paper as an aligned text
-// table; normalized annotations follow the paper's convention of
-// percentages of the minimum PVA SDRAM time for the same access pattern
-// and stride.
+// Text renderers for a sweep's report. The paper's figures each
+// reproduce the rows/series behind one figure as an aligned text table;
+// normalized annotations follow the paper's convention of percentages
+// of the minimum PVA SDRAM time for the same access pattern and stride.
+// The channel-scaling and back-end tables are the views of grids over
+// those axes.
 
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"pva/internal/kernels"
+	"pva/internal/memsys"
 )
 
-// Figure7Kernels and Figure8Kernels split the kernels as the paper's
-// figures do.
-func Figure7Kernels() []string { return []string{"copy", "saxpy", "scale"} }
+// Report writes the text report of a grid's points, choosing the view
+// from the axes the points span: the channel-scaling table over several
+// channel counts, the back-end table over several pva-sdram back ends,
+// and for one machine the paper's Figures 7–11 and headline ratios.
+func Report(w io.Writer, points []Point) {
+	var chans []uint32
+	var techs []string
+	for _, p := range points {
+		if !slices.Contains(chans, p.Channels) {
+			chans = append(chans, p.Channels)
+		}
+		if p.System == PVASDRAM && !slices.Contains(techs, p.Tech) {
+			techs = append(techs, p.Tech)
+		}
+	}
+	coll := Collate(points)
+	switch {
+	case len(chans) > 1:
+		renderChannels(w, coll, chans)
+	case len(techs) > 1:
+		renderBackEnds(w, coll, techs)
+	default:
+		renderFigures(w, coll, points)
+	}
+}
 
-// Figure8Kernels returns the remaining access patterns.
-func Figure8Kernels() []string { return []string{"swap", "tridiag", "vaxpy", "copy2", "scale2"} }
+// renderFigures writes Figures 7–11 and the headline ratios of a
+// one-machine grid, whose cells the figures key by kernel, stride and
+// system alone.
+func renderFigures(w io.Writer, coll map[Key]Range, points []Point) {
+	fig := make(map[Key]Range, len(coll))
+	for k, r := range coll {
+		fig[Key{Kernel: k.Kernel, Stride: k.Stride, System: k.System}] = r
+	}
+	// Figures 7 and 8 split the kernels, 9 and 10 the fixed strides.
+	for _, k := range []string{"copy", "saxpy", "scale", "swap", "tridiag", "vaxpy", "copy2", "scale2"} {
+		RenderStrideChart(w, fig, k, PaperStrides())
+	}
+	names := KernelsIn(points)
+	for _, s := range []uint32{1, 4, 8, 16, 19} {
+		RenderKernelChart(w, fig, s, names)
+	}
+	RenderAlignmentDetail(w, points, "vaxpy", PaperStrides())
+	RenderHeadlines(w, Headlines(fig))
+}
 
-// Figure9Strides and Figure10Strides split the fixed-stride charts.
-func Figure9Strides() []uint32 { return []uint32{1, 4} }
+// renderChannels writes the channel-scaling table: one row per kernel,
+// stride, system and back end, one column per channel count, each cell
+// the min-over-alignments cycles with the speedup over the first
+// channel count in parentheses.
+func renderChannels(w io.Writer, coll map[Key]Range, chans []uint32) {
+	fmt.Fprintf(w, "channel scaling — min-over-alignments cycles (speedup vs %d channel)\n", chans[0])
+	fmt.Fprintf(w, "%10s %8s %18s", "kernel", "stride", "system")
+	for _, c := range chans {
+		fmt.Fprintf(w, " %18s", fmt.Sprintf("%d ch", c))
+	}
+	fmt.Fprintln(w)
+	for _, row := range sortedKeys(coll, func(k Key) (Key, bool) { k.Channels = 0; return k, true }) {
+		name := row.System.String()
+		if row.Tech != "" {
+			name += "/" + row.Tech
+		}
+		fmt.Fprintf(w, "%10s %8d %18s", row.Kernel, row.Stride, name)
+		row.Channels = chans[0]
+		base := coll[row].Min
+		for _, c := range chans {
+			row.Channels = c
+			writeCell(w, coll, row, base)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w)
+}
 
-// Figure10Strides returns the larger fixed strides.
-func Figure10Strides() []uint32 { return []uint32{8, 16, 19} }
+// renderBackEnds writes the back-end table: one row per kernel and
+// stride, one column per pva-sdram back end, each cell the
+// min-over-alignments cycles with the speedup over cache-line serial in
+// parentheses, then the conflict work of each back end's fastest cells.
+func renderBackEnds(w io.Writer, coll map[Key]Range, techs []string) {
+	fmt.Fprintln(w, "technology scaling — PVA min-over-alignments cycles (speedup vs cache-line serial)")
+	fmt.Fprintf(w, "%10s %8s", "kernel", "stride")
+	for _, t := range techs {
+		fmt.Fprintf(w, " %18s", cmp.Or(t, "sdram"))
+	}
+	fmt.Fprintln(w)
+	work := make([]memsys.Stats, len(techs))
+	for _, row := range sortedKeys(coll, func(k Key) (Key, bool) { k.Tech = ""; return k, k.System == PVASDRAM }) {
+		fmt.Fprintf(w, "%10s %8d", row.Kernel, row.Stride)
+		base := coll[row.withSystem(CacheLineSerial)].Min
+		for i, t := range techs {
+			row.Tech = t
+			if r, ok := writeCell(w, coll, row, base); ok {
+				work[i].Merge(r.Best.Stats)
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "conflict work — row conflicts / subarray hits / partition stalls (sum over patterns)")
+	for i, t := range techs {
+		fmt.Fprintf(w, "%18s %12d %12d %12d\n", cmp.Or(t, "sdram"), work[i].RowConflicts, work[i].SubarrayHits, work[i].PartitionStalls)
+	}
+	fmt.Fprintln(w)
+}
+
+// sortedKeys returns, in report order, the distinct keys that project
+// maps the collated cells it keeps to: a table's rows, say, with the
+// column axis zeroed.
+func sortedKeys(coll map[Key]Range, project func(Key) (Key, bool)) []Key {
+	var keys []Key
+	for k := range coll {
+		if p, keep := project(k); keep {
+			keys = append(keys, p)
+		}
+	}
+	slices.SortFunc(keys, func(a, b Key) int {
+		return cmp.Or(strings.Compare(a.Kernel, b.Kernel), cmp.Compare(a.Stride, b.Stride),
+			cmp.Compare(a.System, b.System), cmp.Compare(a.Channels, b.Channels), strings.Compare(a.Tech, b.Tech))
+	})
+	return slices.Compact(keys)
+}
+
+// writeCell writes one table cell, the min-over-alignments cycles of k with
+// the speedup of base over them, or "-" when the grid has no such cell,
+// and returns the cell.
+func writeCell(w io.Writer, coll map[Key]Range, k Key, base uint64) (Range, bool) {
+	r, ok := coll[k]
+	if !ok {
+		fmt.Fprintf(w, " %18s", "-")
+		return r, false
+	}
+	speedup := 0.0
+	if base != 0 && r.Min != 0 {
+		speedup = float64(base) / float64(r.Min)
+	}
+	fmt.Fprintf(w, " %18s", fmt.Sprintf("%d (%.2fx)", r.Min, speedup))
+	return r, true
+}
 
 // RenderStrideChart writes one Figure 7/8-style panel: execution cycles
 // versus stride for one kernel on all four systems (PVA SRAM shown as
@@ -36,12 +166,10 @@ func RenderStrideChart(w io.Writer, coll map[Key]Range, kernel string, strides [
 	fmt.Fprintf(w, "%8s %20s %20s %20s %20s\n", "stride",
 		PVASDRAM.String(), CacheLineSerial.String(), GatheringSerial.String(), PVASRAM.String())
 	for _, s := range strides {
-		pva := coll[Key{kernel, s, PVASDRAM}]
 		fmt.Fprintf(w, "%8d", s)
 		for _, sys := range AllSystems() {
-			r := coll[Key{kernel, s, sys}]
+			r := coll[Key{Kernel: kernel, Stride: s, System: sys}]
 			fmt.Fprintf(w, " %9d..%-9d", r.Min, r.Max)
-			_ = pva
 		}
 		fmt.Fprintln(w)
 	}
@@ -52,10 +180,10 @@ func RenderStrideChart(w io.Writer, coll map[Key]Range, kernel string, strides [
 	}
 	fmt.Fprintln(w)
 	for _, s := range strides {
-		pvaMin := coll[Key{kernel, s, PVASDRAM}].Min
+		pvaMin := coll[Key{Kernel: kernel, Stride: s, System: PVASDRAM}].Min
 		fmt.Fprintf(w, "%8d", s)
 		for _, sys := range AllSystems() {
-			r := coll[Key{kernel, s, sys}]
+			r := coll[Key{Kernel: kernel, Stride: s, System: sys}]
 			fmt.Fprintf(w, " %8.0f%%..%-8.0f%%", pct(r.Min, pvaMin), pct(r.Max, pvaMin))
 		}
 		fmt.Fprintln(w)
@@ -70,10 +198,10 @@ func RenderKernelChart(w io.Writer, coll map[Key]Range, stride uint32, kernelNam
 	fmt.Fprintf(w, "%10s %18s %18s %18s %18s\n", "kernel",
 		PVASDRAM.String(), CacheLineSerial.String(), GatheringSerial.String(), PVASRAM.String())
 	for _, k := range kernelNames {
-		pvaMin := coll[Key{k, stride, PVASDRAM}].Min
+		pvaMin := coll[Key{Kernel: k, Stride: stride, System: PVASDRAM}].Min
 		fmt.Fprintf(w, "%10s", k)
 		for _, sys := range AllSystems() {
-			r := coll[Key{k, stride, sys}]
+			r := coll[Key{Kernel: k, Stride: stride, System: sys}]
 			fmt.Fprintf(w, " %7.0f%%..%-7.0f%%", pct(r.Min, pvaMin), pct(r.Max, pvaMin))
 		}
 		fmt.Fprintln(w)
@@ -135,10 +263,16 @@ func RenderHeadlines(w io.Writer, h Headline) {
 // SDRAMvsSRAMWorst returns the largest PVA-SDRAM / PVA-SRAM time ratio
 // in a point set (paper: at most ~1.15, Figure 11 discussion).
 func SDRAMvsSRAMWorst(points []Point) float64 {
-	sram := make(map[[3]uint64]uint64)
+	type cell struct {
+		kernel    string
+		stride    uint32
+		alignment int
+		channels  uint32
+	}
+	sram := make(map[cell]uint64)
 	for _, p := range points {
 		if p.System == PVASRAM {
-			sram[[3]uint64{hash(p.Kernel), uint64(p.Stride), uint64(p.Alignment)}] = p.Cycles
+			sram[cell{p.Kernel, p.Stride, p.Alignment, p.Channels}] = p.Cycles
 		}
 	}
 	worst := 0.0
@@ -146,7 +280,7 @@ func SDRAMvsSRAMWorst(points []Point) float64 {
 		if p.System != PVASDRAM {
 			continue
 		}
-		if s, ok := sram[[3]uint64{hash(p.Kernel), uint64(p.Stride), uint64(p.Alignment)}]; ok && s > 0 {
+		if s, ok := sram[cell{p.Kernel, p.Stride, p.Alignment, p.Channels}]; ok && s > 0 {
 			if r := float64(p.Cycles) / float64(s); r > worst {
 				worst = r
 			}
@@ -155,34 +289,9 @@ func SDRAMvsSRAMWorst(points []Point) float64 {
 	return worst
 }
 
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
 func pct(x, base uint64) float64 {
 	if base == 0 {
 		return 0
 	}
 	return 100 * float64(x) / float64(base)
-}
-
-// SortPoints orders points for stable output.
-func SortPoints(points []Point) {
-	sort.Slice(points, func(i, j int) bool {
-		a, b := points[i], points[j]
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		if a.Stride != b.Stride {
-			return a.Stride < b.Stride
-		}
-		if a.Alignment != b.Alignment {
-			return a.Alignment < b.Alignment
-		}
-		return a.System < b.System
-	})
 }

@@ -61,15 +61,18 @@ type CellFailure struct {
 	Stride    uint32     `json:"stride"`
 	Alignment int        `json:"alignment"`
 	System    SystemKind `json:"system"`
-	Attempts  int        `json:"attempts"`
-	Err       string     `json:"error"`
+	Channels  uint32     `json:"channels"`
+	// Tech labels a pva-sdram cell's back end, as Point.Tech does.
+	Tech     string `json:"tech,omitempty"`
+	Attempts int    `json:"attempts"`
+	Err      string `json:"error"`
 }
 
 // String renders the failure for manifests: coordinates first, so a
 // human (or a grep) can find the poisoned cell.
 func (f CellFailure) String() string {
-	return fmt.Sprintf("%s stride %d align %d on %s (after %d attempts): %s",
-		f.Kernel, f.Stride, f.Alignment, f.System, f.Attempts, f.Err)
+	return fmt.Sprintf("%s (after %d attempts): %s",
+		cellName(f.Kernel, f.Stride, f.Alignment, f.System, f.Channels, f.Tech), f.Attempts, f.Err)
 }
 
 // Outcome is a fault-isolated sweep's result: the full grid in plan
@@ -185,8 +188,7 @@ func (g *guardedRunner) runOnce(j job) (Point, error) {
 		return r.p, r.err
 	case <-timer.C:
 		g.discard()
-		return Point{}, fmt.Errorf("harness: %s stride %d align %d on %s: %w (%v)",
-			j.kernel.Name, j.stride, j.alignment, j.system, ErrCellTimeout, g.r.CellTimeout)
+		return Point{}, fmt.Errorf("harness: %v: %w (%v)", j, ErrCellTimeout, g.r.CellTimeout)
 	}
 }
 
@@ -195,7 +197,7 @@ func (g *guardedRunner) runOnce(j job) (Point, error) {
 // recovery. The single-point CLIs use it when a policy is configured.
 func (r Runner) RunPointGuarded(kernel kernels.Kernel, stride uint32, alignment int, kind SystemKind) (Point, error) {
 	g := newGuardedRunner(r, nil)
-	p, _, err := g.run(job{kernel: kernel, stride: stride, alignment: alignment, system: kind})
+	p, _, err := g.run(job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
 	return p, err
 }
 
@@ -249,14 +251,6 @@ func (s *journalSink) append(kind uint8, v any) error {
 	return nil
 }
 
-func (s *journalSink) appendDone(i int, p Point) error {
-	return s.append(recCellDone, cellDoneRec{Index: i, Point: p})
-}
-
-func (s *journalSink) appendFailure(f CellFailure) error {
-	return s.append(recCellFailure, f)
-}
-
 // JournalConfig configures a resumable sweep's durability.
 type JournalConfig struct {
 	// Dir is the journal directory (created if missing). Empty runs the
@@ -278,76 +272,52 @@ func journalFiles(dir string) (journal, ckpt string) {
 
 // configKey is the canonical description of everything that determines a
 // sweep's results: the result-affecting runner fields and the exact
-// planned grid. Worker counts, parallel-channel ticking, verification,
-// and the failure policy are deliberately absent — they change wall
-// clock or failure handling, never results, so a journal written at
-// -workers 8 resumes fine at -workers 1.
+// planned grid, each cell with its machine and decoder. Worker counts,
+// parallel-channel ticking, verification, and the failure policy are
+// deliberately absent — they change wall clock or failure handling,
+// never results, so a journal written at -workers 8 resumes fine at
+// -workers 1.
 func (r Runner) configKey(jobs []job) []string {
 	parts := []string{
-		"sweep-journal-v1",
+		"sweep-journal-v2",
 		fmt.Sprintf("elements=%d", r.Elements),
-		fmt.Sprintf("channels=%d", r.channels()),
-		"addrmap=" + r.addrMapName(),
 		fmt.Sprintf("fault=%+v", r.Fault),
 		fmt.Sprintf("watchdog=%d", r.Watchdog),
-		"tech=" + r.techName(),
-		fmt.Sprintf("subarrays=%d", r.Subarrays),
-		fmt.Sprintf("partitions=%d", r.Partitions),
 		fmt.Sprintf("cells=%d", len(jobs)),
 	}
+	// The decoder enters canonicalized, so two spellings of one decoder
+	// ("", "word"; "tuned:4", "tuned:0x4,0,0,0") resume each other's
+	// journals. Planning has already parsed it at every channel count.
+	cfg := pvaunit.PaperConfig()
+	decoders := map[uint32]string{}
 	for _, j := range jobs {
-		parts = append(parts, fmt.Sprintf("%s/%d/%d/%s", j.kernel.Name, j.stride, j.alignment, j.system))
+		d, ok := decoders[j.channels]
+		if !ok {
+			d, _ = addrmap.Canonical(r.AddrMap, j.channels, cfg.Banks, cfg.LineWords)
+			decoders[j.channels] = d
+		}
+		parts = append(parts, j.String()+" decoder "+d)
 	}
 	return parts
 }
 
-// addrMapName canonicalizes the decoder spec for the journal hash, so
-// two spellings of one decoder ("", "word"; "tuned:4", "tuned:0x4,0,0,0")
-// resume each other's journals. An unparseable spec passes through
-// verbatim — system construction rejects it with the real error before
-// any journal binds to it.
-func (r Runner) addrMapName() string {
-	cfg := pvaunit.PaperConfig()
-	canon, err := addrmap.Canonical(r.AddrMap, r.channels(), cfg.Banks, cfg.LineWords)
-	if err != nil {
-		return r.AddrMap
-	}
-	return canon
+// ResumableSweep is ResumableGrid over the runner's own machine: its
+// channel count and back end.
+func (r Runner) ResumableSweep(kernelNames []string, strides []uint32, systems []SystemKind, workers int, jc JournalConfig) (*Outcome, error) {
+	return r.ResumableGrid(Grid{Kernels: kernelNames, Strides: strides, Systems: systems}, workers, jc)
 }
 
-func (r Runner) techName() string {
-	if r.Tech == "" {
-		return "sdram"
-	}
-	return r.Tech
-}
-
-// captureBaseImage builds the PVA prototype for this runner and captures
-// its post-construction (cold) memory image — the durable base
-// checkpoint every resumed worker warm-starts from.
-func (r Runner) captureBaseImage() (*memsys.Image, error) {
-	sys, err := r.newSystem(PVASDRAM)
-	if err != nil {
-		return nil, err
-	}
-	is, ok := sys.(memsys.ImageSnapshotter)
-	if !ok {
-		return nil, fmt.Errorf("harness: %s does not support durable checkpoints", sys.Name())
-	}
-	return is.MemoryImage(), nil
-}
-
-// ResumableSweep measures the planned cross product with per-cell
-// failure isolation and, when jc.Dir is set, durable journaling: cell
-// results are appended (checksummed, fsynced) as they land, and a rerun
-// with the same flags replays completed cells instead of re-measuring
-// them. Failing cells are retried per the runner's policy and then
-// quarantined into the Outcome's manifest; the rest of the grid still
-// completes. A journal written under different flags is refused with
+// ResumableGrid measures a grid's cells with per-cell failure isolation
+// and, when jc.Dir is set, durable journaling: cell results are appended
+// (checksummed, fsynced) as they land, and a rerun with the same flags
+// replays completed cells instead of re-measuring them. Failing cells
+// are retried per the runner's policy and then quarantined into the
+// Outcome's manifest; the rest of the grid still completes. A journal
+// written under different flags or a different grid is refused with
 // ErrJournalMismatch; a corrupt journal header or base checkpoint is a
 // typed ckptio error.
-func (r Runner) ResumableSweep(kernelNames []string, strides []uint32, systems []SystemKind, workers int, jc JournalConfig) (*Outcome, error) {
-	jobs, err := plan(kernelNames, strides, systems)
+func (r Runner) ResumableGrid(g Grid, workers int, jc JournalConfig) (*Outcome, error) {
+	jobs, err := r.plan(g)
 	if err != nil {
 		return nil, err
 	}
@@ -361,33 +331,20 @@ func (r Runner) ResumableSweep(kernelNames []string, strides []uint32, systems [
 	hash := ckptio.HashConfig(r.configKey(jobs)...)
 	jPath, cPath := journalFiles(jc.Dir)
 
-	var sink *journalSink
+	var (
+		w    *ckptio.Journal
+		recs []ckptio.Record
+	)
 	if fi, err := os.Stat(jPath); err == nil && fi.Size() > 0 {
 		// Resume: bind to the existing journal, replay its records.
-		w, info, recs, err := ckptio.OpenAppend(jPath)
-		if err != nil {
+		var info ckptio.JournalInfo
+		if w, info, recs, err = ckptio.OpenAppend(jPath); err != nil {
 			return nil, err
 		}
+		defer w.Close()
 		if info.ConfigHash != hash || int(info.CellCount) != len(jobs) {
-			w.Close()
 			return nil, fmt.Errorf("%w: %s records hash %#x over %d cells; these flags plan hash %#x over %d cells",
 				ErrJournalMismatch, jPath, info.ConfigHash, info.CellCount, hash, len(jobs))
-		}
-		rc.replayed = make(map[int]Point)
-		for _, rec := range recs {
-			if rec.Kind != recCellDone {
-				continue // failure records inform manifests; the cell re-runs
-			}
-			var cd cellDoneRec
-			if err := json.Unmarshal(rec.Payload, &cd); err != nil {
-				w.Close()
-				return nil, fmt.Errorf("harness: journal record: %w", err)
-			}
-			if cd.Index < 0 || cd.Index >= len(jobs) {
-				w.Close()
-				return nil, fmt.Errorf("harness: journal record indexes cell %d of a %d-cell grid", cd.Index, len(jobs))
-			}
-			rc.replayed[cd.Index] = cd.Point
 		}
 		img, err := ckptio.ReadFile(cPath, hash)
 		switch {
@@ -396,37 +353,53 @@ func (r Runner) ResumableSweep(kernelNames []string, strides []uint32, systems [
 		case os.IsNotExist(err):
 			// Crash between journal creation and checkpoint write:
 			// regenerate — the base image is reproducible from the flags.
-			if err := r.writeBaseCheckpoint(cPath, hash); err != nil {
-				w.Close()
+			if err := writeBaseCheckpoint(cPath, hash); err != nil {
 				return nil, err
 			}
 		default:
-			w.Close()
 			return nil, err
 		}
-		sink = &journalSink{j: w, abortAfter: jc.abortAfter}
 	} else {
-		if err := r.writeBaseCheckpoint(cPath, hash); err != nil {
+		if err := writeBaseCheckpoint(cPath, hash); err != nil {
 			return nil, err
 		}
-		w, err := ckptio.CreateJournal(jPath, hash, uint32(len(jobs)))
-		if err != nil {
+		if w, err = ckptio.CreateJournal(jPath, hash, uint32(len(jobs))); err != nil {
 			return nil, err
 		}
-		sink = &journalSink{j: w, abortAfter: jc.abortAfter}
+		defer w.Close()
 	}
-	sink.j.NoSync = jc.NoSync
-	defer sink.j.Close()
-	rc.sink = sink
+	rc.replayed = make(map[int]Point)
+	for _, rec := range recs {
+		if rec.Kind != recCellDone {
+			continue // failure records inform manifests; the cell re-runs
+		}
+		var cd cellDoneRec
+		if err := json.Unmarshal(rec.Payload, &cd); err != nil {
+			return nil, fmt.Errorf("harness: journal record: %w", err)
+		}
+		if cd.Index < 0 || cd.Index >= len(jobs) {
+			return nil, fmt.Errorf("harness: journal record indexes cell %d of a %d-cell grid", cd.Index, len(jobs))
+		}
+		rc.replayed[cd.Index] = cd.Point
+	}
+	w.NoSync = jc.NoSync
+	rc.sink = &journalSink{j: w, abortAfter: jc.abortAfter}
 	return r.runJobs(jobs, workers, rc)
 }
 
-// writeBaseCheckpoint captures and durably writes the post-construction
-// memory checkpoint, stamped with the sweep's config hash.
-func (r Runner) writeBaseCheckpoint(path string, hash uint64) error {
-	img, err := r.captureBaseImage()
+// writeBaseCheckpoint builds the paper's PVA prototype and durably
+// writes its post-construction (cold) memory image, stamped with the
+// sweep's config hash — the base checkpoint every resumed worker
+// warm-starts from. Construction writes no memory, so the image is the
+// same on every machine of a grid.
+func writeBaseCheckpoint(path string, hash uint64) error {
+	sys, err := NewSystem(PVASDRAM)
 	if err != nil {
 		return err
 	}
-	return ckptio.WriteFile(path, ckptio.Checkpoint{ConfigHash: hash, Image: img})
+	is, ok := sys.(memsys.ImageSnapshotter)
+	if !ok {
+		return fmt.Errorf("harness: %s does not support durable checkpoints", sys.Name())
+	}
+	return ckptio.WriteFile(path, ckptio.Checkpoint{ConfigHash: hash, Image: is.MemoryImage()})
 }

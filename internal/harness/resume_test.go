@@ -21,15 +21,29 @@ func resumeGrid() ([]string, []uint32, []SystemKind) {
 	return []string{"copy"}, []uint32{1, 19}, []SystemKind{PVASDRAM, CacheLineSerial}
 }
 
+// machinesGrid is resumeGrid over 2 channel counts and 2 back ends: 60
+// cells on six machines.
+func machinesGrid() Grid {
+	ks, strides, systems := resumeGrid()
+	return Grid{Kernels: ks, Strides: strides, Systems: systems,
+		Channels: []uint32{1, 2}, Techs: []string{"sdram", "pcm-4p"}}
+}
+
 // TestResumeKillAtRandomBoundaries is the crash-safety pin: a journaled
 // sweep aborted at randomized cell boundaries (and once with a torn
 // trailing record) must, when resumed with the same flags, produce an
-// outcome bit-identical to the uninterrupted run.
+// outcome bit-identical to the uninterrupted run, on one machine and on
+// a grid over channel counts and back ends.
 func TestResumeKillAtRandomBoundaries(t *testing.T) {
-	r := Runner{Elements: 128}
 	ks, strides, systems := resumeGrid()
+	for _, g := range []Grid{{Kernels: ks, Strides: strides, Systems: systems}, machinesGrid()} {
+		resumeAtRandomBoundaries(t, g)
+	}
+}
 
-	want, err := r.ResumableSweep(ks, strides, systems, 2, JournalConfig{
+func resumeAtRandomBoundaries(t *testing.T, g Grid) {
+	r := Runner{Elements: 128}
+	want, err := r.ResumableGrid(g, 2, JournalConfig{
 		Dir: filepath.Join(t.TempDir(), "uninterrupted"), NoSync: true,
 	})
 	if err != nil {
@@ -48,7 +62,7 @@ func TestResumeKillAtRandomBoundaries(t *testing.T) {
 	for _, cut := range cuts {
 		for _, tear := range []bool{false, true} {
 			dir := t.TempDir()
-			_, err := r.ResumableSweep(ks, strides, systems, 2, JournalConfig{
+			_, err := r.ResumableGrid(g, 2, JournalConfig{
 				Dir: dir, NoSync: true, abortAfter: cut,
 			})
 			if !errors.Is(err, errAborted) {
@@ -66,7 +80,7 @@ func TestResumeKillAtRandomBoundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := r.ResumableSweep(ks, strides, systems, 2, JournalConfig{Dir: dir, NoSync: true})
+			got, err := r.ResumableGrid(g, 2, JournalConfig{Dir: dir, NoSync: true})
 			if err != nil {
 				t.Fatalf("cut %d tear %v: resume failed: %v", cut, tear, err)
 			}
@@ -84,7 +98,7 @@ func TestResumeKillAtRandomBoundaries(t *testing.T) {
 				t.Errorf("cut %d tear %v: resumed grid diverged from uninterrupted run", cut, tear)
 			}
 			// A second resume replays everything and runs nothing.
-			again, err := r.ResumableSweep(ks, strides, systems, 2, JournalConfig{Dir: dir, NoSync: true})
+			again, err := r.ResumableGrid(g, 2, JournalConfig{Dir: dir, NoSync: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,34 +113,34 @@ func TestResumeKillAtRandomBoundaries(t *testing.T) {
 // configuration must refuse to resume under another — merging results
 // measured with different flags would corrupt the grid silently.
 func TestResumeRejectsChangedFlags(t *testing.T) {
-	ks, strides, systems := resumeGrid()
+	g := machinesGrid()
 	dir := t.TempDir()
+	jc := JournalConfig{Dir: dir, NoSync: true}
 	r := Runner{Elements: 128}
-	if _, err := r.ResumableSweep(ks, strides, systems, 1, JournalConfig{Dir: dir, NoSync: true}); err != nil {
+	if _, err := r.ResumableGrid(g, 1, jc); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name string
-		run  func() (*Outcome, error)
+		name   string
+		r      Runner
+		change func(*Grid)
 	}{
-		{"elements", func() (*Outcome, error) {
-			r2 := Runner{Elements: 256}
-			return r2.ResumableSweep(ks, strides, systems, 1, JournalConfig{Dir: dir, NoSync: true})
-		}},
-		{"grid", func() (*Outcome, error) {
-			return r.ResumableSweep(ks, []uint32{1, 2}, systems, 1, JournalConfig{Dir: dir, NoSync: true})
-		}},
-		{"systems", func() (*Outcome, error) {
-			return r.ResumableSweep(ks, strides, []SystemKind{PVASDRAM, GatheringSerial}, 1, JournalConfig{Dir: dir, NoSync: true})
-		}},
+		{"elements", Runner{Elements: 256}, func(*Grid) {}},
+		{"strides", r, func(g *Grid) { g.Strides = []uint32{1, 2} }},
+		{"systems", r, func(g *Grid) { g.Systems = []SystemKind{PVASDRAM, GatheringSerial} }},
+		{"channels", r, func(g *Grid) { g.Channels = []uint32{1, 4} }},
+		{"back ends", r, func(g *Grid) { g.Techs = []string{"sdram", "salp-4"} }},
+		{"one machine", r, func(g *Grid) { g.Channels, g.Techs = nil, nil }},
 	}
 	for _, c := range cases {
-		if _, err := c.run(); !errors.Is(err, ErrJournalMismatch) {
+		changed := machinesGrid()
+		c.change(&changed)
+		if _, err := c.r.ResumableGrid(changed, 1, jc); !errors.Is(err, ErrJournalMismatch) {
 			t.Errorf("%s: got %v, want ErrJournalMismatch", c.name, err)
 		}
 	}
 	// The original flags still resume fine after all those refusals.
-	out, err := r.ResumableSweep(ks, strides, systems, 1, JournalConfig{Dir: dir, NoSync: true})
+	out, err := r.ResumableGrid(g, 1, jc)
 	if err != nil || out.Resumed != len(out.Points) {
 		t.Fatalf("original flags no longer resume: %v (%d replayed)", err, out.Resumed)
 	}
@@ -161,13 +175,16 @@ func TestQuarantinePartialGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	bomb, _ := bombKernel("bomb", 0)
+	pva := machine{system: PVASDRAM, channels: 1}
 	var jobs []job
 	for s := uint32(1); s <= 6; s++ {
-		jobs = append(jobs, job{kernel: good, stride: s, alignment: 0, system: PVASDRAM})
+		jobs = append(jobs, job{kernel: good, stride: s, machine: pva})
 	}
-	jobs = append(jobs, job{kernel: bomb, stride: 19, alignment: 2, system: PVASDRAM})
-	jobs = append(jobs, job{kernel: good, stride: 8, alignment: 1, system: CacheLineSerial})
-	jobs = append(jobs, job{kernel: bomb, stride: 4, alignment: 0, system: GatheringSerial})
+	jobs = append(jobs, job{kernel: bomb, stride: 19, alignment: 2, machine: pva})
+	jobs = append(jobs, job{kernel: good, stride: 8, alignment: 1, machine: machine{system: CacheLineSerial, channels: 1}})
+	jobs = append(jobs, job{kernel: bomb, stride: 4, machine: machine{system: GatheringSerial, channels: 1}})
+	jobs = append(jobs, job{kernel: bomb, stride: 2, alignment: 3,
+		machine: machine{system: PVASDRAM, channels: 2, tech: backEnd{tech: "pcm", partitions: 4}}})
 
 	r := Runner{Elements: 128, Retries: 1}
 	for _, workers := range []int{1, 3} {
@@ -175,21 +192,25 @@ func TestQuarantinePartialGrid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: isolation aborted the sweep: %v", workers, err)
 		}
-		if len(out.Failures) != 2 {
-			t.Fatalf("workers=%d: %d failures, want 2: %v", workers, len(out.Failures), out.Failures)
+		if len(out.Failures) != 3 {
+			t.Fatalf("workers=%d: %d failures, want 3: %v", workers, len(out.Failures), out.Failures)
 		}
 		f := out.Failures[0]
-		if f.Kernel != "bomb" || f.Stride != 19 || f.Alignment != 2 || f.System != PVASDRAM || f.Attempts != 2 {
+		if f.Kernel != "bomb" || f.Stride != 19 || f.Alignment != 2 || f.System != PVASDRAM || f.Channels != 1 || f.Tech != "" || f.Attempts != 2 {
 			t.Errorf("workers=%d: first failure misdescribed: %+v", workers, f)
 		}
-		if got := len(out.Completed()); got != len(jobs)-2 {
-			t.Errorf("workers=%d: %d completed cells, want %d", workers, got, len(jobs)-2)
+		if f := out.Failures[2]; f.Channels != 2 || f.Tech != "pcm-4p" {
+			t.Errorf("workers=%d: failure lost its machine: %+v", workers, f)
+		}
+		if got := len(out.Completed()); got != len(jobs)-3 {
+			t.Errorf("workers=%d: %d completed cells, want %d", workers, got, len(jobs)-3)
 		}
 		merr := out.Err()
 		if merr == nil {
 			t.Fatalf("workers=%d: manifest error is nil", workers)
 		}
-		for _, want := range []string{"2 of 9", "bomb stride 19 align 2 on pva-sdram", "bomb stride 4 align 0 on gathering-serial"} {
+		for _, want := range []string{"3 of 10", "bomb stride 19 align 2 on pva-sdram at 1 ch",
+			"bomb stride 4 align 0 on gathering-serial at 1 ch", "bomb stride 2 align 3 on pva-sdram/pcm-4p at 2 ch"} {
 			if !strings.Contains(merr.Error(), want) {
 				t.Errorf("workers=%d: manifest %q missing %q", workers, merr, want)
 			}
@@ -213,9 +234,10 @@ func TestCellTimeout(t *testing.T) {
 			return good.Build(p)
 		},
 	}
+	pva := machine{system: PVASDRAM, channels: 1}
 	jobs := []job{
-		{kernel: good, stride: 1, alignment: 0, system: PVASDRAM},
-		{kernel: slow, stride: 2, alignment: 3, system: PVASDRAM},
+		{kernel: good, stride: 1, machine: pva},
+		{kernel: slow, stride: 2, alignment: 3, machine: pva},
 	}
 	r := Runner{Elements: 128, CellTimeout: 50 * time.Millisecond}
 	_, err = r.runJobs(jobs, 1, runConfig{})
@@ -234,7 +256,7 @@ func TestCellTimeout(t *testing.T) {
 // leave no quarantine entry.
 func TestRetrySucceedsAfterTransient(t *testing.T) {
 	flaky, calls := bombKernel("flaky", 2)
-	jobs := []job{{kernel: flaky, stride: 1, alignment: 0, system: PVASDRAM}}
+	jobs := []job{{kernel: flaky, stride: 1, machine: machine{system: PVASDRAM, channels: 1}}}
 	r := Runner{Elements: 128, Retries: 2, RetryBackoff: time.Millisecond}
 	out, err := r.runJobs(jobs, 1, runConfig{isolate: true})
 	if err != nil {
@@ -257,7 +279,7 @@ func TestRetrySucceedsAfterTransient(t *testing.T) {
 func TestResumedWarmStartMatchesDirect(t *testing.T) {
 	r := Runner{Elements: 128, Channels: 2}
 	ks, strides, systems := resumeGrid()
-	direct, err := r.ParallelSweep(ks, strides, systems, 2)
+	direct, err := r.Sweep(Grid{Kernels: ks, Strides: strides, Systems: systems}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
