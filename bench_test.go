@@ -432,17 +432,16 @@ func BenchmarkParallelTickLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepWarmStart is the full 960-point single-worker sweep on
-// the warm-start path: each cell Restores a cached System to its
-// post-construction checkpoint (an O(1) copy-on-write pointer swap)
-// instead of rebuilding the hardware. Compare against the historical
-// BenchmarkSweepSerial trajectory for the construction overhead this
-// removes; allocs/op is the sweep's total footprint and is what the
-// benchstat gate tracks.
-func BenchmarkSweepWarmStart(b *testing.B) {
+// BenchmarkSweepVerified is the full 960-point single-worker sweep with
+// every cell checked against the functional reference — the pass the
+// paper-grid benchmark workload times. It adds to BenchmarkSweepSerial
+// the reference run and image comparison of each trace group;
+// allocs/op is the sweep's total footprint and is what the benchstat
+// gate tracks.
+func BenchmarkSweepVerified(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepWithOptions(Grid{}, SweepOptions{Workers: 1}); err != nil {
+		if _, err := SweepWithOptions(Grid{}, SweepOptions{Workers: 1, Verify: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -74,6 +74,10 @@ func main() {
 
 	p := pva.PaperParams(uint32(*stride), *align)
 	p.Elements = uint32(*elements)
+	if err := p.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "pvasim: %v\n", err)
+		os.Exit(2)
+	}
 	opts := pva.SweepOptions{
 		Channels:         uint32(*channels),
 		AddrMap:          *addrmap,

@@ -185,8 +185,9 @@ func TestSweepJournalResume(t *testing.T) {
 }
 
 // TestSweepRejectsBadAxes: an unknown or invalid back end, a channel
-// count the decoder cannot split, and a value an axis lists twice are
-// usage errors (exit 2), caught before any simulation starts.
+// count the decoder cannot split, a value an axis lists twice, and a
+// vector length no kernel trace can be built at are usage errors (exit
+// 2), caught before any simulation starts.
 func TestSweepRejectsBadAxes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-tech", "bogus"},
@@ -199,6 +200,7 @@ func TestSweepRejectsBadAxes(t *testing.T) {
 		{"-channels", ",,"},
 		{"-kernels", "copy,copy"},
 		{"-kernels", "nope"},
+		{"-elements", "48"},
 	} {
 		code, _, stderr := sweepRun(append([]string{"-elements", "64"}, args...)...)
 		if code != 2 {

@@ -76,7 +76,10 @@ func RunKernel(kind SystemKind, kernel string, p KernelParams) (SweepPoint, erro
 
 // RunKernelWithOptions is RunKernel with sweep options applied (channel
 // count, address decoder, verification); o.Elements is overridden by the
-// kernel parameters.
+// kernel parameters. Parameters no trace can be built from (a zero
+// stride, an alignment outside [0, 5), a vector length that is not a
+// whole number of commands) are an error, returned before any system
+// runs.
 func RunKernelWithOptions(kind SystemKind, kernel string, p KernelParams, o SweepOptions) (SweepPoint, error) {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
@@ -87,6 +90,9 @@ func RunKernelWithOptions(kind SystemKind, kernel string, p KernelParams, o Swee
 	}
 	r := o.runner()
 	r.Elements = p.Elements
+	if err := r.Params(p.Stride, p.Alignment).Validate(); err != nil {
+		return SweepPoint{}, err
+	}
 	if o.CellTimeout > 0 || o.Retries > 0 {
 		return r.RunPointGuarded(k, p.Stride, p.Alignment, kind)
 	}
@@ -189,9 +195,10 @@ func (o SweepOptions) Validate() error {
 }
 
 // ValidateGrid is Validate plus the grid's axes: it rejects unknown
-// kernels, systems and back ends, channel counts the decoder cannot
-// split, and values an axis lists twice. Every sweep runs the grid
-// checks before its first cell.
+// kernels, systems and back ends, strides and vector lengths no kernel
+// trace can be built at, channel counts the decoder cannot split, and
+// values an axis lists twice. Every sweep runs the grid checks before
+// its first cell.
 func ValidateGrid(g Grid, o SweepOptions) error {
 	if err := o.Validate(); err != nil {
 		return err

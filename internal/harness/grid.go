@@ -161,6 +161,15 @@ func (r Runner) plan(g Grid) ([]job, error) {
 			return nil, fmt.Errorf("harness: unknown system %d", int(s))
 		}
 	}
+	// Reject kernel parameters no trace can be built from, so no cell's
+	// builder can panic on them.
+	for _, s := range strides {
+		for a := 0; a < kernels.Alignments; a++ {
+			if err := r.Params(s, a).Validate(); err != nil {
+				return nil, err
+			}
+		}
+	}
 	cfg := pvaunit.PaperConfig()
 	for _, c := range chans {
 		if _, err := addrmap.Parse(r.AddrMap, c, cfg.Banks, cfg.LineWords); err != nil {
@@ -218,9 +227,10 @@ func repeated[T comparable](axis string, vs []T) error {
 }
 
 // Validate reports the first grid axis value no sweep can run: an
-// unknown kernel, system or back end, a channel count the decoder
-// cannot split, or a value an axis lists twice. Every sweep runs these
-// checks before its first cell.
+// unknown kernel, system or back end, a stride or vector length no
+// kernel trace can be built at, a channel count the decoder cannot
+// split, or a value an axis lists twice. Every sweep runs these checks
+// before its first cell.
 func (r Runner) Validate(g Grid) error {
 	_, err := r.plan(g)
 	return err

@@ -113,9 +113,11 @@ type Point struct {
 type Runner struct {
 	// Elements per application vector; 0 means the paper's 1024.
 	Elements uint32
-	// Verify runs the functional reference beside every point and fails
-	// on any data divergence (used by the integration tests; the
-	// cycle-level models are self-checking either way).
+	// Verify checks every point against a cold-start functional
+	// reference run of its trace and fails on any data divergence (used
+	// by the integration tests and the benchmark; the cycle-level models
+	// are self-checking either way). A sweep runs the reference once per
+	// trace group and checks each of the group's cells against it.
 	Verify bool
 	// Channels selects multi-channel system variants; 0 or 1 is the
 	// paper's single-channel configuration. A Grid's Channels axis
@@ -206,6 +208,17 @@ func (r Runner) newSystem(k SystemKind) (memsys.System, error) {
 	}
 }
 
+// Params returns the kernel parameters of the runner's cells at a
+// stride and alignment: the paper's machine at the runner's vector
+// length.
+func (r Runner) Params(stride uint32, alignment int) kernels.Params {
+	p := kernels.PaperParams(stride, alignment)
+	if r.Elements != 0 {
+		p.Elements = r.Elements
+	}
+	return p
+}
+
 // RunPoint measures one (kernel, stride, alignment, system) cell on a
 // freshly constructed system. Sweeps use the warm-start path instead
 // (see cellRunner); the two are bit-identical.
@@ -214,24 +227,21 @@ func (r Runner) RunPoint(kernel kernels.Kernel, stride uint32, alignment int, ki
 	if err != nil {
 		return Point{}, err
 	}
-	return r.measure(sys, job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
+	c := &cellRunner{r: r}
+	return c.measure(sys, job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
 }
 
-// measure runs one cell's trace on an already-constructed (fresh or
-// rewound-to-cold) system of the cell's machine, r being configured for
-// that machine, and assembles its Point.
-func (r Runner) measure(sys memsys.System, j job) (Point, error) {
-	p := kernels.PaperParams(j.stride, j.alignment)
-	if r.Elements != 0 {
-		p.Elements = r.Elements
-	}
-	trace := j.kernel.Build(p)
-	res, err := sys.Run(trace)
+// measure runs cell j's trace on an already-constructed (fresh or
+// rewound-to-cold) system of the cell's machine and assembles its
+// Point. The trace, and the reference run a verified cell is checked
+// against, belong to the runner's current trace group.
+func (c *cellRunner) measure(sys memsys.System, j job) (Point, error) {
+	res, err := sys.Run(c.traceOf(j))
 	if err != nil {
 		return Point{}, fmt.Errorf("harness: %v: %w", j, err)
 	}
-	if r.Verify {
-		if err := verify(sys, trace, res); err != nil {
+	if c.r.Verify {
+		if err := c.verify(sys, res); err != nil {
 			return Point{}, fmt.Errorf("harness: %v: %w", j, err)
 		}
 	}
@@ -246,7 +256,7 @@ func (r Runner) measure(sys memsys.System, j job) (Point, error) {
 		Stride:    j.stride,
 		Alignment: j.alignment,
 		System:    j.system,
-		Channels:  r.channels(),
+		Channels:  c.r.on(j.machine).channels(),
 		Tech:      j.tech.label(),
 		Cycles:    res.Cycles,
 		Stats:     res.Stats,
@@ -254,29 +264,38 @@ func (r Runner) measure(sys memsys.System, j job) (Point, error) {
 	}, nil
 }
 
-// verify replays the trace on the functional reference and compares all
-// gathered lines and the final memory image.
-func verify(sys memsys.System, trace memsys.Trace, res memsys.Result) error {
-	ref := memsys.NewReference()
-	want, err := ref.Run(trace)
-	if err != nil {
-		return err
+// verify compares a run of the current trace group's trace with the
+// cold-start reference run of that trace: every gathered line, and the
+// final word at every address the trace touches. The reference runs on
+// the group's first verified cell, on the runner's reference rewound to
+// cold; its result is a pure function of the trace, so every cell of
+// the group gets the verdict a reference run of its own would give.
+func (c *cellRunner) verify(sys memsys.System, res memsys.Result) error {
+	if !c.checked {
+		if c.ref == nil {
+			c.ref = memsys.NewReference()
+		}
+		c.ref.Reset()
+		want, err := c.ref.Run(c.trace)
+		if err != nil {
+			return err
+		}
+		c.want, c.checked = want, true
 	}
-	for i, c := range trace.Cmds {
-		if c.Op != memsys.Read {
+	for i, cmd := range c.trace.Cmds {
+		if cmd.Op != memsys.Read {
 			continue
 		}
-		for j := range want.ReadData[i] {
-			if res.ReadData[i][j] != want.ReadData[i][j] {
-				return fmt.Errorf("cmd %d word %d: got %#x, want %#x",
-					i, j, res.ReadData[i][j], want.ReadData[i][j])
+		for j, w := range c.want.ReadData[i] {
+			if g := res.ReadData[i][j]; g != w {
+				return fmt.Errorf("cmd %d word %d: got %#x, want %#x", i, j, g, w)
 			}
 		}
 	}
-	for _, c := range trace.Cmds {
-		for i := uint32(0); i < c.V.Length; i++ {
-			a := c.Addr(i)
-			if g, w := sys.Peek(a), ref.Peek(a); g != w {
+	for _, cmd := range c.trace.Cmds {
+		for i := uint32(0); i < cmd.V.Length; i++ {
+			a := cmd.Addr(i)
+			if g, w := sys.Peek(a), c.ref.Peek(a); g != w {
 				return fmt.Errorf("final image at %d: got %#x, want %#x", a, g, w)
 			}
 		}

@@ -1,9 +1,12 @@
 // The sweep engine: a planned cell list sharded over a bounded worker
-// pool. Every worker owns a private cellRunner (warm-started systems are
-// never shared between goroutines; clones and checkpoints may share
-// immutable pages only), and results land at their planned index,
-// making the output identical at every worker count regardless of
-// scheduling.
+// pool. The unit a worker claims is a trace group — the run of adjacent
+// cells that share kernel, stride and alignment, the systems and back
+// ends of one grid point — so each trace is built, and with Verify
+// reference-checked, once per group. Every worker owns a private
+// cellRunner (warm-started systems are never shared between goroutines;
+// clones and checkpoints may share immutable pages only), and results
+// land at their planned index, making the output identical at every
+// worker count regardless of scheduling.
 //
 // One engine, runJobs, serves every execution mode: the fail-fast sweep
 // (first error aborts), the fault-isolated sweep (failing cells are
@@ -28,7 +31,9 @@ import (
 // the memory image to that checkpoint — an O(1) copy-on-write pointer
 // swap — and reuses the cached session hardware instead of rebuilding
 // it. Bit-identity with the cold path is pinned by the harness
-// equivalence tests and the seed-cycle golden.
+// equivalence tests and the seed-cycle golden. It also holds the work
+// its current trace group shares, so dropping the runner after a
+// failure drops that too.
 type cellRunner struct {
 	r    Runner
 	warm map[machine]warmSystem
@@ -37,6 +42,36 @@ type cellRunner struct {
 	// the warm-start checkpoint is taken, so a resumed sweep provably
 	// runs on the image the journal's base checkpoint recorded.
 	baseImg *memsys.Image
+
+	// The current trace group: its key and trace (once built), and —
+	// once a cell has been verified — want, the reference run of the
+	// trace on ref, which is reused from group to group.
+	key     traceKey
+	built   bool
+	trace   memsys.Trace
+	ref     *memsys.Reference
+	want    memsys.Result
+	checked bool
+}
+
+// traceKey identifies the trace a cell runs.
+type traceKey struct {
+	kernel    string
+	stride    uint32
+	alignment int
+}
+
+func (j job) traceKey() traceKey { return traceKey{j.kernel.Name, j.stride, j.alignment} }
+
+// traceOf returns cell j's trace, building it when j starts a new trace
+// group. Systems only read the traces they run, so one trace serves the
+// whole group.
+func (c *cellRunner) traceOf(j job) memsys.Trace {
+	if k := j.traceKey(); !c.built || k != c.key {
+		trace := j.kernel.Build(c.r.Params(j.stride, j.alignment))
+		c.key, c.trace, c.built, c.checked = k, trace, true, false
+	}
+	return c.trace
 }
 
 // warmSystem is a constructed system and its post-construction
@@ -54,7 +89,7 @@ func (c *cellRunner) runPoint(j job) (Point, error) {
 		if err := w.sys.Restore(w.base); err != nil {
 			return Point{}, err
 		}
-		return r.measure(w.sys, j)
+		return c.measure(w.sys, j)
 	}
 	sys, err := r.newSystem(j.system)
 	if err != nil {
@@ -71,7 +106,7 @@ func (c *cellRunner) runPoint(j job) (Point, error) {
 		}
 		c.warm[j.machine] = warmSystem{sn, sn.Snapshot()}
 	}
-	return r.measure(sys, j)
+	return c.measure(sys, j)
 }
 
 // runPointSafe measures one cell, converting any panic escaping the
@@ -104,12 +139,30 @@ type runConfig struct {
 	sink *journalSink
 }
 
+// traceGroups splits the plan indices to run into trace groups: runs of
+// adjacent indices whose cells share a trace. Plan order keeps each grid
+// point's systems and back ends together, so a group is one grid point
+// less its journal-replayed cells.
+func traceGroups(jobs []job, todo []int) [][]int {
+	var groups [][]int
+	for lo := 0; lo < len(todo); {
+		hi := lo + 1
+		for hi < len(todo) && jobs[todo[hi]].traceKey() == jobs[todo[lo]].traceKey() {
+			hi++
+		}
+		groups = append(groups, todo[lo:hi])
+		lo = hi
+	}
+	return groups
+}
+
 // runJobs is the one sweep engine: it executes the planned job list on
 // up to workers goroutines (workers <= 0: one per CPU; the single-worker
-// case runs inline with no pool machinery), each worker guarding its
-// cells with the runner's failure policy (per-cell deadline, bounded
-// retry). Results land at their planned index; replayed cells are
-// filled in without running.
+// case runs inline with no pool machinery), each worker claiming whole
+// trace groups and guarding each cell with the runner's failure policy
+// (per-cell deadline, bounded retry). Results land at their planned
+// index; replayed cells are filled in without running and left out of
+// their groups.
 func (r Runner) runJobs(jobs []job, workers int, rc runConfig) (*Outcome, error) {
 	out := &Outcome{
 		Points: make([]Point, len(jobs)),
@@ -126,17 +179,18 @@ func (r Runner) runJobs(jobs []job, workers int, rc runConfig) (*Outcome, error)
 		todo = append(todo, i)
 	}
 
+	groups := traceGroups(jobs, todo)
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(todo) {
-		workers = len(todo)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 
 	var (
 		mu      sync.Mutex // guards out.Failures
 		next    atomic.Int64
-		failed  atomic.Bool // set once the sweep must stop claiming cells
+		failed  atomic.Bool // set once the sweep must stop running cells
 		errOnce sync.Once
 		firstEr error
 	)
@@ -145,44 +199,48 @@ func (r Runner) runJobs(jobs []job, workers int, rc runConfig) (*Outcome, error)
 		failed.Store(true)
 	}
 	work := func(g *guardedRunner) {
-		for !failed.Load() {
+		for {
 			n := int(next.Add(1)) - 1
-			if n >= len(todo) {
+			if n >= len(groups) {
 				return
 			}
-			i := todo[n]
-			p, attempts, err := g.run(jobs[i])
-			if err == nil {
-				if jerr := rc.sink.append(recCellDone, cellDoneRec{Index: i, Point: p}); jerr != nil {
+			for _, i := range groups[n] {
+				if failed.Load() {
+					return
+				}
+				p, attempts, err := g.run(jobs[i])
+				if err == nil {
+					if jerr := rc.sink.append(recCellDone, cellDoneRec{Index: i, Point: p}); jerr != nil {
+						fail(jerr)
+						return
+					}
+					out.Points[i] = p
+					out.Done[i] = true
+					continue
+				}
+				if !rc.isolate {
+					fail(err)
+					return
+				}
+				f := CellFailure{
+					Index:     i,
+					Kernel:    jobs[i].kernel.Name,
+					Stride:    jobs[i].stride,
+					Alignment: jobs[i].alignment,
+					System:    jobs[i].system,
+					Channels:  jobs[i].channels,
+					Tech:      jobs[i].tech.label(),
+					Attempts:  attempts,
+					Err:       err.Error(),
+				}
+				if jerr := rc.sink.append(recCellFailure, f); jerr != nil {
 					fail(jerr)
 					return
 				}
-				out.Points[i] = p
-				out.Done[i] = true
-				continue
+				mu.Lock()
+				out.Failures = append(out.Failures, f)
+				mu.Unlock()
 			}
-			if !rc.isolate {
-				fail(err)
-				return
-			}
-			f := CellFailure{
-				Index:     i,
-				Kernel:    jobs[i].kernel.Name,
-				Stride:    jobs[i].stride,
-				Alignment: jobs[i].alignment,
-				System:    jobs[i].system,
-				Channels:  jobs[i].channels,
-				Tech:      jobs[i].tech.label(),
-				Attempts:  attempts,
-				Err:       err.Error(),
-			}
-			if jerr := rc.sink.append(recCellFailure, f); jerr != nil {
-				fail(jerr)
-				return
-			}
-			mu.Lock()
-			out.Failures = append(out.Failures, f)
-			mu.Unlock()
 		}
 	}
 

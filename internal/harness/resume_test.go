@@ -168,7 +168,8 @@ func bombKernel(name string, fuse int64) (kernels.Kernel, *atomic.Int64) {
 
 // TestQuarantinePartialGrid: with isolation on, persistently failing
 // cells land in the manifest with their coordinates while every healthy
-// cell still completes.
+// cell still completes and verifies — including the siblings of a cell
+// that fails in the middle of its trace group.
 func TestQuarantinePartialGrid(t *testing.T) {
 	good, err := kernels.ByName("copy")
 	if err != nil {
@@ -181,36 +182,56 @@ func TestQuarantinePartialGrid(t *testing.T) {
 		jobs = append(jobs, job{kernel: good, stride: s, machine: pva})
 	}
 	jobs = append(jobs, job{kernel: bomb, stride: 19, alignment: 2, machine: pva})
-	jobs = append(jobs, job{kernel: good, stride: 8, alignment: 1, machine: machine{system: CacheLineSerial, channels: 1}})
+	// One trace group whose middle cell fails: no decoder splits three
+	// channels.
+	siblings := []int{len(jobs), len(jobs) + 2}
+	jobs = append(jobs,
+		job{kernel: good, stride: 8, alignment: 1, machine: machine{system: CacheLineSerial, channels: 1}},
+		job{kernel: good, stride: 8, alignment: 1, machine: machine{system: PVASDRAM, channels: 3}},
+		job{kernel: good, stride: 8, alignment: 1, machine: machine{system: GatheringSerial, channels: 1}})
 	jobs = append(jobs, job{kernel: bomb, stride: 4, machine: machine{system: GatheringSerial, channels: 1}})
 	jobs = append(jobs, job{kernel: bomb, stride: 2, alignment: 3,
 		machine: machine{system: PVASDRAM, channels: 2, tech: backEnd{tech: "pcm", partitions: 4}}})
 
-	r := Runner{Elements: 128, Retries: 1}
+	r := Runner{Elements: 128, Retries: 1, Verify: true}
 	for _, workers := range []int{1, 3} {
 		out, err := r.runJobs(jobs, workers, runConfig{isolate: true})
 		if err != nil {
 			t.Fatalf("workers=%d: isolation aborted the sweep: %v", workers, err)
 		}
-		if len(out.Failures) != 3 {
-			t.Fatalf("workers=%d: %d failures, want 3: %v", workers, len(out.Failures), out.Failures)
+		if len(out.Failures) != 4 {
+			t.Fatalf("workers=%d: %d failures, want 4: %v", workers, len(out.Failures), out.Failures)
 		}
 		f := out.Failures[0]
 		if f.Kernel != "bomb" || f.Stride != 19 || f.Alignment != 2 || f.System != PVASDRAM || f.Channels != 1 || f.Tech != "" || f.Attempts != 2 {
 			t.Errorf("workers=%d: first failure misdescribed: %+v", workers, f)
 		}
-		if f := out.Failures[2]; f.Channels != 2 || f.Tech != "pcm-4p" {
+		if f := out.Failures[1]; f.Index != siblings[0]+1 || f.Channels != 3 || f.Attempts != 2 {
+			t.Errorf("workers=%d: mid-group failure misdescribed: %+v", workers, f)
+		}
+		if f := out.Failures[3]; f.Channels != 2 || f.Tech != "pcm-4p" {
 			t.Errorf("workers=%d: failure lost its machine: %+v", workers, f)
 		}
-		if got := len(out.Completed()); got != len(jobs)-3 {
-			t.Errorf("workers=%d: %d completed cells, want %d", workers, got, len(jobs)-3)
+		if got := len(out.Completed()); got != len(jobs)-4 {
+			t.Errorf("workers=%d: %d completed cells, want %d", workers, got, len(jobs)-4)
+		}
+		for _, i := range siblings {
+			j := jobs[i]
+			want, err := r.on(j.machine).RunPoint(j.kernel, j.stride, j.alignment, j.system)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Done[i] || !reflect.DeepEqual(out.Points[i], want) {
+				t.Errorf("workers=%d: sibling %v of the failed cell did not complete as a lone verified run does", workers, j)
+			}
 		}
 		merr := out.Err()
 		if merr == nil {
 			t.Fatalf("workers=%d: manifest error is nil", workers)
 		}
-		for _, want := range []string{"3 of 10", "bomb stride 19 align 2 on pva-sdram at 1 ch",
-			"bomb stride 4 align 0 on gathering-serial at 1 ch", "bomb stride 2 align 3 on pva-sdram/pcm-4p at 2 ch"} {
+		for _, want := range []string{"4 of 12", "bomb stride 19 align 2 on pva-sdram at 1 ch",
+			"copy stride 8 align 1 on pva-sdram at 3 ch", "bomb stride 4 align 0 on gathering-serial at 1 ch",
+			"bomb stride 2 align 3 on pva-sdram/pcm-4p at 2 ch"} {
 			if !strings.Contains(merr.Error(), want) {
 				t.Errorf("workers=%d: manifest %q missing %q", workers, merr, want)
 			}

@@ -270,7 +270,9 @@ type System interface {
 	// Run executes the trace from a cold start and reports timing, the
 	// gathered read data, and statistics. Implementations must apply the
 	// trace's writes to their backing store so callers can audit final
-	// memory contents via Peek.
+	// memory contents via Peek. A system must not modify the trace it
+	// runs — neither a command nor any slice it carries — so one trace
+	// can be run on many systems.
 	Run(t Trace) (Result, error)
 	// Peek returns the current value of a word in the system's backing
 	// store (after Run, the final memory image).

@@ -14,6 +14,10 @@ type Reference struct {
 // NewReference returns a functional executor over a fresh store.
 func NewReference() *Reference { return &Reference{store: NewStore()} }
 
+// Reset rewinds the reference's store to cold, recycling its pages, so
+// one Reference can check trace after trace without reallocating.
+func (r *Reference) Reset() { r.store.Restore(nil) }
+
 // Name implements System.
 func (r *Reference) Name() string { return "reference" }
 

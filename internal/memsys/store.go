@@ -7,18 +7,21 @@
 //     first writes into a frozen page, so cloning a multi-megabyte
 //     image costs one map header and warm-starting a sweep cell is a
 //     pointer swap.
-//   - Concurrent readers: the live page map is published through an
-//     atomic pointer and page insertion rebuilds the map under a
-//     mutex, so goroutines ticking different memory channels may Read
-//     and Write concurrently. Distinct addresses land in distinct
-//     slice elements (channel interleaving guarantees disjointness),
-//     so element stores need no synchronization; only the page-table
-//     shape does.
+//   - Concurrent readers: the live layer is a fixed-depth radix table
+//     over the page number whose every slot — inner node or page — is
+//     published through its own atomic pointer, and page insertion runs
+//     under a mutex, so goroutines ticking different memory channels
+//     may Read and Write concurrently. Distinct addresses land in
+//     distinct page elements (channel interleaving guarantees
+//     disjointness), so element stores need no synchronization; only
+//     the table's slots do.
 //
-// The hot paths stay hot: a Read is one atomic load plus a map lookup,
-// and a Write to an already-materialized live page is the same plus one
-// element store. Page insertion — rare at 16 KiB granularity, and absent
-// entirely in steady state — pays the full map copy.
+// The hot paths stay hot: a Read of a live page is three atomic loads,
+// and a Write to it is the same plus one element store; neither touches
+// a map. Only a word outside the live layer consults the frozen map, and
+// only when the store has one. Page insertion — rare at 16 KiB
+// granularity, and absent entirely in steady state — allocates radix
+// nodes only on the path to a page the store writes.
 
 package memsys
 
@@ -32,10 +35,32 @@ import (
 )
 
 // PageWords is the allocation granularity of Store.
-const PageWords = 4096
+const PageWords = 1 << pageBits
 
-// pageMap is one immutable generation of the live page table. Lookups
-// need no lock; mutating the set of pages publishes a fresh generation.
+// The live table splits a word address into a 6-bit root index, 7-bit
+// inner and leaf indices, and the 12-bit word offset within its page:
+// the 64-slot root (512 bytes) sits inline in every Store, and each
+// inner or leaf node is 128 slots (1 KiB).
+const (
+	pageBits  = 12
+	leafBits  = 7
+	innerBits = 7
+	rootBits  = 32 - pageBits - leafBits - innerBits
+
+	leafShift  = pageBits
+	innerShift = leafShift + leafBits
+	rootShift  = innerShift + innerBits
+)
+
+// page is one live page of words.
+type page = [PageWords]uint32
+
+type (
+	leafNode  [1 << leafBits]atomic.Pointer[page]
+	innerNode [1 << innerBits]atomic.Pointer[leafNode]
+)
+
+// pageMap is the frozen layer's page table: page number to page.
 type pageMap = map[uint32][]uint32
 
 // Image is an immutable snapshot of a Store's contents. Images share
@@ -82,28 +107,29 @@ func NewImage(pages map[uint32][]uint32) (*Image, error) {
 
 // Store is a sparse 32-bit word memory. Unwritten words read as
 // Fill(addr), so independently constructed stores agree on cold contents.
+// The zero value is an empty (all-Fill) store.
 type Store struct {
 	// frozen is the immutable checkpoint layer shared with Images (and
 	// through them, with sibling stores). nil when no snapshot backs
 	// this store. Read-only by contract.
 	frozen pageMap
-	// live holds the pages written since the last Snapshot/Restore,
-	// published atomically for lock-free concurrent lookups.
-	live atomic.Pointer[pageMap]
-	// mu serializes page insertion (the only structural mutation).
+	// root is the live layer: the pages written since the last
+	// Snapshot/Restore, under inner and leaf nodes allocated on the
+	// first write beneath them and kept for reuse.
+	root [1 << rootBits]atomic.Pointer[innerNode]
+	// mu serializes page insertion, Snapshot and Restore.
 	mu sync.Mutex
+	// written lists the live layer's page numbers, so Snapshot and
+	// Restore unpublish exactly those slots. Guarded by mu.
+	written []uint32
 	// free recycles pages discarded by Restore so a warm-started sweep
 	// stops allocating once its first run has sized the pool. Guarded
-	// by mu; pages here are unreachable from any published map.
-	free [][]uint32
+	// by mu; pages here are unreachable from the live table.
+	free []*page
 }
 
 // NewStore returns an empty (all-Fill) store.
-func NewStore() *Store {
-	s := &Store{}
-	s.publish(pageMap{})
-	return s
-}
+func NewStore() *Store { return &Store{} }
 
 // NewStoreFrom returns a store whose initial contents are the image
 // (nil: cold). The image's pages are shared, never copied, until the
@@ -116,64 +142,101 @@ func NewStoreFrom(img *Image) *Store {
 	return s
 }
 
-func (s *Store) publish(m pageMap) { s.live.Store(&m) }
+// livePage returns the live page holding address a, or nil.
+func (s *Store) livePage(a uint32) *page {
+	inner := s.root[a>>rootShift].Load()
+	if inner == nil {
+		return nil
+	}
+	leaf := inner[a>>innerShift%(1<<innerBits)].Load()
+	if leaf == nil {
+		return nil
+	}
+	return leaf[a>>leafShift%(1<<leafBits)].Load()
+}
 
 // Read returns the word at address a.
 func (s *Store) Read(a uint32) uint32 {
-	pn := a / PageWords
-	if p, ok := (*s.live.Load())[pn]; ok {
+	if p := s.livePage(a); p != nil {
 		return p[a%PageWords]
 	}
-	if p, ok := s.frozen[pn]; ok {
-		return p[a%PageWords]
+	if len(s.frozen) != 0 {
+		if p, ok := s.frozen[a/PageWords]; ok {
+			return p[a%PageWords]
+		}
 	}
 	return Fill(a)
 }
 
 // Write stores v at address a.
 func (s *Store) Write(a, v uint32) {
-	pn := a / PageWords
-	if p, ok := (*s.live.Load())[pn]; ok {
+	if p := s.livePage(a); p != nil {
 		p[a%PageWords] = v
 		return
 	}
-	s.materialize(pn)[a%PageWords] = v
+	s.materialize(a)[a%PageWords] = v
 }
 
-// materialize inserts page pn into the live layer — copying the frozen
-// page when the checkpoint holds one, else the Fill pattern — and
-// publishes a fresh page-table generation so concurrent readers never
-// observe a map mid-insertion.
-func (s *Store) materialize(pn uint32) []uint32 {
+// slot returns the leaf slot of address a's page, allocating the inner
+// and leaf nodes on its path when absent. Callers hold mu.
+func (s *Store) slot(a uint32) *atomic.Pointer[page] {
+	r := &s.root[a>>rootShift]
+	inner := r.Load()
+	if inner == nil {
+		inner = new(innerNode)
+		r.Store(inner)
+	}
+	in := &inner[a>>innerShift%(1<<innerBits)]
+	leaf := in.Load()
+	if leaf == nil {
+		leaf = new(leafNode)
+		in.Store(leaf)
+	}
+	return &leaf[a>>leafShift%(1<<leafBits)]
+}
+
+// materialize inserts the page holding address a into the live layer —
+// copying the frozen page when the checkpoint holds one, else the Fill
+// pattern — and publishes it only once filled, so concurrent readers
+// never observe a page mid-copy.
+func (s *Store) materialize(a uint32) *page {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := *s.live.Load()
-	if p, ok := old[pn]; ok {
+	sl := s.slot(a)
+	if p := sl.Load(); p != nil {
 		return p // another writer won the race
 	}
-	var p []uint32
+	var p *page
 	if n := len(s.free); n > 0 {
 		p = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		p = make([]uint32, PageWords)
+		p = new(page)
 	}
+	pn := a / PageWords
 	if fz, ok := s.frozen[pn]; ok {
-		copy(p, fz)
+		copy(p[:], fz)
 	} else {
 		base := pn * PageWords
 		for i := range p {
 			p[i] = Fill(base + uint32(i))
 		}
 	}
-	next := make(pageMap, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[pn] = p
-	s.publish(next)
+	sl.Store(p)
+	s.written = append(s.written, pn)
 	return p
+}
+
+// unpublish empties the live layer, handing each page to keep in
+// insertion order. Callers hold mu.
+func (s *Store) unpublish(keep func(pn uint32, p *page)) {
+	for _, pn := range s.written {
+		sl := s.slot(pn * PageWords)
+		keep(pn, sl.Load())
+		sl.Store(nil)
+	}
+	s.written = s.written[:0]
 }
 
 // Snapshot freezes the store's current contents into an immutable Image.
@@ -184,25 +247,22 @@ func (s *Store) materialize(pn uint32) []uint32 {
 func (s *Store) Snapshot() *Image {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := *s.live.Load()
-	if len(live) == 0 && s.frozen != nil {
+	if len(s.written) == 0 && s.frozen != nil {
 		return &Image{pages: s.frozen} // unchanged since the last freeze
 	}
-	merged := make(pageMap, len(s.frozen)+len(live))
+	merged := make(pageMap, len(s.frozen)+len(s.written))
 	for k, v := range s.frozen {
 		merged[k] = v
 	}
-	for k, v := range live {
-		merged[k] = v
-	}
+	s.unpublish(func(pn uint32, p *page) { merged[pn] = p[:] })
 	s.frozen = merged
-	s.publish(pageMap{})
 	return &Image{pages: merged}
 }
 
-// Restore rewinds the store to an image's contents (nil: cold) in O(1),
-// discarding everything written since. The image stays immutable: the
-// store copy-on-writes before dirtying any of its pages.
+// Restore rewinds the store to an image's contents (nil: cold) in
+// O(pages written), discarding everything written since. The image
+// stays immutable: the store copy-on-writes before dirtying any of its
+// pages.
 func (s *Store) Restore(img *Image) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,10 +273,7 @@ func (s *Store) Restore(img *Image) {
 	}
 	// Live pages are exclusively ours (Snapshot moves shared pages into
 	// the frozen layer), so recycle them instead of feeding the GC.
-	for _, p := range *s.live.Load() {
-		s.free = append(s.free, p)
-	}
-	s.publish(pageMap{})
+	s.unpublish(func(_ uint32, p *page) { s.free = append(s.free, p) })
 }
 
 // Gather reads the dense line of a vector: element i of the result is the

@@ -482,15 +482,18 @@ type frontEnd struct {
 	lastProgress uint64
 
 	// first is the completed-prefix frontier: every command before it has
-	// retired, so the per-cycle scans start there.
+	// retired, so the scans over admitted commands start there.
 	first int
-	// issuedHi is one past the highest command index that has ever
-	// issued. Per-channel tenures (reserved/staging state) exist only on
-	// issued commands, so Step's broadcast and retire scans — and the
-	// drain-priority scan — stop there instead of walking every admitted
-	// command; in batch mode the whole trace is admitted up front, so
-	// this bound is what keeps those scans O(in-flight) per cycle.
-	issuedHi int
+	// inflight lists the issued, unretired commands in ticket order: at
+	// most bus.MaxTransactions of them. Per-channel tenures (reserved and
+	// staging state) exist only on these commands, so Step's broadcast
+	// and retire loops and the STAGE_READ drain walk this list alone.
+	// While every transaction ID is out no unissued command can be
+	// picked, or wake the engine before a retirement frees an ID, so the
+	// broadcast scan, cycleSealed and NextWake walk only this list too.
+	// In batch mode the whole trace is admitted up front; this list is
+	// what keeps those loops O(in-flight) per cycle.
+	inflight []int
 
 	// Free-list pools. Line buffers and per-channel state slices are
 	// recycled instead of reallocated per command: chanState slices
@@ -574,7 +577,7 @@ func (fe *frontEnd) reset() {
 	fe.pending = false
 	fe.lastProgress = 0
 	fe.first = 0
-	fe.issuedHi = 0
+	fe.inflight = fe.inflight[:0]
 	for _, g := range fe.groups {
 		g.reset()
 	}
@@ -686,7 +689,8 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 			next = c
 		}
 	}
-	for i := fe.first; i < len(fe.state); i++ {
+	for k, n := 0, fe.scanLen(); k < n; k++ {
+		i := fe.scanAt(k)
 		st := &fe.state[i]
 		if st.completed {
 			continue
@@ -828,8 +832,8 @@ func (fe *frontEnd) Step(now uint64) error {
 	}
 	// Write data lands in the staging units at the end of each channel's
 	// STAGE_WRITE burst, before any broadcast due this cycle. Tenures
-	// only exist on issued commands, so the scan stops at issuedHi.
-	for i := fe.first; i < fe.issuedHi; i++ {
+	// only exist on in-flight commands.
+	for _, i := range fe.inflight {
 		st := &fe.state[i]
 		c := &fe.cmds[i]
 		for ch := range st.ch {
@@ -918,14 +922,12 @@ func (fe *frontEnd) Step(now uint64) error {
 
 	// Observe transaction-complete lines and finished STAGE_READ bursts,
 	// per channel; a command retires when every participating channel is
-	// done. Only issued commands can retire, so the scan stops at
-	// issuedHi.
-	for i := fe.first; i < fe.issuedHi; i++ {
+	// done. Only in-flight commands can retire; the loop drops retired
+	// ones from the list as it goes, keeping ticket order.
+	kept := fe.inflight[:0]
+	for _, i := range fe.inflight {
 		st := &fe.state[i]
 		c := &fe.cmds[i]
-		if !st.issued || st.completed {
-			continue
-		}
 		allDone := true
 		for ch := range st.ch {
 			cs := &st.ch[ch]
@@ -983,9 +985,11 @@ func (fe *frontEnd) Step(now uint64) error {
 		}
 		if allDone {
 			fe.finish(i, st, now)
+		} else {
+			kept = append(kept, i)
 		}
 	}
-
+	fe.inflight = kept
 	return nil
 }
 
@@ -998,13 +1002,12 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		return nil
 	}
 	// Priority 1: drain a gathered read — it frees a transaction and
-	// unblocks dependents. Gathered reads are issued, so the scan stops
-	// at issuedHi.
-	for i := fe.first; i < fe.issuedHi; i++ {
-		st := &fe.state[i]
-		if fe.cmds[i].Op != memsys.Read || st.completed {
+	// unblocks dependents. Gathered reads are in flight.
+	for _, i := range fe.inflight {
+		if fe.cmds[i].Op != memsys.Read {
 			continue
 		}
+		st := &fe.state[i]
 		cs := &st.ch[ch]
 		if !cs.active || !cs.gathered || cs.stagingStarted {
 			continue
@@ -1025,8 +1028,12 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		fe.observe(trace.Event{Cycle: cmdAt, Bank: -1, Kind: trace.StageRead, Txn: st.txn})
 		return nil
 	}
-	// Priority 2: broadcast the oldest command with work for this channel.
-	for i := fe.first; i < len(fe.state); i++ {
+	// Priority 2: broadcast the oldest command with work for this
+	// channel. A younger issued command may still need this channel's
+	// broadcast before any transaction can retire, so the scan passes
+	// over commands it cannot pick.
+	for k, n := 0, fe.scanLen(); k < n; k++ {
+		i := fe.scanAt(k)
 		st := &fe.state[i]
 		if st.completed {
 			continue
@@ -1043,12 +1050,8 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		}
 		c := &fe.cmds[i]
 		if !st.issued {
-			if fe.issuedLive >= bus.MaxTransactions {
-				// All eight transactions are outstanding. Keep scanning:
-				// a younger issued command may still need this channel's
-				// broadcast before any transaction can retire.
-				continue
-			}
+			// Only reached with a transaction ID free: a full pool
+			// scans the in-flight list alone.
 			ok, err := fe.eligible(i)
 			if err != nil {
 				return err
@@ -1072,9 +1075,7 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 			if fe.preClaimed(c) {
 				fe.claims[txn].build(fe.cfg.Decoder, c)
 			}
-			if i+1 > fe.issuedHi {
-				fe.issuedHi = i + 1
-			}
+			fe.insertInflight(i)
 			fe.issuedLive++
 			fe.progress(now)
 			if c.Op == memsys.Write {
@@ -1154,20 +1155,24 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 		return true // no decision point this cycle
 	}
 	// Priority 1: a gathered read draining claims the tenure.
-	for i := fe.first; i < len(fe.state); i++ {
-		st := &fe.state[i]
-		if fe.cmds[i].Op != memsys.Read || st.completed {
+	for _, i := range fe.inflight {
+		if fe.cmds[i].Op != memsys.Read {
 			continue
 		}
-		cs := &st.ch[ch]
+		cs := &fe.state[i].ch[ch]
 		if !cs.active || !cs.gathered || cs.stagingStarted || cs.live() == 0 {
 			continue
 		}
 		return true
 	}
+	if fe.issuedLive >= bus.MaxTransactions {
+		// The transaction pool is empty: either an in-flight command
+		// claims the tenure or nobody does, and an unadmitted command
+		// cannot issue either way.
+		return true
+	}
 	// Priority 2: the first candidate reserves the tenure, which blocks
-	// anything younger. With the transaction pool empty, commands not yet
-	// issued are skipped, as scheduleChannel skips them.
+	// anything younger.
 	for i := fe.first; i < len(fe.state); i++ {
 		st := &fe.state[i]
 		if st.completed {
@@ -1184,9 +1189,6 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 			continue
 		}
 		if !st.issued {
-			if fe.issuedLive >= bus.MaxTransactions {
-				continue
-			}
 			ok, err := fe.eligible(i)
 			if err != nil {
 				return true // the real step will surface the error
@@ -1198,8 +1200,8 @@ func (fe *frontEnd) cycleSealed(ch int, now uint64) bool {
 		return true
 	}
 	// The scan fell through every admitted command: an unadmitted
-	// command would be reached, and issues unless the pool is empty.
-	return fe.issuedLive >= bus.MaxTransactions
+	// command would be reached, and a transaction ID is free for it.
+	return false
 }
 
 // progress records a forward-progress heartbeat for the watchdog.
@@ -1255,8 +1257,39 @@ func (fe *frontEnd) flushObs() {
 	}
 }
 
+// scanLen and scanAt enumerate, in ticket order, the commands a
+// selection scan over admitted commands visits: every one from the
+// completed-prefix frontier on, or only the in-flight list while the
+// transaction pool is empty and no unissued command can act. Neither
+// scan changes the pool before it returns.
+func (fe *frontEnd) scanLen() int {
+	if fe.issuedLive >= bus.MaxTransactions {
+		return len(fe.inflight)
+	}
+	return len(fe.state) - fe.first
+}
+
+func (fe *frontEnd) scanAt(k int) int {
+	if fe.issuedLive >= bus.MaxTransactions {
+		return fe.inflight[k]
+	}
+	return fe.first + k
+}
+
+// insertInflight adds newly issued command i to the in-flight list at
+// its ticket-order position (commands may issue out of order).
+func (fe *frontEnd) insertInflight(i int) {
+	k := len(fe.inflight)
+	fe.inflight = append(fe.inflight, i)
+	for ; k > 0 && fe.inflight[k-1] > i; k-- {
+		fe.inflight[k] = fe.inflight[k-1]
+	}
+	fe.inflight[k] = i
+}
+
 // finish retires a command: records data and completion time, releases
-// the transaction on every channel and all staging state.
+// the transaction on every channel and all staging state. Step's retire
+// loop, its only caller, drops the command from the in-flight list.
 func (fe *frontEnd) finish(i int, st *cmdState, now uint64) {
 	st.completed = true
 	st.completedAt = now
@@ -1326,9 +1359,16 @@ func (fe *frontEnd) eligible(i int) (bool, error) {
 // until every older conflicting broadcast has actually landed. On a
 // reliable bus reservation order alone implies arrival order, so this
 // guard is never consulted there and fault-free timing is unchanged.
+// It walks the commands the calling scan walks: a command in flight
+// passed eligible, so every older command it conflicts with had issued
+// by then, and only in-flight ones can still be pending.
 func (fe *frontEnd) olderConflictPending(i, ch int) bool {
 	c := &fe.cmds[i]
-	for e := fe.first; e < i; e++ {
+	for k, n := 0, fe.scanLen(); k < n; k++ {
+		e := fe.scanAt(k)
+		if e >= i {
+			break
+		}
 		est := &fe.state[e]
 		if est.completed {
 			continue

@@ -246,6 +246,7 @@ func (s *System) Open() (*Session, error) {
 		offline:    offline,
 		anyOffline: anyOffline,
 		fbCost:     fbCost,
+		inflight:   make([]int, 0, bus.MaxTransactions),
 		fbBusy:     make([]uint64, C),
 		nacks:      make([]uint64, C),
 		retries:    make([]uint64, C),

@@ -110,6 +110,35 @@ func TestRunKernelAPI(t *testing.T) {
 	}
 }
 
+// TestRunKernelRejectsBadParams: parameters no trace can be built from
+// are an error from RunKernelWithOptions, never a builder panic.
+func TestRunKernelRejectsBadParams(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*KernelParams)
+	}{
+		{"align 7", func(p *KernelParams) { p.Alignment = 7 }},
+		{"stride 0", func(p *KernelParams) { p.Stride = 0 }},
+		{"100 elements", func(p *KernelParams) { p.Elements = 100 }},
+	} {
+		p := PaperParams(1, 0)
+		p.Elements = 64
+		c.edit(&p)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", c.name, r)
+				}
+			}()
+			for _, o := range []SweepOptions{{}, {Retries: 1}} {
+				if _, err := RunKernelWithOptions(PVASDRAM, "copy", p, o); err == nil {
+					t.Errorf("%s (%+v): accepted", c.name, o)
+				}
+			}
+		}()
+	}
+}
+
 func TestSweepAndFigures(t *testing.T) {
 	points, err := Sweep([]string{"vaxpy"}, []uint32{1, 19}, nil, false)
 	if err != nil {
