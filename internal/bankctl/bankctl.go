@@ -32,8 +32,9 @@
 //     line buffers wired to the transaction-complete lines (staging.go).
 //
 // Restimers — the small counters of Section 5.2.5 that gate operations on
-// SDRAM timing — are realized by consulting the device's BankReadyAt plus
-// the data-bus polarity timers kept here.
+// SDRAM timing — are realized by reading the device model's per-unit
+// ready cycle (dramtech.Model.ReadyAt) plus the data-bus polarity timers
+// kept here.
 package bankctl
 
 import (
@@ -131,6 +132,7 @@ func (r *request) elemAddr(i uint32) uint32 {
 type BC struct {
 	cfg   Config
 	dev   *sdram.Device
+	model *dramtech.Model // dev's row-state machine, read by unit index
 	board *bus.Board
 	pla   *core.K1PLA
 
@@ -186,6 +188,7 @@ func New(cfg Config, store *memsys.Store, board *bus.Board) *BC {
 	bc := &BC{
 		cfg:       cfg,
 		dev:       dev,
+		model:     dev.Model(),
 		board:     board,
 		pla:       core.NewK1PLA(cfg.Geom),
 		boardBank: cfg.Bank,
@@ -406,7 +409,7 @@ func (bc *BC) stepRefresh() (bool, error) {
 	}
 	allIdle := true
 	for ib := uint32(0); ib < bc.cfg.SGeom.InternalBanks; ib++ {
-		row, ready, open := bc.dev.RefreshPrechargeTarget(ib, bc.cycle)
+		row, ready, open := bc.model.PrechargeTarget(ib, bc.cycle)
 		if !open {
 			continue
 		}
@@ -421,7 +424,7 @@ func (bc *BC) stepRefresh() (bool, error) {
 		return true, nil // waiting on a row transition; hold the slot
 	}
 	for ib := uint32(0); ib < bc.cfg.SGeom.InternalBanks; ib++ {
-		if bc.cycle < bc.dev.BankReadyAt(ib) {
+		if bc.cycle < bc.model.MaxReadyAt(ib) {
 			return true, nil // precharge still completing
 		}
 	}

@@ -73,6 +73,10 @@ func (d *serialDriver) NextWake(now uint64) uint64 {
 	return now
 }
 
+// Poked implements engine.Driver: a serial baseline has no components
+// and takes its whole trace up front, so nothing outside Step changes it.
+func (d *serialDriver) Poked() bool { return false }
+
 // Done implements engine.Driver.
 func (d *serialDriver) Done() bool { return d.i >= len(d.cmds) }
 

@@ -150,10 +150,18 @@ const MaxTransactions = 8
 // Board is the transaction-complete wired-OR: per transaction, the set
 // of bank controllers that have not yet finished their share. The line
 // "deasserts" (AllDone) when the set empties.
+//
+// The board also latches every deassertion in a settle flag, the edge
+// the front end wakes on (Section 5.2.1: it acts when a line
+// deasserts). Done sets the flag only on a line's non-zero to zero
+// transition and nothing but ClearSettled clears it, so a partial Done
+// never hides an earlier settlement. Only the board's own channel
+// writes it.
 type Board struct {
 	banks   uint32
 	pending []uint64 // bitmask of banks still busy, per txn
 	inUse   []bool
+	settled bool // some line deasserted since the last ClearSettled
 }
 
 // NewBoard returns a board for the given bank count (<= 64).
@@ -175,6 +183,7 @@ func (b *Board) Reset() {
 		b.inUse[t] = false
 		b.pending[t] = 0
 	}
+	b.settled = false
 }
 
 // Alloc claims a free transaction ID, or returns false when all eight
@@ -216,11 +225,24 @@ func (b *Board) Open(txn int) {
 }
 
 // Done deasserts bank's share of txn's completion line. Idempotent, as a
-// wired-OR is.
+// wired-OR is. The share that empties the line latches the settle flag.
 func (b *Board) Done(bank uint32, txn int) {
 	b.check(txn)
-	b.pending[txn] &^= uint64(1) << bank
+	if p := b.pending[txn]; p != 0 {
+		b.pending[txn] = p &^ (uint64(1) << bank)
+		if b.pending[txn] == 0 {
+			b.settled = true
+		}
+	}
 }
+
+// Settled reports whether some transaction's line has deasserted since
+// the last ClearSettled.
+func (b *Board) Settled() bool { return b.settled }
+
+// ClearSettled drops the settle flag; the line's observer calls it once
+// it has looked at every line.
+func (b *Board) ClearSettled() { b.settled = false }
 
 // AllDone reports whether every bank has deasserted txn's line.
 func (b *Board) AllDone(txn int) bool {

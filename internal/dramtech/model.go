@@ -7,8 +7,10 @@
 // asymmetric read/write occupancy).
 //
 // internal/sdram delegates every state transition, timing check and
-// legal-op query here; internal/bankctl and its scheduler consult the
-// same unit-scoped queries through the device. With Units == 1 and
+// legal-op query here, deriving the unit from (internal bank, row) on
+// every command; internal/bankctl holds the same model and reads a
+// unit's row state by the flat index it cached when its vector context
+// last moved (UnitIndex, then OpenRow and ReadyAt). With Units == 1 and
 // WriteBusy == 0 the model is exactly the historical SDRAM bank state
 // machine, transition for transition — the seed-cycle golden pins this.
 package dramtech
@@ -254,9 +256,6 @@ func (m *Model) Reset() {
 // Spec returns the model's backing specification.
 func (m *Model) Spec() Spec { return m.spec }
 
-// UnitsPerBank returns the number of row-state units per internal bank.
-func (m *Model) UnitsPerBank() uint32 { return m.units }
-
 // Counters returns a copy of the model-level statistics.
 func (m *Model) Counters() Counters { return m.ctr }
 
@@ -276,8 +275,13 @@ func (m *Model) UnitOf(row uint32) uint32 {
 	return u & m.mask
 }
 
-// UnitIndex flattens (internal bank, row) to the model's global unit
-// index — the scheduler sizes its per-unit predictor state with this.
+// Units returns the device's row-state unit count, the bound of every
+// flat unit index.
+func (m *Model) Units() uint32 { return uint32(len(m.us)) }
+
+// UnitIndex flattens (internal bank, row) to the model's flat unit
+// index, the key of OpenRow, ReadyAt and NoteBlocked. A caller that
+// revisits one row caches it instead of folding the row each time.
 func (m *Model) UnitIndex(ib, row uint32) uint32 {
 	return ib*m.units + m.UnitOf(row)
 }
@@ -286,33 +290,19 @@ func (m *Model) unitFor(ib, row uint32) *unit {
 	return &m.us[ib*m.units+m.UnitOf(row)]
 }
 
-// OpenRowAt reports the open row of the unit that owns (ib, row):
-// whether that unit holds a row open and which.
-func (m *Model) OpenRowAt(ib, row uint32) (uint32, bool) {
-	u := m.unitFor(ib, row)
-	if !u.active {
+// OpenRow reports whether unit u (a flat UnitIndex) holds a row open,
+// and which.
+func (m *Model) OpenRow(u uint32) (uint32, bool) {
+	un := &m.us[u]
+	if !un.active {
 		return 0, false
 	}
-	return u.row, true
+	return un.row, true
 }
 
-// ReadyAt returns the cycle at which the unit owning (ib, row) accepts
+// ReadyAt returns the cycle at which unit u (a flat UnitIndex) accepts
 // its next operation.
-func (m *Model) ReadyAt(ib, row uint32) uint64 {
-	return m.unitFor(ib, row).readyAt
-}
-
-// FirstOpen returns the open row of the lowest-indexed active unit in
-// the internal bank (the refresh path's precharge order).
-func (m *Model) FirstOpen(ib uint32) (uint32, bool) {
-	base := ib * m.units
-	for i := uint32(0); i < m.units; i++ {
-		if m.us[base+i].active {
-			return m.us[base+i].row, true
-		}
-	}
-	return 0, false
-}
+func (m *Model) ReadyAt(u uint32) uint64 { return m.us[u].readyAt }
 
 // MaxReadyAt returns the latest pending-transition completion across
 // the internal bank's units — the bank-wide "ready" the refresh path
@@ -347,18 +337,17 @@ func (m *Model) PrechargeTarget(ib uint32, cycle uint64) (row uint32, ready, ope
 	return 0, false, open
 }
 
-// NoteBlocked records that the caller wanted to operate on (ib, row)
-// this cycle but found the unit busy. Only write-occupancy busy spans
-// count (PartitionStalls), deduplicated per unit per cycle; for
-// symmetric back ends this is a no-op.
-func (m *Model) NoteBlocked(ib, row uint32, cycle uint64) {
+// NoteBlocked records that the caller wanted to operate on unit u (a
+// flat UnitIndex) this cycle but found it busy. Only write-occupancy
+// busy spans count (PartitionStalls), deduplicated per unit per cycle;
+// for symmetric back ends this is a no-op.
+func (m *Model) NoteBlocked(u uint32, cycle uint64) {
 	if m.wbusy == 0 {
 		return
 	}
-	i := ib*m.units + m.UnitOf(row)
-	u := &m.us[i]
-	if u.wrBusy && cycle < u.readyAt && m.stall[i] != cycle {
-		m.stall[i] = cycle
+	un := &m.us[u]
+	if un.wrBusy && cycle < un.readyAt && m.stall[u] != cycle {
+		m.stall[u] = cycle
 		m.ctr.PartitionStalls++
 	}
 }

@@ -6,16 +6,19 @@
 //
 // The engine owns the loop the systems used to hand-roll privately:
 //
-//	check backstops -> Driver.Step(now) -> tick due components -> now++
-//	-> (idle skip) jump now to the earliest next event
+//	check backstops -> Driver.Step(now) when its wake is due -> tick due
+//	components -> now++ -> (idle skip) jump now to the earliest next event
 //
 // Components keep their own lazily-advanced local clocks: a component
 // whose NextEventAt lies in the future is provably inert and is not
 // ticked at all; its clock catches up (AdvanceIdle, pure counter
-// increments) the cycle it next matters. Skipped cycles are therefore
-// bit-identical to a strict tick-every-cycle loop — the skip only elides
-// cycles in which no component changes state — and Config.DisableIdleSkip
-// forces the strict loop for cross-checking.
+// increments) the cycle it next matters. The driver is lazy the same
+// way: the engine caches its NextWake right after each Step and skips
+// Step on earlier cycles unless the driver reports an outside event
+// (Poked). Skipped cycles are therefore bit-identical to a strict
+// tick-every-cycle loop — the skip only elides cycles in which nothing
+// changes state — and Config.DisableIdleSkip forces the strict loop,
+// driver included, for cross-checking.
 //
 // The engine is resumable: RunWhile advances until the driver reports
 // Done (or the condition releases), and a later call picks the clock up
@@ -77,14 +80,29 @@ type Group interface {
 // Driver is the per-cycle protocol brain the engine runs: the part of a
 // memory system that issues work to the components and observes their
 // completions.
+//
+// The engine steps a driver lazily. Right after each Step(now) it caches
+// NextWake(now+1), and it calls Step again only on a cycle that reaches
+// the cached wake, or on the first cycle after Poked turns true. A
+// driver's state may therefore change between two Steps only through
+// events it reports by Poked: everything else NextWake reads must be
+// the driver's own (its timers, its bus tenures, its bookkeeping).
 type Driver interface {
-	// Step performs the driver's work for one cycle. The engine calls it
-	// once per simulated cycle, before the components tick.
+	// Step performs the driver's work for one cycle, before the
+	// components tick. The engine calls it on every cycle that reaches
+	// the cached NextWake or follows a poke, and on every cycle under
+	// DisableIdleSkip; on all other cycles it must be a no-op.
 	Step(now uint64) error
 	// NextWake returns the earliest cycle >= now at which the driver's
 	// own timers may fire (component wakes are tracked by the engine). A
 	// lower bound, never an overestimate.
 	NextWake(now uint64) uint64
+	// Poked reports an outside event since the last Step: a change to
+	// state NextWake reads that the driver did not make itself during a
+	// Step (a component's completion signal, new work accepted between
+	// pumps). The engine then steps the driver on the next cycle,
+	// whatever its cached wake. The driver clears the report in Step.
+	Poked() bool
 	// Done reports whether all accepted work has retired. The engine
 	// stops stepping when Done; a driver may later accept more work and
 	// become un-Done, resuming on the next RunWhile.
@@ -126,6 +144,7 @@ type Engine struct {
 	wake   []uint64 // cached NextEventAt per component
 	groups []Group
 	gwake  []uint64 // cached group-wide next event per group
+	dwake  uint64   // cached driver NextWake: the next cycle Step must run
 	cycle  uint64
 
 	// Parallel group stepping state (Config.ParallelGroups): one result
@@ -199,6 +218,7 @@ func (h *GroupHandle) Wake(at uint64) {
 // sessions call it on reuse after resetting the components themselves.
 func (e *Engine) Reset() {
 	e.cycle = 0
+	e.dwake = 0
 	for i := range e.wake {
 		e.wake[i] = 0
 	}
@@ -226,9 +246,10 @@ func (e *Engine) RunWhile(cond func() bool) error {
 // Run advances the simulation until the driver reports Done.
 func (e *Engine) Run() error { return e.RunWhile(nil) }
 
-// step executes one scheduling iteration: backstops, the driver's cycle,
-// the due components' ticks, then the clock advance (direct to the next
-// event cycle when every component and driver timer is provably idle).
+// step executes one scheduling iteration: backstops, the driver's cycle
+// when due, the due components' ticks, then the clock advance (direct to
+// the next event cycle when every component and driver timer is provably
+// idle).
 func (e *Engine) step() error {
 	cycle := e.cycle
 	if cycle > e.cfg.MaxCycles {
@@ -246,8 +267,18 @@ func (e *Engine) step() error {
 			Dump:    e.d.DebugDump(),
 		}
 	}
-	if err := e.d.Step(cycle); err != nil {
-		return err
+	// Lazy driver: before its cached wake, and absent an outside event,
+	// the driver's Step is a provable no-op and is not called at all.
+	// The strict loop steps it every cycle and needs no wake.
+	if e.cfg.DisableIdleSkip {
+		if err := e.d.Step(cycle); err != nil {
+			return err
+		}
+	} else if cycle >= e.dwake || e.d.Poked() {
+		if err := e.d.Step(cycle); err != nil {
+			return err
+		}
+		e.dwake = e.d.NextWake(cycle + 1)
 	}
 	for i, c := range e.comps {
 		// Lazy ticking: a component whose next event lies beyond this
@@ -316,7 +347,10 @@ func (e *Engine) step() error {
 // nextWake returns the earliest cycle >= now at which any component or
 // driver timer may change state.
 func (e *Engine) nextWake(now uint64) uint64 {
-	next := uint64(NoEvent)
+	if e.d.Poked() {
+		return now // a component just signalled the driver
+	}
+	next := e.dwake
 	// The wake cache is current: busy components were ticked (and
 	// refreshed their entry) in the loop that just ran, and skipped
 	// components' entries still lie in the future by construction.
@@ -335,9 +369,6 @@ func (e *Engine) nextWake(now uint64) uint64 {
 		if next <= now {
 			return now
 		}
-	}
-	if dn := e.d.NextWake(now); dn < next {
-		next = dn
 	}
 	if next < now {
 		return now

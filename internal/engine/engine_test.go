@@ -74,6 +74,7 @@ func (d *fakeDriver) NextWake(now uint64) uint64 {
 	return next
 }
 
+func (d *fakeDriver) Poked() bool       { return false }
 func (d *fakeDriver) Done() bool        { return d.done >= d.n }
 func (d *fakeDriver) Progress() uint64  { return d.progress }
 func (d *fakeDriver) DebugDump() string { return fmt.Sprintf("fakeDriver: %d of %d done", d.done, d.n) }
@@ -196,6 +197,7 @@ func (d *wakeDriver) NextWake(now uint64) uint64 {
 	return now // spin until Done
 }
 
+func (d *wakeDriver) Poked() bool       { return false }
 func (d *wakeDriver) Done() bool        { return d.poked && d.c.cycle > d.target }
 func (d *wakeDriver) Progress() uint64  { return d.progress }
 func (d *wakeDriver) DebugDump() string { return "wakeDriver" }
@@ -220,5 +222,93 @@ func TestResumableClock(t *testing.T) {
 	}
 	if e.Now() <= mid {
 		t.Errorf("clock did not advance across resume: %d -> %d", mid, e.Now())
+	}
+}
+
+// contractDriver records every cycle it is stepped on. Its own timers
+// fire at the wakes it lists; a pokeComp ticking beside it raises its
+// poke line, which the next Step clears. It is done once stepped at or
+// past end.
+type contractDriver struct {
+	wakes []uint64 // ascending
+	end   uint64
+	poked bool
+	done  bool
+	steps []uint64
+}
+
+func (d *contractDriver) Step(now uint64) error {
+	d.steps = append(d.steps, now)
+	d.poked = false
+	d.done = now >= d.end
+	return nil
+}
+
+func (d *contractDriver) NextWake(now uint64) uint64 {
+	for _, w := range d.wakes {
+		if w >= now {
+			return w
+		}
+	}
+	return max(d.end, now)
+}
+
+func (d *contractDriver) Poked() bool       { return d.poked }
+func (d *contractDriver) Done() bool        { return d.done }
+func (d *contractDriver) Progress() uint64  { return 0 }
+func (d *contractDriver) DebugDump() string { return "contractDriver" }
+
+// pokeComp is busy on every cycle, so the engine never skips one, and
+// pokes the driver from its Tick on the listed cycles.
+type pokeComp struct {
+	cycle uint64
+	at    []uint64
+	d     *contractDriver
+}
+
+func (c *pokeComp) Tick() error {
+	for _, p := range c.at {
+		if p == c.cycle {
+			c.d.poked = true
+		}
+	}
+	c.cycle++
+	return nil
+}
+
+func (c *pokeComp) CycleNow() uint64               { return c.cycle }
+func (c *pokeComp) AdvanceIdle(delta uint64) error { c.cycle += delta; return nil }
+func (c *pokeComp) NextEventAt() uint64            { return c.cycle }
+
+// TestLazyDriverContract pins the engine's side of the Driver contract
+// while a component keeps every cycle busy: no Step before the wake the
+// engine cached from NextWake, a Step on the cycle after a component
+// pokes the driver, and a Step on every cycle under DisableIdleSkip.
+func TestLazyDriverContract(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		disable bool
+		want    []uint64
+	}{
+		// Cycle 0 is due immediately; the timers fire at 10 and 25, the
+		// pokes raised during cycles 4 and 17 land on 5 and 18.
+		{"lazy", false, []uint64{0, 5, 10, 18, 25, 40}},
+		{"strict", true, nil},
+	} {
+		d := &contractDriver{wakes: []uint64{10, 25}, end: 40}
+		e := New(Config{DisableIdleSkip: c.disable}, d)
+		e.Register(&pokeComp{at: []uint64{4, 17}, d: d})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := c.want
+		if c.disable {
+			for cyc := uint64(0); cyc <= d.end; cyc++ {
+				want = append(want, cyc)
+			}
+		}
+		if fmt.Sprint(d.steps) != fmt.Sprint(want) {
+			t.Errorf("%s: stepped on %v, want %v", c.name, d.steps, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -370,10 +371,14 @@ type Headline struct {
 // paper's normalization to "the minimum PVA SDRAM cycle time for each
 // access pattern", on the same channel count. Cells are visited in
 // sorted key order so ties break deterministically (map iteration order
-// must not leak into reports).
+// must not leak into reports). The claims are the paper's for its eight
+// strided kernels, so only their cells count; a grid without them gets
+// a zero Headline.
 func Headlines(coll map[Key]Range) Headline {
 	var h Headline
-	for _, k := range sortedKeys(coll, func(k Key) (Key, bool) { return k, k.System == PVASDRAM }) {
+	for _, k := range sortedKeys(coll, func(k Key) (Key, bool) {
+		return k, k.System == PVASDRAM && slices.Contains(paperKernels, k.Kernel)
+	}) {
 		pva := coll[k].Min
 		clKey, gsKey := k.withSystem(CacheLineSerial), k.withSystem(GatheringSerial)
 		if cl, ok := coll[clKey]; ok {

@@ -131,25 +131,66 @@ func TestSDRAMTracksSRAM(t *testing.T) {
 	t.Logf("worst PVA-SDRAM/PVA-SRAM ratio: %.3f", worst)
 }
 
-// TestRenderers renders a one-machine grid's figures through Report;
-// the cmd/sweep goldens pin the full text byte for byte.
+// TestRenderers renders one-machine grids' figures through Report; the
+// cmd/sweep goldens pin the full text of the paper grid byte for byte.
+// A grid draws only the kernels and strides it spans: an indexed-only
+// grid prints no dense-kernel chart, no Figure 11 and no headline the
+// paper makes for its strided kernels.
 func TestRenderers(t *testing.T) {
-	r := Runner{Elements: 128}
-	points, err := r.Sweep(Grid{Kernels: []string{"vaxpy"}, Strides: []uint32{1, 19}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	Report(&buf, points)
-	for _, want := range []string{
-		"vaxpy — execution cycles by stride", // stride chart
-		"pva-sdram",
-		"stride 19 — normalized execution time", // kernel chart
-		"aligned", // alignment detail
-		"32.8x",   // headlines
+	for _, c := range []struct {
+		name          string
+		kernels       []string
+		strides       []uint32
+		want, without []string
+	}{
+		{
+			name:    "vaxpy",
+			kernels: []string{"vaxpy"},
+			strides: []uint32{1, 19},
+			want: []string{
+				"vaxpy — execution cycles by stride", // stride chart
+				"pva-sdram",
+				"stride 19 — normalized execution time", // kernel chart
+				"aligned", // alignment detail
+				"32.8x",   // headlines
+			},
+			without: []string{"copy —", "stride 4 —"},
+		},
+		{
+			name:    "indexed-only",
+			kernels: []string{"gather", "spmv"},
+			strides: []uint32{4},
+			want: []string{
+				"gather — execution cycles by stride",
+				"spmv — execution cycles by stride",
+				"stride 4 — normalized execution time",
+			},
+			without: []string{"copy —", "vaxpy —", "0..0", "stride 1 —", "headline", "32.8x", "100-109%"},
+		},
+		{
+			name:    "mixed",
+			kernels: []string{"scale", "scatter"},
+			strides: []uint32{1},
+			want:    []string{"scale — execution", "scatter — execution", "at scale stride 1", "100-109%"},
+			without: []string{"at scatter", "vaxpy —"},
+		},
 	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("figures lack %q:\n%s", want, buf.String())
+		r := Runner{Elements: 128}
+		points, err := r.Sweep(Grid{Kernels: c.kernels, Strides: c.strides}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		Report(&buf, points)
+		for _, want := range c.want {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s: figures lack %q:\n%s", c.name, want, buf.String())
+			}
+		}
+		for _, bad := range c.without {
+			if strings.Contains(buf.String(), bad) {
+				t.Errorf("%s: figures show %q:\n%s", c.name, bad, buf.String())
+			}
 		}
 	}
 }

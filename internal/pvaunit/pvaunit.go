@@ -207,7 +207,42 @@ func New(cfg Config) (*System, error) {
 	if cfg.RFEntries == 0 {
 		cfg.RFEntries = bus.MaxTransactions
 	}
+	if err := ValidateLimits(cfg.VCWindow, cfg.RFEntries, cfg.Timing); err != nil {
+		return nil, fmt.Errorf("pvaunit: %w", err)
+	}
 	return &System{cfg: cfg, store: memsys.NewStore()}, nil
+}
+
+// ValidateLimits rejects the bank-controller sizes and refresh timing
+// no controller can run, naming the offending field. It is the one
+// check behind both New and pva.Config.Validate.
+//
+//   - RFEntries below bus.MaxTransactions: the paper sizes the register
+//     file to the eight transaction IDs, and the bus may hand one
+//     controller a request for every outstanding ID.
+//   - VCWindow below 1: the scheduler needs a vector context.
+//   - RefreshInterval in (0, TRFC+TRP+TRCD+VCWindow]: after each
+//     refresh, closing rows (TRP) and the refresh itself (TRFC), the
+//     oldest vector context must still open its row (TRCD) and access
+//     it while each younger context's row activate, promoted ahead of
+//     accesses, takes a command slot. Shorter intervals close every
+//     row before any access and the run never ends. Probes over TRCD
+//     and TRP from 1 to 6, TRFC from 1 to 10, VCWindow from 1 to 8 and
+//     2 to 8 internal banks, on all eleven kernels at strides 1 and 19,
+//     found no stuck interval above this floor.
+func ValidateLimits(vcWindow, rfEntries int, t sdram.Timing) error {
+	if rfEntries < bus.MaxTransactions {
+		return fmt.Errorf("RFEntries=%d is below the %d transaction IDs a register file must hold", rfEntries, bus.MaxTransactions)
+	}
+	if vcWindow < 1 {
+		return fmt.Errorf("VCWindow=%d: a bank controller needs at least one vector context", vcWindow)
+	}
+	if t.RefreshInterval > 0 {
+		if floor := t.TRFC + t.TRP + t.TRCD + uint64(vcWindow); t.RefreshInterval <= floor {
+			return fmt.Errorf("RefreshInterval=%d leaves no access between refreshes: it must exceed TRFC+TRP+TRCD+VCWindow=%d", t.RefreshInterval, floor)
+		}
+	}
+	return nil
 }
 
 // MustNew is New for known-good configurations.
@@ -461,6 +496,10 @@ type frontEnd struct {
 	idxElems    []uint64 // elements moved by indexed commands
 	idxMaxClaim []uint64 // summed per-broadcast max per-bank claims
 
+	// wakeSeen is NextWake's per-channel scratch: which channels an
+	// unissued command has already given a wake.
+	wakeSeen []bool
+
 	// closedForm marks a decoder with closed-form hit math (HitMath).
 	// claims holds the pre-claimed element lists, one per transaction
 	// ID (see claimList and preClaimed).
@@ -475,6 +514,11 @@ type frontEnd struct {
 	// first have issued it — the keystone of streaming/batch cycle
 	// equivalence.
 	pending bool
+
+	// poked records an outside event the engine's cached wake cannot
+	// foresee: Session.Issue admitted a command or started waiting at
+	// the admission gate. Step clears it (see Poked).
+	poked bool
 
 	// lastProgress is the watchdog's heartbeat: the latest cycle any
 	// command was admitted, issued, broadcast, gathered, collected,
@@ -575,6 +619,7 @@ func (fe *frontEnd) reset() {
 	fe.issuedLive = 0
 	fe.lastDone = 0
 	fe.pending = false
+	fe.poked = false
 	fe.lastProgress = 0
 	fe.first = 0
 	fe.inflight = fe.inflight[:0]
@@ -597,6 +642,31 @@ func (fe *frontEnd) reset() {
 
 // Done implements engine.Driver: all accepted commands have retired.
 func (fe *frontEnd) Done() bool { return fe.remaining == 0 }
+
+// Poked implements engine.Driver. Between two Steps only three things
+// change what NextWake reads: a transaction-complete line deasserting
+// during a bank-controller tick (each channel's board latches it),
+// Session.Issue admitting a command or starting to wait at the
+// admission gate, and bank events buffered in parallel mode with
+// tracing on, which the next Step must flush before its own events.
+// Bus tenures, timers, retry back-off and dependences all belong to
+// the front end.
+func (fe *frontEnd) Poked() bool {
+	if fe.poked {
+		return true
+	}
+	for _, b := range fe.boards {
+		if b.Settled() {
+			return true
+		}
+	}
+	for _, o := range fe.obsBuf {
+		if len(o.events) > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Progress implements engine.Driver.
 func (fe *frontEnd) Progress() uint64 { return fe.lastProgress }
@@ -664,6 +734,7 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 	fe.lines = append(fe.lines, nil)
 	fe.remaining++
 	fe.progress(now)
+	fe.poked = true
 	return i
 }
 
@@ -689,78 +760,80 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 			next = c
 		}
 	}
-	for k, n := 0, fe.scanLen(); k < n; k++ {
-		i := fe.scanAt(k)
+	for _, i := range fe.inflight {
 		st := &fe.state[i]
-		if st.completed {
-			continue
-		}
 		c := &fe.cmds[i]
-		if !st.issued {
-			// May become broadcastable at a channel's next bus decision
-			// point once its dependences are complete. (Conflict and
-			// transaction-ID availability can defer it further; waking
-			// at the bus point and finding nothing to do is harmless.)
-			ready := true
-			for _, d := range c.DependsOn {
-				if !fe.state[d].completed {
-					ready = false
-					break
-				}
+		for ch := range st.ch {
+			cs := &st.ch[ch]
+			if !cs.active || cs.done {
+				continue
 			}
-			if ready {
-				for ch := range st.ch {
-					if st.ch[ch].active {
-						upd(max(now, fe.buses[ch].NextEventAt()))
-					}
+			if !cs.reserved {
+				at := max(now, fe.buses[ch].NextEventAt())
+				if cs.retryAt > at {
+					at = cs.retryAt // backing off after a NACK
 				}
+				upd(at)
+				continue
 			}
-		} else {
-			for ch := range st.ch {
-				cs := &st.ch[ch]
-				if !cs.active || cs.done {
-					continue
+			if !cs.broadcastDone {
+				if c.Op == memsys.Write {
+					upd(cs.stageWriteEnd)
 				}
-				if !cs.reserved {
-					at := max(now, fe.buses[ch].NextEventAt())
-					if cs.retryAt > at {
-						at = cs.retryAt // backing off after a NACK
-					}
-					upd(at)
-					continue
-				}
-				if !cs.broadcastDone {
-					if c.Op == memsys.Write {
-						upd(cs.stageWriteEnd)
-					}
-					upd(cs.broadcastAt)
-					continue
-				}
-				if !cs.fbDone {
-					upd(cs.fbDoneAt)
-				}
-				switch c.Op {
-				case memsys.Read:
-					switch {
-					case cs.live() == 0:
-						// Fallback-only share: fbDoneAt above is the timer.
-					case !cs.gathered:
-						// The transaction-complete line deasserts during a
-						// bank controller Tick; once it has, the front end
-						// must observe it on its very next step.
-						if fe.boards[ch].AllDone(st.txn) {
-							upd(now)
-						}
-					case !cs.stagingStarted:
-						upd(max(now, fe.buses[ch].NextEventAt()))
-					case !cs.collected:
-						upd(cs.stageReadEnd)
-					}
-				case memsys.Write:
-					if cs.fbDone && fe.boards[ch].AllDone(st.txn) {
+				upd(cs.broadcastAt)
+				continue
+			}
+			if !cs.fbDone {
+				upd(cs.fbDoneAt)
+			}
+			switch c.Op {
+			case memsys.Read:
+				switch {
+				case cs.live() == 0:
+					// Fallback-only share: fbDoneAt above is the timer.
+				case !cs.gathered:
+					// The transaction-complete line deasserts during a
+					// bank controller Tick; once it has, the front end
+					// must observe it on its very next step.
+					if fe.boards[ch].AllDone(st.txn) {
 						upd(now)
 					}
+				case !cs.stagingStarted:
+					upd(max(now, fe.buses[ch].NextEventAt()))
+				case !cs.collected:
+					upd(cs.stageReadEnd)
 				}
+			case memsys.Write:
+				if cs.fbDone && fe.boards[ch].AllDone(st.txn) {
+					upd(now)
+				}
+			}
+		}
+		if next <= now {
+			return now
+		}
+	}
+	if fe.issuedLive >= bus.MaxTransactions {
+		return next // no unissued command can act before a retirement
+	}
+	// An unissued command may become broadcastable at a channel's next
+	// bus decision point once its dependences are complete. (Conflict and
+	// transaction-ID availability can defer it further; waking at the
+	// bus point and finding nothing to do is harmless.) That wake depends
+	// on the channel alone, so the scan stops once every channel has one.
+	seen := fe.wakeSeen
+	clear(seen)
+	left := len(seen)
+	for i := fe.first; i < len(fe.state) && left > 0; i++ {
+		st := &fe.state[i]
+		if st.issued || !fe.depsDone(i) {
+			continue
+		}
+		for ch := range st.ch {
+			if st.ch[ch].active && !seen[ch] {
+				seen[ch] = true
+				left--
+				upd(max(now, fe.buses[ch].NextEventAt()))
 			}
 		}
 		if next <= now {
@@ -990,6 +1063,13 @@ func (fe *frontEnd) Step(now uint64) error {
 		}
 	}
 	fe.inflight = kept
+	// Every line has been looked at: a deassertion from here on is news
+	// for the next Step. (The front end's own Done calls above are
+	// covered by the NextWake the engine takes after this Step.)
+	fe.poked = false
+	for _, b := range fe.boards {
+		b.ClearSettled()
+	}
 	return nil
 }
 
@@ -1332,12 +1412,10 @@ func (fe *frontEnd) finish(i int, st *cmdState, now uint64) {
 // Section 5.2.4 provides this guarantee, but only for commands that
 // arrive in order.
 func (fe *frontEnd) eligible(i int) (bool, error) {
-	c := &fe.cmds[i]
-	for _, d := range c.DependsOn {
-		if !fe.state[d].completed {
-			return false, nil
-		}
+	if !fe.depsDone(i) {
+		return false, nil
 	}
+	c := &fe.cmds[i]
 	for e := fe.first; e < i; e++ {
 		if fe.state[e].issued {
 			continue
@@ -1348,6 +1426,16 @@ func (fe *frontEnd) eligible(i int) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// depsDone reports whether every command i depends on has completed.
+func (fe *frontEnd) depsDone(i int) bool {
+	for _, d := range fe.cmds[i].DependsOn {
+		if !fe.state[d].completed {
+			return false
+		}
+	}
+	return true
 }
 
 // olderConflictPending reports whether an earlier incomplete command

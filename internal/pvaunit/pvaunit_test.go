@@ -2,6 +2,7 @@ package pvaunit
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pva/internal/core"
@@ -354,5 +355,26 @@ func TestEmptyTrace(t *testing.T) {
 	res, err := sys.Run(memsys.Trace{})
 	if err != nil || res.Cycles != 0 {
 		t.Fatalf("empty trace: %v, %d cycles", err, res.Cycles)
+	}
+}
+
+// TestNewRejectsUnrunnableLimits: the sweep harness and the autotuner
+// build systems through New directly, so New runs the same limits check
+// as pva.Config.Validate and names the field it rejects.
+func TestNewRejectsUnrunnableLimits(t *testing.T) {
+	for _, c := range []struct {
+		edit  func(*Config)
+		field string
+	}{
+		{func(c *Config) { c.RFEntries = 2 }, "RFEntries"},
+		{func(c *Config) { c.RFEntries = -1 }, "RFEntries"},
+		{func(c *Config) { c.VCWindow = -1 }, "VCWindow"},
+		{func(c *Config) { c.Timing.RefreshInterval, c.Timing.TRFC = 5, 10 }, "RefreshInterval"},
+	} {
+		cfg := PaperConfig()
+		c.edit(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("New = %v, want an error naming %s", err, c.field)
+		}
 	}
 }

@@ -247,6 +247,7 @@ func (s *System) Open() (*Session, error) {
 		anyOffline: anyOffline,
 		fbCost:     fbCost,
 		inflight:   make([]int, 0, bus.MaxTransactions),
+		wakeSeen:   make([]bool, C),
 		fbBusy:     make([]uint64, C),
 		nacks:      make([]uint64, C),
 		retries:    make([]uint64, C),
@@ -347,6 +348,7 @@ func (s *Session) Issue(c memsys.VectorCmd) (Ticket, error) {
 		// stops, and the command is admitted, on exactly the first cycle
 		// at which its presence could matter.
 		s.fe.pending = true
+		s.fe.poked = true
 		err := s.pump(s.condQueue)
 		s.fe.pending = false
 		if err != nil {

@@ -4,30 +4,68 @@ import (
 	"fmt"
 	"testing"
 
+	"pva/internal/addrmap"
 	"pva/internal/kernels"
 	"pva/internal/memsys"
+	"pva/internal/trace"
 )
 
-// TestIdleSkipBitIdentical proves the event-driven cycle skipping elides
-// only no-op cycles: for every kernel, paper stride and alignment, the
-// skipping and strict tick-every-cycle engines must agree on the cycle
-// count, every statistic, and every gathered word — on both the SDRAM
-// prototype and the idealized SRAM variant.
+// TestIdleSkipBitIdentical proves the event-driven cycle skipping and
+// the lazily stepped front end elide only no-op cycles: for every
+// kernel, paper stride and alignment, the skipping and strict
+// tick-every-cycle engines must agree on the cycle count, every
+// statistic, every gathered word and the whole Observer event stream —
+// on the SDRAM prototype, the idealized SRAM variant, multi-channel
+// machines on the SALP and PCM back ends under the line and xor
+// decoders, and a machine stepping its channels in parallel (whose
+// controllers buffer their events for the front end to flush).
 func TestIdleSkipBitIdentical(t *testing.T) {
 	strides := []uint32{1, 2, 4, 8, 16, 19}
 	if testing.Short() {
 		strides = []uint32{1, 16, 19}
 	}
-	for _, static := range []bool{false, true} {
-		for _, k := range kernels.All() {
+	machine := func(channels uint32, decoder, tech string, units uint32, parallel bool) func() Config {
+		return func() Config {
+			c := PaperConfig()
+			c.Channels = channels
+			dec, err := addrmap.Parse(decoder, channels, c.Banks, c.LineWords)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Decoder = dec
+			var sub, part uint32
+			if tech == "salp" {
+				sub = units
+			} else {
+				part = units
+			}
+			if err := ApplyTech(&c, tech, sub, part); err != nil {
+				t.Fatal(err)
+			}
+			c.Parallel = parallel
+			return c
+		}
+	}
+	all := append(kernels.All(), kernels.Indexed()...)
+	for _, m := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"sdram", PaperConfig},
+		{"sram", SRAMConfig},
+		{"4ch-xor-pcm-4p", machine(4, "xor", "pcm", 4, false)},
+		{"2ch-line-salp-4", machine(2, "line", "salp", 4, false)},
+		{"4ch-xor-parallel", machine(4, "xor", "sdram", 0, true)},
+	} {
+		for _, k := range all {
 			for _, s := range strides {
 				for a := 0; a < kernels.Alignments; a++ {
 					p := kernels.PaperParams(s, a)
 					p.Elements = 256
-					trace := k.Build(p)
-					name := fmt.Sprintf("static=%v/%s/stride%d/align%d", static, k.Name, s, a)
-					fast := runEngine(t, static, false, trace, name)
-					slow := runEngine(t, static, true, trace, name)
+					tr := k.Build(p)
+					name := fmt.Sprintf("%s/%s/stride%d/align%d", m.name, k.Name, s, a)
+					fast, fastLog := runEngine(t, m.cfg(), false, tr, name)
+					slow, slowLog := runEngine(t, m.cfg(), true, tr, name)
 					if fast.Cycles != slow.Cycles {
 						t.Fatalf("%s: skip %d cycles, strict %d", name, fast.Cycles, slow.Cycles)
 					}
@@ -39,6 +77,14 @@ func TestIdleSkipBitIdentical(t *testing.T) {
 							if fast.ReadData[i][j] != slow.ReadData[i][j] {
 								t.Fatalf("%s: cmd %d word %d diverged", name, i, j)
 							}
+						}
+					}
+					if len(fastLog) != len(slowLog) {
+						t.Fatalf("%s: skip emitted %d events, strict %d", name, len(fastLog), len(slowLog))
+					}
+					for i := range slowLog {
+						if fastLog[i] != slowLog[i] {
+							t.Fatalf("%s: event %d diverged\nskip:   %+v\nstrict: %+v", name, i, fastLog[i], slowLog[i])
 						}
 					}
 				}
@@ -79,16 +125,16 @@ func TestIdleSkipBitIdenticalRefresh(t *testing.T) {
 	}
 }
 
-func runEngine(t *testing.T, static, disableSkip bool, trace memsys.Trace, name string) memsys.Result {
+// runEngine runs the trace on a fresh system built from cfg, with the
+// idle skip on or off, and returns the result and the event stream.
+func runEngine(t *testing.T, cfg Config, disableSkip bool, tr memsys.Trace, name string) (memsys.Result, []trace.Event) {
 	t.Helper()
-	cfg := PaperConfig()
-	if static {
-		cfg = SRAMConfig()
-	}
+	var log trace.Log
+	cfg.Observer = log.Record
 	cfg.DisableIdleSkip = disableSkip
-	res, err := MustNew(cfg).Run(trace)
+	res, err := MustNew(cfg).Run(tr)
 	if err != nil {
 		t.Fatalf("%s (skip disabled=%v): %v", name, disableSkip, err)
 	}
-	return res
+	return res, log.Events
 }

@@ -336,44 +336,11 @@ func (d *Device) Cycle() uint64 { return d.cycle }
 // Spec returns the technology specification the device was built with.
 func (d *Device) Spec() dramtech.Spec { return d.spec }
 
-// OpenRow reports whether the internal bank has an open row and which —
-// the lowest-indexed open unit when the technology has several per
-// bank. Unit-aware callers should prefer OpenRowAt.
-func (d *Device) OpenRow(ib uint32) (uint32, bool) { return d.model.FirstOpen(ib) }
-
-// OpenRowAt reports the open row of the unit (subarray/partition) that
-// would serve row in the internal bank. With one unit per bank it is
-// exactly OpenRow.
-func (d *Device) OpenRowAt(ib, row uint32) (uint32, bool) { return d.model.OpenRowAt(ib, row) }
-
-// BankReadyAt returns the cycle at which the internal bank's pending
-// transitions all complete; the bank accepts device-wide commands
-// (refresh) at cycles >= this value. This is what the controller's
-// restimers track.
-func (d *Device) BankReadyAt(ib uint32) uint64 { return d.model.MaxReadyAt(ib) }
-
-// ReadyAtFor returns the ready cycle of the unit that owns row in the
-// internal bank — the per-subarray/per-partition restimer.
-func (d *Device) ReadyAtFor(ib, row uint32) uint64 { return d.model.ReadyAt(ib, row) }
-
-// UnitIndex flattens (internal bank, row) to a global unit index for
-// per-unit scheduler state; UnitsPerBank sizes such state.
-func (d *Device) UnitIndex(ib, row uint32) uint32 { return d.model.UnitIndex(ib, row) }
-
-// UnitsPerBank returns the row-state units per internal bank (1 for
-// plain SDRAM).
-func (d *Device) UnitsPerBank() uint32 { return d.model.UnitsPerBank() }
-
-// NoteBlocked records a scheduler attempt blocked by the unit owning
-// (ib, row); the model counts PCM write-occupancy stalls from it.
-func (d *Device) NoteBlocked(ib, row uint32, cycle uint64) { d.model.NoteBlocked(ib, row, cycle) }
-
-// RefreshPrechargeTarget scans the internal bank for the refresh path:
-// an open row whose unit can precharge at cycle (ready), any open row
-// at all (open), or neither.
-func (d *Device) RefreshPrechargeTarget(ib uint32, cycle uint64) (row uint32, ready, open bool) {
-	return d.model.PrechargeTarget(ib, cycle)
-}
+// Model exposes the device's row-state machine. Bank controllers read
+// unit state through it; Issue stays the one command boundary and
+// re-derives every command's unit from (internal bank, row), so a
+// controller holding a stale unit fails there with a state violation.
+func (d *Device) Model() *dramtech.Model { return d.model }
 
 // SetCompose installs a custom device-word-to-global-address mapping,
 // replacing the default word-interleave formula. nil restores the

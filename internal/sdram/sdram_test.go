@@ -187,7 +187,8 @@ func TestAutoPrecharge(t *testing.T) {
 		2: {Cmd: Read, IBank: 0, Row: 1, Col: 0, Auto: true},
 	}
 	run(t, d, steps, 3)
-	if _, open := d.OpenRow(0); open {
+	m := d.Model()
+	if _, open := m.OpenRow(m.UnitIndex(0, 1)); open {
 		t.Fatal("row still open after auto-precharge read")
 	}
 	// ACT before tRP elapses must fail (precharge started at cycle 2).
@@ -254,8 +255,8 @@ func TestBankReadyAt(t *testing.T) {
 	if err := d.Issue(Request{Cmd: Activate, IBank: 3, Row: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.BankReadyAt(3); got != 2 {
-		t.Errorf("BankReadyAt = %d, want 2", got)
+	if got := d.Model().MaxReadyAt(3); got != 2 {
+		t.Errorf("MaxReadyAt = %d, want 2", got)
 	}
 }
 

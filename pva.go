@@ -238,9 +238,11 @@ func (c Config) fill() Config {
 // Validate checks the configuration up front, before any system is
 // built: interleaving requires power-of-two bank, channel, and line-word
 // counts, the transaction-complete board is a wired-OR of at most 64
-// lines per channel, and the fault plan's rates and dead-bank indices
-// must be in range. Zero-valued fields are filled with the paper's
-// defaults first, so DefaultConfig() and the zero Config both validate.
+// lines per channel, the fault plan's rates and dead-bank indices must
+// be in range, and the bank controllers must be able to run it (see
+// pvaunit.ValidateLimits: RFEntries, VCWindow and RefreshInterval).
+// Zero-valued fields are filled with the paper's defaults first, so
+// DefaultConfig() and the zero Config both validate.
 func (c Config) Validate() error {
 	c = c.fill()
 	if c.Banks&(c.Banks-1) != 0 {
@@ -264,7 +266,18 @@ func (c Config) Validate() error {
 	if err := c.FaultPlan.Validate(c.Channels, c.Banks); err != nil {
 		return fmt.Errorf("pva: %w", err)
 	}
+	if err := pvaunit.ValidateLimits(c.VCWindow, c.RFEntries, c.timing()); err != nil {
+		return fmt.Errorf("pva: %w", err)
+	}
 	return nil
+}
+
+// timing is the device timing the configuration asks for.
+func (c Config) timing() sdram.Timing {
+	return sdram.Timing{
+		TRCD: c.TRCD, CL: c.CL, TRP: c.TRP,
+		RefreshInterval: c.RefreshInterval, TRFC: c.TRFC,
+	}
 }
 
 func (c Config) toInternal(static bool) (pvaunit.Config, error) {
@@ -281,15 +294,12 @@ func (c Config) toInternal(static bool) (pvaunit.Config, error) {
 		return pvaunit.Config{}, err
 	}
 	cfg := pvaunit.Config{
-		Banks:     c.Banks,
-		Channels:  c.Channels,
-		Decoder:   dec,
-		LineWords: c.LineWords,
-		SGeom:     sg,
-		Timing: sdram.Timing{
-			TRCD: c.TRCD, CL: c.CL, TRP: c.TRP,
-			RefreshInterval: c.RefreshInterval, TRFC: c.TRFC,
-		},
+		Banks:           c.Banks,
+		Channels:        c.Channels,
+		Decoder:         dec,
+		LineWords:       c.LineWords,
+		SGeom:           sg,
+		Timing:          c.timing(),
 		Static:          static,
 		VCWindow:        c.VCWindow,
 		RFEntries:       c.RFEntries,

@@ -1,6 +1,9 @@
 package pva
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestRefreshEndToEnd runs a kernel with the refresh obligation enabled:
 // the controllers must interleave AUTO REFRESH commands with the vector
@@ -84,5 +87,55 @@ func TestRefreshRealisticInterval(t *testing.T) {
 	overhead := float64(res.Cycles-base.Cycles) / float64(base.Cycles)
 	if overhead > 0.05 {
 		t.Errorf("realistic refresh costs %.1f%%, expected under 5%%", 100*overhead)
+	}
+}
+
+// TestConfigLimits pins the configurations Validate rejects because no
+// bank controller can run them: each error names its field, and every
+// probe that passed Validate before this check ended in an invariant
+// violation or a deadlock. For each TRFC the refresh floor is exact: the
+// smallest accepted interval completes four kernels at strides 1 and 19
+// under the watchdog, and the interval below it is rejected.
+func TestConfigLimits(t *testing.T) {
+	for _, c := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{RFEntries: 2}, "RFEntries"},
+		{Config{RFEntries: -1}, "RFEntries"},
+		{Config{VCWindow: -1}, "VCWindow"},
+		{Config{RefreshInterval: 5, TRFC: 10}, "RefreshInterval"},
+	} {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", c.cfg, err, c.field)
+		}
+		if _, err := NewSystem(c.cfg); err == nil {
+			t.Errorf("%+v: NewSystem accepted it", c.cfg)
+		}
+	}
+	d := DefaultConfig()
+	for _, trfc := range []uint64{1, 4, 10} {
+		floor := trfc + d.TRP + d.TRCD + uint64(d.VCWindow)
+		below := Config{RefreshInterval: floor, TRFC: trfc}
+		if err := below.Validate(); err == nil || !strings.Contains(err.Error(), "RefreshInterval") {
+			t.Errorf("TRFC %d: interval %d accepted (%v)", trfc, floor, err)
+		}
+		at := Config{RefreshInterval: floor + 1, TRFC: trfc, WatchdogCycles: 20_000}
+		for _, name := range []string{"copy", "vaxpy", "swap", "scale"} {
+			k, err := KernelByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []uint32{1, 19} {
+				sys, err := NewSystem(at)
+				if err != nil {
+					t.Fatalf("TRFC %d interval %d: %v", trfc, floor+1, err)
+				}
+				if _, err := sys.Run(k.Build(PaperParams(s, 0))); err != nil {
+					t.Errorf("TRFC %d interval %d: %s stride %d: %v", trfc, floor+1, name, s, err)
+				}
+			}
+		}
 	}
 }
