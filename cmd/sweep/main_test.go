@@ -23,27 +23,32 @@ func sweepRun(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestSweepGoldens regenerates the sweep's reports at 64 elements and
-// diffs them against testdata/: the figure set, the raw JSON points
-// (gzipped), the channel-scaling table and the back-end table. The
-// trailing timing line of a text report is not part of its golden.
+// TestSweepGoldens regenerates the sweep's reports and diffs them
+// against testdata/: at 64 elements the figure set, the raw JSON points
+// (gzipped), the channel-scaling table and the back-end table; and the
+// autotuner's JSON for EXPERIMENTS.md's table and for a small
+// three-kernel search, which pin every search's winner, cycles and
+// evaluation counts across commits. The trailing timing line of a text
+// report is not part of its golden.
 // go test ./cmd/sweep -run TestSweepGoldens -update rewrites them.
 func TestSweepGoldens(t *testing.T) {
 	for _, c := range []struct {
 		file string
 		args []string
 	}{
-		{"figures_e64.txt", nil},
-		{"points_e64.json.gz", []string{"-json"}},
-		{"channels_e64.txt", []string{"-channels", "1,2,4"}},
-		{"techs_e64.txt", []string{"-tech", "sdram,salp-2,salp-4,salp-8,pcm-4p"}},
+		{"figures_e64.txt", []string{"-elements", "64"}},
+		{"points_e64.json.gz", []string{"-elements", "64", "-json"}},
+		{"channels_e64.txt", []string{"-elements", "64", "-channels", "1,2,4"}},
+		{"techs_e64.txt", []string{"-elements", "64", "-tech", "sdram,salp-2,salp-4,salp-8,pcm-4p"}},
+		{"autotune_e1024.json", []string{"-autotune", "-json", "-seed", "1", "-restarts", "10", "-survivors", "8", "-elements", "1024"}},
+		{"autotune_e256.json", []string{"-autotune", "-json", "-seed", "7", "-elements", "256", "-channels", "2", "-kernels", "swap,gather,spmv"}},
 	} {
-		code, got, stderr := sweepRun(append([]string{"-elements", "64"}, c.args...)...)
+		code, got, stderr := sweepRun(c.args...)
 		if code != 0 {
 			t.Fatalf("%s: exit %d\nstderr: %s", c.file, code, stderr)
 		}
 		gz := strings.HasSuffix(c.file, ".gz")
-		if !gz {
+		if strings.HasSuffix(c.file, ".txt") {
 			got = got[:strings.LastIndex(strings.TrimSuffix(got, "\n"), "\n")+1]
 		}
 		path := filepath.Join("testdata", c.file)
