@@ -136,6 +136,38 @@ func TestSurrogateMatchesDecoder(t *testing.T) {
 	}
 }
 
+// TestSurrogateLongCommand: a command too long for the summaries'
+// uint16 element indices is priced element by element. Its last
+// element, past index 65535, opens the row that the next command
+// switches away from under word interleave.
+func TestSurrogateLongCommand(t *testing.T) {
+	geom := pvaunit.PaperConfig().SGeom
+	long := make([]uint32, 1<<16+1) // address 0, then unit 5's row 0
+	long[1<<16] = 5
+	next := uint32(1<<15 | 5) // unit 5, same internal bank, row 1
+	trs := []kernels.AddressTrace{{Name: "long", Cmds: [][]uint32{long, {next}}}}
+	sc := mustScorer(t, trs, geom, 1, 16)
+	masks := make([]uint32, 4)
+	ref := func() uint64 { return refCost(trs, geom, addrmap.MustTuned(1, 16, masks)) }
+	if got, want := mustLoad(t, sc, masks), ref(); got != want {
+		t.Fatalf("load cost %d, decoder says %d", got, want)
+	}
+	for _, nb := range []struct {
+		j int
+		b uint
+	}{{2, 3}, {0, 11}, {1, 11}} {
+		masks[nb.j] ^= 1 << nb.b
+		want := ref()
+		if got, _ := sc.neighbour(masks, nb.j, nb.b); got != want {
+			t.Fatalf("neighbour (mask %d, bit %d) cost %d, decoder says %d", nb.j, nb.b, got, want)
+		}
+		sc.accept(nb.j, nb.b)
+		if got := sc.score(0, 0); got != want {
+			t.Fatalf("after accepting (mask %d, bit %d): cost %d, decoder says %d", nb.j, nb.b, got, want)
+		}
+	}
+}
+
 func mustScorer(t testing.TB, trs []kernels.AddressTrace, geom addr.SDRAMGeom, c, m uint32) *scorer {
 	t.Helper()
 	sc, err := newScorer(trs, geom, c, m)

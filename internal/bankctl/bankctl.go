@@ -65,19 +65,18 @@ type AddrView interface {
 
 // Config fixes one bank controller's parameters.
 type Config struct {
-	Bank      uint32         // this controller's external bank number
-	Banks     uint32         // M, total external banks
-	Geom      core.Geometry  // word-interleave hit math for M banks
-	View      AddrView       // non-nil: address the device via this view; commands arrive pre-claimed
-	SGeom     addr.SDRAMGeom // device geometry
-	Timing    sdram.Timing   // device timing
-	Tech      dramtech.Spec  // device back end (zero value: plain SDRAM)
-	Static    bool           // idealized SRAM device (PVA SRAM system)
-	VCWindow  int            // number of Vector Contexts (prototype: 4)
-	RFEntries int            // Register File entries (prototype: 8)
-	FHCDelay  int            // FirstHit-Calculate latency in cycles (prototype: 2)
-	Policy    Policy         // scheduling policy (nil: paper's SPU heuristic)
-	Observer  trace.Observer // optional event sink (nil: tracing off)
+	Bank     uint32         // this controller's external bank number
+	Banks    uint32         // M, total external banks
+	Geom     core.Geometry  // word-interleave hit math for M banks
+	View     AddrView       // non-nil: address the device via this view; commands arrive pre-claimed
+	SGeom    addr.SDRAMGeom // device geometry
+	Timing   sdram.Timing   // device timing
+	Tech     dramtech.Spec  // device back end (zero value: plain SDRAM)
+	Static   bool           // idealized SRAM device (PVA SRAM system)
+	VCWindow int            // number of Vector Contexts (prototype: 4)
+	FHCDelay int            // FirstHit-Calculate latency in cycles (prototype: 2)
+	Policy   Policy         // scheduling policy (nil: paper's SPU heuristic)
+	Observer trace.Observer // optional event sink (nil: tracing off)
 
 	// Injector, when non-nil, is installed on the SDRAM device's read
 	// path: transient bit flips run through the SEC-DED codec there.
@@ -88,14 +87,13 @@ type Config struct {
 // given bank.
 func PaperConfig(bank uint32) Config {
 	return Config{
-		Bank:      bank,
-		Banks:     16,
-		Geom:      core.MustGeometry(16),
-		SGeom:     addr.MustSDRAMGeom(4, 512, 8192),
-		Timing:    sdram.PaperTiming(),
-		VCWindow:  4,
-		RFEntries: bus.MaxTransactions,
-		FHCDelay:  2,
+		Bank:     bank,
+		Banks:    16,
+		Geom:     core.MustGeometry(16),
+		SGeom:    addr.MustSDRAMGeom(4, 512, 8192),
+		Timing:   sdram.PaperTiming(),
+		VCWindow: 4,
+		FHCDelay: 2,
 	}
 }
 
@@ -170,8 +168,8 @@ type Stats struct {
 
 // New returns a bank controller driving a fresh device over the store.
 func New(cfg Config, store *memsys.Store, board *bus.Board) *BC {
-	if cfg.VCWindow <= 0 || cfg.RFEntries <= 0 {
-		fault.Invariantf("bankctl", "VCWindow and RFEntries must be positive")
+	if cfg.VCWindow <= 0 {
+		fault.Invariantf("bankctl", "VCWindow must be positive")
 	}
 	var dev *sdram.Device
 	if cfg.Static {
@@ -267,10 +265,10 @@ func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, idx, owned []uint32, t
 		return
 	}
 	bc.stats.Requests++
-	if bc.rqfLen() >= bc.cfg.RFEntries {
-		// The bus protocol caps outstanding transactions at the RF size,
-		// so this is a front-end protocol violation, not a backpressure
-		// condition.
+	if bc.rqfLen() >= bus.MaxTransactions {
+		// The register file holds one request per transaction ID (a
+		// NACKed broadcast never reaches it), so this is a front-end
+		// protocol violation, not a backpressure condition.
 		fault.Invariantf("bankctl", "bank %d register file overflow", bc.cfg.Bank)
 	}
 	r := request{op: op, v: v, txn: txn, hit: hit, idxs: owned, cmdIdx: idx, enqueuedAt: bc.cycle}

@@ -45,6 +45,7 @@ package pvaunit
 
 import (
 	"fmt"
+	"slices"
 
 	"pva/internal/addr"
 	"pva/internal/addrmap"
@@ -69,7 +70,6 @@ type Config struct {
 	Tech      dramtech.Spec  // device back end (zero value: plain SDRAM)
 	Static    bool           // true: the idealized PVA-SRAM variant
 	VCWindow  int            // vector contexts per bank controller (4)
-	RFEntries int            // register-file entries per controller (8)
 	Policy    bankctl.Policy // scheduling policy; nil = paper heuristic
 	RowPolicy bankctl.RowPolicy
 	Observer  trace.Observer // optional event sink (nil: tracing off)
@@ -126,7 +126,6 @@ func PaperConfig() Config {
 		SGeom:     addr.MustSDRAMGeom(4, 512, 8192),
 		Timing:    sdram.PaperTiming(),
 		VCWindow:  4,
-		RFEntries: bus.MaxTransactions,
 	}
 }
 
@@ -204,10 +203,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.VCWindow == 0 {
 		cfg.VCWindow = 4
 	}
-	if cfg.RFEntries == 0 {
-		cfg.RFEntries = bus.MaxTransactions
-	}
-	if err := ValidateLimits(cfg.VCWindow, cfg.RFEntries, cfg.Timing); err != nil {
+	if err := ValidateLimits(cfg.VCWindow, cfg.Timing); err != nil {
 		return nil, fmt.Errorf("pvaunit: %w", err)
 	}
 	return &System{cfg: cfg, store: memsys.NewStore()}, nil
@@ -217,9 +213,6 @@ func New(cfg Config) (*System, error) {
 // no controller can run, naming the offending field. It is the one
 // check behind both New and pva.Config.Validate.
 //
-//   - RFEntries below bus.MaxTransactions: the paper sizes the register
-//     file to the eight transaction IDs, and the bus may hand one
-//     controller a request for every outstanding ID.
 //   - VCWindow below 1: the scheduler needs a vector context.
 //   - RefreshInterval in (0, TRFC+TRP+TRCD+VCWindow]: after each
 //     refresh, closing rows (TRP) and the refresh itself (TRFC), the
@@ -230,10 +223,7 @@ func New(cfg Config) (*System, error) {
 //     and TRP from 1 to 6, TRFC from 1 to 10, VCWindow from 1 to 8 and
 //     2 to 8 internal banks, on all eleven kernels at strides 1 and 19,
 //     found no stuck interval above this floor.
-func ValidateLimits(vcWindow, rfEntries int, t sdram.Timing) error {
-	if rfEntries < bus.MaxTransactions {
-		return fmt.Errorf("RFEntries=%d is below the %d transaction IDs a register file must hold", rfEntries, bus.MaxTransactions)
-	}
+func ValidateLimits(vcWindow int, t sdram.Timing) error {
 	if vcWindow < 1 {
 		return fmt.Errorf("VCWindow=%d: a bank controller needs at least one vector context", vcWindow)
 	}
@@ -422,6 +412,12 @@ func (s *System) Run(t memsys.Trace) (res memsys.Result, err error) {
 	// either way (the pump only crosses sealed cycles); this is purely
 	// the cheaper path.
 	ses.queueDepth = len(t.Cmds) + 1
+	// The trace length is known too, so size the per-command slices once
+	// instead of growing them by doubling on a fresh system's first Run.
+	fe := ses.fe
+	fe.cmds = slices.Grow(fe.cmds, len(t.Cmds))
+	fe.state = slices.Grow(fe.state, len(t.Cmds))
+	fe.lines = slices.Grow(fe.lines, len(t.Cmds))
 	for _, c := range t.Cmds {
 		if _, err := ses.Issue(c); err != nil {
 			return memsys.Result{}, err

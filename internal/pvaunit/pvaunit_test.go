@@ -366,8 +366,6 @@ func TestNewRejectsUnrunnableLimits(t *testing.T) {
 		edit  func(*Config)
 		field string
 	}{
-		{func(c *Config) { c.RFEntries = 2 }, "RFEntries"},
-		{func(c *Config) { c.RFEntries = -1 }, "RFEntries"},
 		{func(c *Config) { c.VCWindow = -1 }, "VCWindow"},
 		{func(c *Config) { c.Timing.RefreshInterval, c.Timing.TRFC = 5, 10 }, "RefreshInterval"},
 	} {

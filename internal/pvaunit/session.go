@@ -197,15 +197,14 @@ func (s *System) Open() (*Session, error) {
 		}
 		for b := uint32(0); b < M; b++ {
 			bcfg := bankctl.Config{
-				SGeom:     s.cfg.SGeom,
-				Timing:    s.cfg.Timing,
-				Tech:      s.cfg.Tech,
-				Static:    s.cfg.Static,
-				VCWindow:  s.cfg.VCWindow,
-				RFEntries: s.cfg.RFEntries,
-				Policy:    s.cfg.Policy,
-				Observer:  bcObserver,
-				Injector:  inj,
+				SGeom:    s.cfg.SGeom,
+				Timing:   s.cfg.Timing,
+				Tech:     s.cfg.Tech,
+				Static:   s.cfg.Static,
+				VCWindow: s.cfg.VCWindow,
+				Policy:   s.cfg.Policy,
+				Observer: bcObserver,
+				Injector: inj,
 			}
 			if closedForm {
 				bcfg.Bank = b*C + ch

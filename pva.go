@@ -134,8 +134,7 @@ type Config struct {
 	RefreshInterval uint64 // cycles between refresh obligations (0: off, as the paper assumes)
 	TRFC            uint64 // refresh cycle time (used when RefreshInterval > 0)
 
-	VCWindow  int // vector contexts per bank controller (4)
-	RFEntries int // register-file entries (8)
+	VCWindow int // vector contexts per bank controller (4)
 
 	// Tech selects the device back end: "sdram" (default; the paper's
 	// device), "salp" (subarray-level parallelism: per-subarray row state
@@ -193,7 +192,7 @@ func DefaultConfig() Config {
 		Banks: 16, LineWords: 32,
 		InternalBanks: 4, RowWords: 512, Rows: 8192,
 		TRCD: 2, CL: 2, TRP: 2,
-		VCWindow: 4, RFEntries: 8,
+		VCWindow: 4,
 	}
 }
 
@@ -229,9 +228,6 @@ func (c Config) fill() Config {
 	if c.VCWindow == 0 {
 		c.VCWindow = d.VCWindow
 	}
-	if c.RFEntries == 0 {
-		c.RFEntries = d.RFEntries
-	}
 	return c
 }
 
@@ -240,7 +236,7 @@ func (c Config) fill() Config {
 // counts, the transaction-complete board is a wired-OR of at most 64
 // lines per channel, the fault plan's rates and dead-bank indices must
 // be in range, and the bank controllers must be able to run it (see
-// pvaunit.ValidateLimits: RFEntries, VCWindow and RefreshInterval).
+// pvaunit.ValidateLimits: VCWindow and RefreshInterval).
 // Zero-valued fields are filled with the paper's defaults first, so
 // DefaultConfig() and the zero Config both validate.
 func (c Config) Validate() error {
@@ -266,7 +262,7 @@ func (c Config) Validate() error {
 	if err := c.FaultPlan.Validate(c.Channels, c.Banks); err != nil {
 		return fmt.Errorf("pva: %w", err)
 	}
-	if err := pvaunit.ValidateLimits(c.VCWindow, c.RFEntries, c.timing()); err != nil {
+	if err := pvaunit.ValidateLimits(c.VCWindow, c.timing()); err != nil {
 		return fmt.Errorf("pva: %w", err)
 	}
 	return nil
@@ -302,7 +298,6 @@ func (c Config) toInternal(static bool) (pvaunit.Config, error) {
 		Timing:          c.timing(),
 		Static:          static,
 		VCWindow:        c.VCWindow,
-		RFEntries:       c.RFEntries,
 		DisableIdleSkip: c.DisableIdleSkip,
 		Fault:           c.FaultPlan,
 		WatchdogCycles:  c.WatchdogCycles,

@@ -101,8 +101,6 @@ func TestConfigLimits(t *testing.T) {
 		cfg   Config
 		field string
 	}{
-		{Config{RFEntries: 2}, "RFEntries"},
-		{Config{RFEntries: -1}, "RFEntries"},
 		{Config{VCWindow: -1}, "VCWindow"},
 		{Config{RefreshInterval: 5, TRFC: 10}, "RefreshInterval"},
 	} {
