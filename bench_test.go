@@ -397,38 +397,31 @@ func benchGather(b *testing.B, cfg Config) {
 	b.ReportMetric(float64(cycles), "cycles")
 }
 
-// BenchmarkParallelTickLoop measures the per-channel parallel engine
-// against the serial engine on the same four-channel configuration, one
-// reused System per sub-benchmark so the steady-state path (and its
-// zero-allocation guarantee) is what's timed. Results are bit-identical
-// between the two; only wall-clock differs.
-func BenchmarkParallelTickLoop(b *testing.B) {
+// BenchmarkFourChannelTickLoop measures the engine's tick loop on a
+// four-channel machine (vaxpy, stride 19), one reused System so the
+// steady-state path (and its zero-allocation guarantee) is what's
+// timed.
+func BenchmarkFourChannelTickLoop(b *testing.B) {
 	k, err := KernelByName("vaxpy")
 	if err != nil {
 		b.Fatal(err)
 	}
 	trace := k.Build(PaperParams(19, 1))
-	for _, parallel := range []bool{false, true} {
-		name := map[bool]string{false: "serial", true: "parallel"}[parallel]
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := DefaultConfig()
-			cfg.Channels = 4
-			cfg.ParallelChannels = parallel
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sys.Run(trace); err != nil { // warm the pools
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Run(trace); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	cfg := DefaultConfig()
+	cfg.Channels = 4
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Run(trace); err != nil { // warm the pools
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Run(trace); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,57 +1,21 @@
-// Equivalence suite for the parallel per-channel engine: the
-// ParallelChannels configuration must be bit-identical to the serial
-// engine — cycle counts, statistics, per-channel statistics, gathered
-// data, per-ticket issue/retire timestamps, and the emitted trace-event
-// stream — under any GOMAXPROCS and any scheduler interleaving. The
-// copy-on-write Snapshot/Clone machinery rides the same suite: clones
-// must replay the seed golden bit-identically and never alias pooled
-// buffers with their source.
+// Copy-on-write Snapshot/Clone suite: clones must replay the seed
+// golden bit-identically and never alias pooled buffers with their
+// source, and every system reaches the checkpoint surface through the
+// public API.
 package pva
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"pva/internal/memsys"
 	"pva/internal/pvaunit"
-	"pva/internal/trace"
 )
 
-// parallelPair builds the same multi-channel PVA configuration twice:
-// once on the serial engine, once with per-channel parallel ticking.
-func parallelPair(t testing.TB, channels uint32, plan FaultPlan) (serial, parallel *pvaunit.System) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Channels = channels
-	cfg.FaultPlan = plan
-	icfg, err := cfg.toInternal(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err = pvaunit.New(icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ParallelChannels = true
-	pcfg, err := cfg.toInternal(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err = pvaunit.New(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return serial, parallel
-}
-
 // runSession replays a trace through a streaming Session and returns the
-// result plus every ticket's final progress record, so the comparison
-// covers per-command issue and retire timestamps, not just totals.
+// result plus every ticket's final progress record, so a comparison can
+// cover per-command issue and retire timestamps, not just totals.
 func runSession(sys *pvaunit.System, tr Trace) (memsys.Result, []pvaunit.TicketInfo, error) {
 	ses, err := sys.Open()
 	if err != nil {
@@ -81,169 +45,6 @@ func runSession(sys *pvaunit.System, tr Trace) (memsys.Result, []pvaunit.TicketI
 		infos[i] = info
 	}
 	return res, infos, nil
-}
-
-// requireIdentical compares every observable of a serial and a parallel
-// run of the same trace.
-func requireIdentical(t *testing.T, label string, serial, parallel *pvaunit.System, tr Trace) {
-	t.Helper()
-	want, wantInfo, errS := runSession(serial, tr)
-	got, gotInfo, errP := runSession(parallel, tr)
-	if (errS == nil) != (errP == nil) {
-		t.Fatalf("%s: serial err = %v, parallel err = %v", label, errS, errP)
-	}
-	if errS != nil {
-		if errS.Error() != errP.Error() {
-			t.Fatalf("%s: error text diverges:\nserial   %v\nparallel %v", label, errS, errP)
-		}
-		return
-	}
-	if got.Cycles != want.Cycles {
-		t.Fatalf("%s: parallel %d cycles, serial %d", label, got.Cycles, want.Cycles)
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("%s: stats diverge:\nserial   %+v\nparallel %+v", label, want.Stats, got.Stats)
-	}
-	if len(got.ChannelStats) != len(want.ChannelStats) {
-		t.Fatalf("%s: %d channel stats, serial %d", label, len(got.ChannelStats), len(want.ChannelStats))
-	}
-	for ch := range want.ChannelStats {
-		if got.ChannelStats[ch] != want.ChannelStats[ch] {
-			t.Fatalf("%s: channel %d stats diverge:\nserial   %+v\nparallel %+v",
-				label, ch, want.ChannelStats[ch], got.ChannelStats[ch])
-		}
-	}
-	for i := range tr.Cmds {
-		gi, wi := gotInfo[i], wantInfo[i]
-		// Data is compared word-for-word below via ReadData.
-		if gi.Ticket != wi.Ticket || gi.Op != wi.Op ||
-			gi.AcceptedAt != wi.AcceptedAt ||
-			gi.Issued != wi.Issued || gi.IssuedAt != wi.IssuedAt ||
-			gi.Done != wi.Done || gi.CompletedAt != wi.CompletedAt {
-			t.Fatalf("%s: ticket %d timestamps diverge:\nserial   %+v\nparallel %+v",
-				label, i, wi, gi)
-		}
-		for j := range want.ReadData[i] {
-			if got.ReadData[i][j] != want.ReadData[i][j] {
-				t.Fatalf("%s: cmd %d word %d = %#x, serial %#x",
-					label, i, j, got.ReadData[i][j], want.ReadData[i][j])
-			}
-		}
-	}
-}
-
-// TestParallelEngineEquivalenceGrid runs a kernel grid on two- and
-// four-channel systems, serial versus parallel, and requires every
-// observable identical. Always on (small vectors) so plain `go test`
-// exercises the parallel path.
-func TestParallelEngineEquivalenceGrid(t *testing.T) {
-	for _, channels := range []uint32{2, 4} {
-		for _, kn := range []string{"copy", "swap", "vaxpy"} {
-			for _, stride := range []uint32{1, 8, 19} {
-				k, err := KernelByName(kn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p := PaperParams(stride, 2)
-				p.Elements = 128
-				serial, parallel := parallelPair(t, channels, FaultPlan{})
-				requireIdentical(t, fmt.Sprintf("ch%d/%s/stride%d", channels, kn, stride),
-					serial, parallel, k.Build(p))
-			}
-		}
-	}
-}
-
-// FuzzParallelEngine drives fuzzed traces and a fuzzed fault plan
-// through serial and parallel four-channel systems and demands
-// bit-identical cycles, statistics, gathered words, and per-ticket
-// timestamps — or the same error. The corpus is the shared differential
-// seed set, so every historical counterexample shape is replayed here.
-func FuzzParallelEngine(f *testing.F) {
-	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, ok := parseFuzzTrace(data, true)
-		if !ok {
-			t.Skip()
-		}
-		// Derive a deterministic fault plan from the input so the fuzzer
-		// also explores ECC scrub and bus-retry timing under parallel
-		// ticking. The rates stay low enough that runs usually complete;
-		// identical errors are accepted as equivalent outcomes.
-		var seed uint64
-		for _, b := range data {
-			seed = seed*131 + uint64(b)
-		}
-		plans := []FaultPlan{
-			{},
-			{Seed: seed, BitFlipRate: 0.01, DropRate: 0.005},
-		}
-		for pi, plan := range plans {
-			serial, parallel := parallelPair(t, 4, plan)
-			requireIdentical(t, fmt.Sprintf("plan%d", pi), serial, parallel, tr)
-		}
-	})
-}
-
-// traceHash runs one cell on a freshly built system with an attached
-// trace log and returns a digest of the rendered event timeline.
-func traceHash(t *testing.T, parallel bool, tr Trace) [32]byte {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Channels = 2
-	cfg.ParallelChannels = parallel
-	icfg, err := cfg.toInternal(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log trace.Log
-	icfg.Observer = log.Record
-	sys, err := pvaunit.New(icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(tr); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	log.Dump(&buf)
-	// Hash the raw emission order too, not just the cycle-sorted dump:
-	// the parallel engine must reproduce the serial event sequence
-	// exactly, including ordering within a cycle.
-	for _, e := range log.Events {
-		fmt.Fprintf(&buf, "%v\n", e)
-	}
-	return sha256.Sum256(buf.Bytes())
-}
-
-// TestParallelDeterminismStress replays one cell 32 times per
-// GOMAXPROCS setting in {1, 2, 8} with per-channel parallel ticking and
-// event tracing armed, and requires every run's trace dump hash — and
-// the serial engine's — to be identical. Any scheduler-dependent
-// reordering of events, stats, or cycles shows up as a hash mismatch.
-func TestParallelDeterminismStress(t *testing.T) {
-	k, err := KernelByName("vaxpy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := PaperParams(19, 1)
-	p.Elements = 128
-	tr := k.Build(p)
-
-	want := traceHash(t, false, tr) // serial reference dump
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		iters := 32
-		if testing.Short() {
-			iters = 4
-		}
-		for i := 0; i < iters; i++ {
-			if got := traceHash(t, true, tr); got != want {
-				t.Fatalf("GOMAXPROCS=%d run %d: trace dump hash diverged from serial", procs, i)
-			}
-		}
-	}
 }
 
 // loadSeedGolden reads testdata/seed_cycles.json (the pre-refactor

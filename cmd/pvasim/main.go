@@ -40,7 +40,6 @@ func main() {
 		faultRate = flag.Float64("fault-rate", 0, "base fault rate p: single-bit flip rate p, double-bit p/100, broadcast drop p/10 (PVA systems only)")
 		deadBanks = flag.String("dead-banks", "", "comma-separated hard-faulted bank controllers, flat channel*banks+bank (degraded mode)")
 		watchdog  = flag.Uint64("watchdog", 0, "forward-progress watchdog window in cycles (0: off)")
-		parChan   = flag.Bool("parallel-channels", false, "tick PVA memory channels concurrently inside each cycle (bit-identical results)")
 
 		cellTimeout  = flag.Duration("cell-timeout", 0, "wall-clock deadline per measured point, above the simulated-cycle watchdog (0: none)")
 		retries      = flag.Int("retries", 0, "re-attempts per failing point before giving up (fresh systems each attempt)")
@@ -79,17 +78,16 @@ func main() {
 		os.Exit(2)
 	}
 	opts := pva.SweepOptions{
-		Channels:         uint32(*channels),
-		AddrMap:          *addrmap,
-		Fault:            plan,
-		Watchdog:         *watchdog,
-		ParallelChannels: *parChan,
-		Tech:             *tech,
-		Subarrays:        uint32(*subarrays),
-		Partitions:       uint32(*partitions),
-		CellTimeout:      *cellTimeout,
-		Retries:          *retries,
-		RetryBackoff:     *retryBackoff,
+		Channels:     uint32(*channels),
+		AddrMap:      *addrmap,
+		Fault:        plan,
+		Watchdog:     *watchdog,
+		Tech:         *tech,
+		Subarrays:    uint32(*subarrays),
+		Partitions:   uint32(*partitions),
+		CellTimeout:  *cellTimeout,
+		Retries:      *retries,
+		RetryBackoff: *retryBackoff,
 	}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "pvasim: %v\n", err)

@@ -22,6 +22,11 @@
 //	sweep -cell-timeout 30s -retries 2 -retry-backoff 100ms
 //	sweep -cpuprofile cpu.pprof -memprofile mem.pprof
 //
+// -autotune searches one channel of the paper's SDRAM machine and reads
+// only -kernels, -elements, -workers, -json, -seed, -restarts,
+// -survivors and the profile flags; any other set flag, or a search flag
+// without -autotune, is a usage error.
+//
 // Exit status: 0 on success, 1 on a sweep error, 2 on a usage or
 // configuration error, 3 on partial success (some cells quarantined;
 // the completed grid is still emitted and every failing cell is named
@@ -55,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		elements     = fs.Uint("elements", 1024, "elements per application vector")
 		verify       = fs.Bool("verify", false, "replay every point against the functional reference")
 		workers      = fs.Int("workers", 0, "sweep worker goroutines (0: one per CPU, 1: serial)")
-		parChan      = fs.Bool("parallel-channels", false, "tick PVA memory channels concurrently inside each cycle (bit-identical results)")
 		addrmap      = fs.String("addrmap", "word", "address decoder: word, line, xor, tuned:<mask,mask,...>")
 		channelsFlag = fs.String("channels", "", "comma-separated channel counts (e.g. 1,2,4); several print the channel-scaling table (default 1)")
 		techFlag     = fs.String("tech", "", "comma-separated pva-sdram device back ends: sdram, salp-<subarrays>, pcm-<partitions>p (e.g. sdram,salp-4,pcm-4p); several print the back-end table (default sdram)")
@@ -80,6 +84,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var unread []string // set flags the selected mode does not read
+	fs.Visit(func(f *flag.Flag) {
+		if searchOnly, read := autotuneReads[f.Name]; *autotuneFlag && !read || !*autotuneFlag && searchOnly {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		fmt.Fprintf(stderr, "sweep: %s not read %s -autotune\n", strings.Join(unread, ", "),
+			map[bool]string{true: "under", false: "without"}[*autotuneFlag])
 		return 2
 	}
 
@@ -139,11 +154,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			DoubleFlipRate: *faultRate / 100,
 			DropRate:       *faultRate / 10,
 		},
-		Watchdog:         *watchdog,
-		ParallelChannels: *parChan,
-		CellTimeout:      *cellTimeout,
-		Retries:          *retries,
-		RetryBackoff:     *retryBackoff,
+		Watchdog:     *watchdog,
+		CellTimeout:  *cellTimeout,
+		Retries:      *retries,
+		RetryBackoff: *retryBackoff,
 	}
 	if err := pva.ValidateGrid(grid, opts); err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
@@ -214,6 +228,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		map[bool]string{true: " (verified against reference)", false: ""}[*verify])
 	return 0
 }
+
+// autotuneReads maps each flag an -autotune run reads to whether only
+// the search reads it.
+var autotuneReads = map[string]bool{"seed": true, "restarts": true, "survivors": true, "autotune": false,
+	"kernels": false, "elements": false, "workers": false, "json": false, "cpuprofile": false, "memprofile": false}
 
 func parseChannels(s string) ([]uint32, error) {
 	var out []uint32

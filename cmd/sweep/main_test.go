@@ -41,7 +41,7 @@ func TestSweepGoldens(t *testing.T) {
 		{"channels_e64.txt", []string{"-elements", "64", "-channels", "1,2,4"}},
 		{"techs_e64.txt", []string{"-elements", "64", "-tech", "sdram,salp-2,salp-4,salp-8,pcm-4p"}},
 		{"autotune_e1024.json", []string{"-autotune", "-json", "-seed", "1", "-restarts", "10", "-survivors", "8", "-elements", "1024"}},
-		{"autotune_e256.json", []string{"-autotune", "-json", "-seed", "7", "-elements", "256", "-channels", "2", "-kernels", "swap,gather,spmv"}},
+		{"autotune_e256.json", []string{"-autotune", "-json", "-seed", "7", "-elements", "256", "-kernels", "swap,gather,spmv"}},
 	} {
 		code, got, stderr := sweepRun(c.args...)
 		if code != 0 {
@@ -272,6 +272,37 @@ func TestSweepAutotuneCLI(t *testing.T) {
 	for _, want := range []string{`"fancy"`, "word", "line", "xor", "tuned:"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("bad-decoder error missing %q:\n%s", want, stderr)
+		}
+	}
+
+	// A flag the selected mode would ignore is a usage error naming the
+	// flag: the search reads no sweep machine, fault or policy flag, and
+	// a sweep reads no search budget.
+	search := []string{"-autotune", "-kernels", "scale", "-elements", "64"}
+	for _, c := range []struct {
+		args  []string
+		named []string
+	}{
+		{append(search, "-channels", "2"), []string{"-channels"}},
+		{append(search, "-tech", "pcm-4p"), []string{"-tech"}},
+		{append(search, "-addrmap", "xor"), []string{"-addrmap"}},
+		{append(search, "-verify"), []string{"-verify"}},
+		{append(search, "-watchdog", "5"), []string{"-watchdog"}},
+		{append(search, "-fault-seed", "3", "-fault-rate", "0.1"), []string{"-fault-seed", "-fault-rate"}},
+		{append(search, "-journal", t.TempDir()), []string{"-journal"}},
+		{append(search, "-isolate", "-cell-timeout", "1s", "-retries", "1", "-retry-backoff", "1ms"),
+			[]string{"-isolate", "-cell-timeout", "-retries", "-retry-backoff"}},
+		{[]string{"-kernels", "scale", "-elements", "64", "-seed", "7"}, []string{"-seed"}},
+		{[]string{"-kernels", "scale", "-elements", "64", "-restarts", "2", "-survivors", "3"}, []string{"-restarts", "-survivors"}},
+	} {
+		code, stdout, stderr := sweepRun(c.args...)
+		if code != 2 || stdout != "" {
+			t.Errorf("%v: exit %d, want 2 with no output\nstderr: %s", c.args, code, stderr)
+		}
+		for _, name := range c.named {
+			if !strings.Contains(stderr, name) {
+				t.Errorf("%v: error does not name %s:\n%s", c.args, name, stderr)
+			}
 		}
 	}
 }

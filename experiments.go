@@ -142,11 +142,6 @@ type SweepOptions struct {
 	// Watchdog arms the PVA forward-progress watchdog, in cycles
 	// (0: disabled).
 	Watchdog uint64
-	// ParallelChannels ticks each PVA memory channel on its own worker
-	// inside every simulated cycle (see Config.ParallelChannels);
-	// bit-identical results, less wall-clock per point on multi-channel
-	// configurations.
-	ParallelChannels bool
 	// Tech selects the PVA SDRAM system's device back end ("sdram",
 	// "salp", "pcm"; empty: sdram). The serial baselines and the PVA
 	// SRAM system ignore it. A Grid's Techs axis overrides it, with
@@ -214,7 +209,6 @@ func (o SweepOptions) runner() harness.Runner {
 		AddrMap:      o.AddrMap,
 		Fault:        o.Fault,
 		Watchdog:     o.Watchdog,
-		Parallel:     o.ParallelChannels,
 		Tech:         o.Tech,
 		Subarrays:    o.Subarrays,
 		Partitions:   o.Partitions,

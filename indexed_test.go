@@ -1,8 +1,7 @@
 // Tests for the first-class indexed (vector-indirect) command kind:
 // reference equivalence on every system, streaming/batch identity,
-// parallel-channel identity, clone independence, degraded-mode
-// completion, the technology matrix, command validation, and the
-// indexed kernels end to end.
+// clone independence, degraded-mode completion, the technology matrix,
+// command validation, and the indexed kernels end to end.
 package pva
 
 import (
@@ -150,43 +149,6 @@ func TestIndexedStreamingEquivalence(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestIndexedParallelChannels checks the per-channel parallel engine is
-// bit-identical to the serial engine on a multi-channel indexed trace.
-func TestIndexedParallelChannels(t *testing.T) {
-	tr := indexedMixTrace()
-	cfg := DefaultConfig()
-	cfg.Channels = 4
-	serial, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ParallelChannels = true
-	parallel, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := parallel.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycles != want.Cycles {
-		t.Errorf("parallel %d cycles, serial %d", got.Cycles, want.Cycles)
-	}
-	if got.Stats != want.Stats {
-		t.Errorf("stats diverge:\nserial   %+v\nparallel %+v", want.Stats, got.Stats)
-	}
-	for ch := range want.ChannelStats {
-		if got.ChannelStats[ch] != want.ChannelStats[ch] {
-			t.Errorf("channel %d stats diverge", ch)
-		}
-	}
-	checkAgainstReference(t, serial, tr)
 }
 
 // TestIndexedClone runs the mixed trace on a system and on its

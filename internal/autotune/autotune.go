@@ -491,8 +491,8 @@ func (s *searcher) fullCycles(dec addrmap.Decoder) (uint64, error) {
 
 // evalAll measures several decoders, serially for Workers == 1,
 // otherwise fanned out over the shared engine worker pool. Each
-// evaluation is a serial-engine simulation (never ParallelChannels), so
-// pool workers never submit pool work — the engine's no-deadlock rule.
+// evaluation builds its own system and runs it on the serial engine, so
+// pool workers never submit pool work — the pool's no-deadlock rule.
 // Results land in indexed slots: worker scheduling cannot reorder them.
 func (s *searcher) evalAll(decs []addrmap.Decoder) ([]uint64, error) {
 	out := make([]uint64, len(decs))

@@ -200,7 +200,7 @@ const never = ^uint64(0)
 // Model is the executable bank state machine for one device: ibanks
 // internal banks of spec.UnitCount() units each. It holds no store
 // references and no cross-device state, so devices (and their models)
-// clone by construction and tick concurrently per channel.
+// clone by construction.
 type Model struct {
 	spec   Spec
 	units  uint32 // per internal bank

@@ -29,7 +29,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"pva/internal/fault"
 )
@@ -127,12 +126,6 @@ type Config struct {
 	// DisableIdleSkip forces the strict tick-every-cycle loop. Cycle
 	// counts are bit-identical either way.
 	DisableIdleSkip bool
-	// ParallelGroups steps registered groups concurrently on the shared
-	// worker pool, with a deterministic barrier per cycle and outcomes
-	// merged in registration order (see parallel.go). Only valid when
-	// the groups are mutually independent within a cycle; results are
-	// bit-identical to the serial loop.
-	ParallelGroups bool
 }
 
 // Engine is a deterministic clocked scheduler over registered components
@@ -146,12 +139,6 @@ type Engine struct {
 	gwake  []uint64 // cached group-wide next event per group
 	dwake  uint64   // cached driver NextWake: the next cycle Step must run
 	cycle  uint64
-
-	// Parallel group stepping state (Config.ParallelGroups): one result
-	// slot per group and the reusable cycle barrier. Allocation-free in
-	// steady state.
-	gres    []groupResult
-	barrier sync.WaitGroup
 }
 
 // New returns an engine for the driver. Register the clocked components
@@ -200,7 +187,6 @@ type GroupHandle struct {
 func (e *Engine) RegisterGroup(g Group) *GroupHandle {
 	e.groups = append(e.groups, g)
 	e.gwake = append(e.gwake, e.cycle) // due immediately
-	e.gres = append(e.gres, groupResult{})
 	return &GroupHandle{e: e, i: len(e.groups) - 1}
 }
 
@@ -298,24 +284,18 @@ func (e *Engine) step() error {
 		}
 		e.wake[i] = c.NextEventAt()
 	}
-	if e.cfg.ParallelGroups && len(e.groups) > 1 {
-		if err := e.stepGroupsParallel(cycle); err != nil {
+	for i, g := range e.groups {
+		// Same lazy-ticking rule at group granularity: one cached bound
+		// covers the whole group, and the group's Step applies the
+		// per-member rule internally using concrete types.
+		if !e.cfg.DisableIdleSkip && e.gwake[i] > cycle {
+			continue
+		}
+		next, err := g.Step(cycle, e.cfg.DisableIdleSkip)
+		if err != nil {
 			return err
 		}
-	} else {
-		for i, g := range e.groups {
-			// Same lazy-ticking rule at group granularity: one cached bound
-			// covers the whole group, and the group's Step applies the
-			// per-member rule internally using concrete types.
-			if !e.cfg.DisableIdleSkip && e.gwake[i] > cycle {
-				continue
-			}
-			next, err := g.Step(cycle, e.cfg.DisableIdleSkip)
-			if err != nil {
-				return err
-			}
-			e.gwake[i] = next
-		}
+		e.gwake[i] = next
 	}
 	cycle++
 	if !e.cfg.DisableIdleSkip && !e.d.Done() {

@@ -135,11 +135,6 @@ type Runner struct {
 	// Watchdog arms the PVA forward-progress watchdog, in cycles
 	// (0: disabled).
 	Watchdog uint64
-	// Parallel opts the PVA systems into concurrent per-channel engine
-	// stepping (pvaunit.Config.Parallel). Results are bit-identical to
-	// the serial engine; it only changes wall-clock time, and only for
-	// multi-channel configurations.
-	Parallel bool
 	// Tech selects the PVA SDRAM system's device back end ("sdram",
 	// "salp", "pcm"; empty: sdram). The serial baselines and the SRAM
 	// system ignore it. A Grid's Techs axis overrides it, Subarrays and
@@ -190,7 +185,6 @@ func (r Runner) newSystem(k SystemKind) (memsys.System, error) {
 		cfg.Decoder = dec
 		cfg.Fault = r.Fault
 		cfg.WatchdogCycles = r.Watchdog
-		cfg.Parallel = r.Parallel
 		return pvaunit.New(cfg)
 	case CacheLineSerial:
 		// A line-fill system parallelizes at line granularity whatever the

@@ -273,10 +273,9 @@ func journalFiles(dir string) (journal, ckpt string) {
 // configKey is the canonical description of everything that determines a
 // sweep's results: the result-affecting runner fields and the exact
 // planned grid, each cell with its machine and decoder. Worker counts,
-// parallel-channel ticking, verification, and the failure policy are
-// deliberately absent — they change wall clock or failure handling,
-// never results, so a journal written at -workers 8 resumes fine at
-// -workers 1.
+// verification, and the failure policy are deliberately absent — they
+// change wall clock or failure handling, never results, so a journal
+// written at -workers 8 resumes fine at -workers 1.
 func (r Runner) configKey(jobs []job) []string {
 	parts := []string{
 		"sweep-journal-v2",

@@ -1,5 +1,5 @@
 // Store: a lazily materialized word store shared by every memory model,
-// with a two-layer copy-on-write design serving two masters at once:
+// with a two-layer copy-on-write design:
 //
 //   - Checkpointing: Snapshot freezes the current contents into an
 //     immutable Image that new stores (NewStoreFrom) and rewinds
@@ -7,29 +7,24 @@
 //     first writes into a frozen page, so cloning a multi-megabyte
 //     image costs one map header and warm-starting a sweep cell is a
 //     pointer swap.
-//   - Concurrent readers: the live layer is a fixed-depth radix table
-//     over the page number whose every slot — inner node or page — is
-//     published through its own atomic pointer, and page insertion runs
-//     under a mutex, so goroutines ticking different memory channels
-//     may Read and Write concurrently. Distinct addresses land in
-//     distinct page elements (channel interleaving guarantees
-//     disjointness), so element stores need no synchronization; only
-//     the table's slots do.
+//   - Hot paths: the live layer is a fixed-depth radix table over the
+//     page number, so a Read of a live page is three dependent loads,
+//     and a Write to it is the same plus one element store; neither
+//     touches a map. Only a word outside the live layer consults the
+//     frozen map, and only when the store has one. Page insertion —
+//     rare at 16 KiB granularity, and absent entirely in steady state —
+//     allocates radix nodes only on the path to a page the store writes.
 //
-// The hot paths stay hot: a Read of a live page is three atomic loads,
-// and a Write to it is the same plus one element store; neither touches
-// a map. Only a word outside the live layer consults the frozen map, and
-// only when the store has one. Page insertion — rare at 16 KiB
-// granularity, and absent entirely in steady state — allocates radix
-// nodes only on the path to a page the store writes.
+// A Store belongs to one goroutine at a time: every system owns its
+// store and runs on one goroutine. Images never change after Snapshot
+// returns, so any number of goroutines may share one, and stores built
+// on the same Image share only its pages.
 
 package memsys
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pva/internal/core"
 )
@@ -56,8 +51,8 @@ const (
 type page = [PageWords]uint32
 
 type (
-	leafNode  [1 << leafBits]atomic.Pointer[page]
-	innerNode [1 << innerBits]atomic.Pointer[leafNode]
+	leafNode  [1 << leafBits]*page
+	innerNode [1 << innerBits]*leafNode
 )
 
 // pageMap is the frozen layer's page table: page number to page.
@@ -66,7 +61,8 @@ type pageMap = map[uint32][]uint32
 // Image is an immutable snapshot of a Store's contents. Images share
 // pages with the stores they came from and the stores built on them;
 // every store copy-on-writes before its first store into a frozen page,
-// so an Image's words never change after Snapshot returns.
+// so an Image's words never change after Snapshot returns, and an Image
+// is safe to share between goroutines.
 type Image struct {
 	pages pageMap
 }
@@ -107,7 +103,8 @@ func NewImage(pages map[uint32][]uint32) (*Image, error) {
 
 // Store is a sparse 32-bit word memory. Unwritten words read as
 // Fill(addr), so independently constructed stores agree on cold contents.
-// The zero value is an empty (all-Fill) store.
+// The zero value is an empty (all-Fill) store. A Store belongs to one
+// goroutine at a time; share an Image instead.
 type Store struct {
 	// frozen is the immutable checkpoint layer shared with Images (and
 	// through them, with sibling stores). nil when no snapshot backs
@@ -116,15 +113,13 @@ type Store struct {
 	// root is the live layer: the pages written since the last
 	// Snapshot/Restore, under inner and leaf nodes allocated on the
 	// first write beneath them and kept for reuse.
-	root [1 << rootBits]atomic.Pointer[innerNode]
-	// mu serializes page insertion, Snapshot and Restore.
-	mu sync.Mutex
+	root [1 << rootBits]*innerNode
 	// written lists the live layer's page numbers, so Snapshot and
-	// Restore unpublish exactly those slots. Guarded by mu.
+	// Restore empty exactly those slots.
 	written []uint32
 	// free recycles pages discarded by Restore so a warm-started sweep
-	// stops allocating once its first run has sized the pool. Guarded
-	// by mu; pages here are unreachable from the live table.
+	// stops allocating once its first run has sized the pool. Pages here
+	// are unreachable from the live table.
 	free []*page
 }
 
@@ -144,15 +139,15 @@ func NewStoreFrom(img *Image) *Store {
 
 // livePage returns the live page holding address a, or nil.
 func (s *Store) livePage(a uint32) *page {
-	inner := s.root[a>>rootShift].Load()
+	inner := s.root[a>>rootShift]
 	if inner == nil {
 		return nil
 	}
-	leaf := inner[a>>innerShift%(1<<innerBits)].Load()
+	leaf := inner[a>>innerShift%(1<<innerBits)]
 	if leaf == nil {
 		return nil
 	}
-	return leaf[a>>leafShift%(1<<leafBits)].Load()
+	return leaf[a>>leafShift%(1<<leafBits)]
 }
 
 // Read returns the word at address a.
@@ -178,34 +173,23 @@ func (s *Store) Write(a, v uint32) {
 }
 
 // slot returns the leaf slot of address a's page, allocating the inner
-// and leaf nodes on its path when absent. Callers hold mu.
-func (s *Store) slot(a uint32) *atomic.Pointer[page] {
-	r := &s.root[a>>rootShift]
-	inner := r.Load()
-	if inner == nil {
-		inner = new(innerNode)
-		r.Store(inner)
+// and leaf nodes on its path when absent.
+func (s *Store) slot(a uint32) **page {
+	inner := &s.root[a>>rootShift]
+	if *inner == nil {
+		*inner = new(innerNode)
 	}
-	in := &inner[a>>innerShift%(1<<innerBits)]
-	leaf := in.Load()
-	if leaf == nil {
-		leaf = new(leafNode)
-		in.Store(leaf)
+	leaf := &(*inner)[a>>innerShift%(1<<innerBits)]
+	if *leaf == nil {
+		*leaf = new(leafNode)
 	}
-	return &leaf[a>>leafShift%(1<<leafBits)]
+	return &(*leaf)[a>>leafShift%(1<<leafBits)]
 }
 
-// materialize inserts the page holding address a into the live layer —
+// materialize inserts the page holding address a into the live layer,
 // copying the frozen page when the checkpoint holds one, else the Fill
-// pattern — and publishes it only once filled, so concurrent readers
-// never observe a page mid-copy.
+// pattern. The page must not be live yet.
 func (s *Store) materialize(a uint32) *page {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl := s.slot(a)
-	if p := sl.Load(); p != nil {
-		return p // another writer won the race
-	}
 	var p *page
 	if n := len(s.free); n > 0 {
 		p = s.free[n-1]
@@ -223,18 +207,18 @@ func (s *Store) materialize(a uint32) *page {
 			p[i] = Fill(base + uint32(i))
 		}
 	}
-	sl.Store(p)
+	*s.slot(a) = p
 	s.written = append(s.written, pn)
 	return p
 }
 
 // unpublish empties the live layer, handing each page to keep in
-// insertion order. Callers hold mu.
+// insertion order.
 func (s *Store) unpublish(keep func(pn uint32, p *page)) {
 	for _, pn := range s.written {
 		sl := s.slot(pn * PageWords)
-		keep(pn, sl.Load())
-		sl.Store(nil)
+		keep(pn, *sl)
+		*sl = nil
 	}
 	s.written = s.written[:0]
 }
@@ -242,11 +226,8 @@ func (s *Store) unpublish(keep func(pn uint32, p *page)) {
 // Snapshot freezes the store's current contents into an immutable Image.
 // The store keeps running — its next write into any frozen page copies
 // the page first — so the image is a true point-in-time checkpoint at
-// copy-on-write cost. Must not race with Reads or Writes (take
-// snapshots between runs, not mid-cycle).
+// copy-on-write cost.
 func (s *Store) Snapshot() *Image {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.written) == 0 && s.frozen != nil {
 		return &Image{pages: s.frozen} // unchanged since the last freeze
 	}
@@ -264,8 +245,6 @@ func (s *Store) Snapshot() *Image {
 // stays immutable: the store copy-on-writes before dirtying any of its
 // pages.
 func (s *Store) Restore(img *Image) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if img != nil {
 		s.frozen = img.pages
 	} else {

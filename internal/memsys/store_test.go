@@ -1,10 +1,6 @@
 package memsys
 
-import (
-	"sync"
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // TestStoreSnapshotIsolation pins the copy-on-write contract: an Image
 // captured by Snapshot never changes, no matter what the source store,
@@ -94,48 +90,6 @@ func TestStoreSnapshotAfterSnapshot(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentAccess drives the parallel-channel access pattern
-// under the race detector: goroutines reading and writing disjoint
-// addresses (as channel-interleaved bank controllers do), racing on
-// page materialization but never on elements.
-func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStoreFrom(func() *Image {
-		seed := NewStore()
-		seed.Write(0, 42)
-		return seed.Snapshot()
-	}())
-	const workers = 8
-	const span = 4 * PageWords
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w uint32) {
-			defer wg.Done()
-			for a := w; a < span; a += workers {
-				s.Write(a, a^w)
-				if got := s.Read(a); got != a^w {
-					t.Errorf("worker %d read back %d at %d, want %d", w, got, a, a^w)
-					return
-				}
-				// Read untouched and frozen addresses too: lookups must be
-				// safe against concurrent page inserts. (Elements being
-				// written by another goroutine are out of contract: the
-				// simulator's channel interleaving keeps them disjoint.)
-				if got := s.Read(span + a); got != Fill(span+a) {
-					t.Errorf("cold read at %d = %d, want Fill", span+a, got)
-					return
-				}
-			}
-		}(uint32(w))
-	}
-	wg.Wait()
-	for a := uint32(0); a < span; a++ {
-		if got, want := s.Read(a), a^(a%workers); got != want {
-			t.Fatalf("final image at %d = %d, want %d", a, got, want)
-		}
-	}
-}
-
 // TestStoreAddressCorners covers the radix table's edges: the first and
 // last word of the address space, and pages on either side of an inner
 // and a root boundary, each written, read back, snapshotted and rewound.
@@ -190,55 +144,6 @@ func TestStoreRewindAllocatesNothing(t *testing.T) {
 		}
 		if got := s.Read(3 * PageWords); (img == nil && got != Fill(3*PageWords)) || (img != nil && got != 7) {
 			t.Fatalf("base %v: rewound word reads %#x", img != nil, got)
-		}
-	}
-}
-
-// TestStoreConcurrentNodeInsertion races page insertion under distinct
-// root and inner slots against readers that never write (so never take
-// the store's lock): the race detector checks that every node and page
-// is filled before the atomic store that lets a reader reach it.
-func TestStoreConcurrentNodeInsertion(t *testing.T) {
-	s := NewStore()
-	const writers, pages = 4, 64
-	addr := func(w, i uint32) uint32 { return w<<rootShift | i<<innerShift }
-	var done atomic.Bool
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for !done.Load() {
-				for w := uint32(0); w < writers; w++ {
-					for i := uint32(0); i < pages; i++ {
-						// Word 1 of every page stays unwritten.
-						if b := addr(w, i) + 1; s.Read(b) != Fill(b) {
-							t.Errorf("read %#x at %#x, want Fill", s.Read(b), b)
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	var wg sync.WaitGroup
-	for w := uint32(0); w < writers; w++ {
-		wg.Add(1)
-		go func(w uint32) {
-			defer wg.Done()
-			for i := uint32(0); i < pages; i++ {
-				s.Write(addr(w, i), w+i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	done.Store(true)
-	readers.Wait()
-	for w := uint32(0); w < writers; w++ {
-		for i := uint32(0); i < pages; i++ {
-			if got := s.Read(addr(w, i)); got != w+i {
-				t.Fatalf("word at %#x = %d, want %d", addr(w, i), got, w+i)
-			}
 		}
 	}
 }

@@ -17,9 +17,8 @@ import (
 // The front end keeps one claimList per transaction ID, not per
 // command, so the storage is bounded by bus.MaxTransactions and reused
 // across commands. A list is built when its command claims the ID and
-// stays valid until the ID is released; the serial front-end step is
-// the only writer, and the bank controllers only read it, including in
-// parallel channel steps.
+// stays valid until the ID is released; the front-end step is the only
+// writer, and the bank controllers only read it.
 type claimList struct {
 	elems []uint32 // element indices grouped by key, ascending within a key
 	end   []uint32 // per key: one past the key's last entry in elems

@@ -88,18 +88,6 @@ type Config struct {
 	// cycles in which no component changes state).
 	DisableIdleSkip bool
 
-	// Parallel steps the per-channel bank-controller groups concurrently
-	// on the engine's shared worker pool, with a deterministic barrier
-	// per cycle. Cycle counts, data, statistics, and per-ticket
-	// timestamps are bit-identical to the serial loop: channels share no
-	// mutable state during their ticks (the store's page table is
-	// concurrency-safe; buses, boards, and devices are channel-private;
-	// the fault injector is stateless), and the engine merges per-group
-	// outcomes in fixed channel order. It is ignored — the serial loop
-	// runs — when there is only one channel or when a shared stateful
-	// row policy (the hot-row predictor) would train in tick order.
-	Parallel bool
-
 	// Fault describes the run's fault injection (fault.Plan zero value:
 	// no faults, zero cost, bit-identical to a faultless build).
 	Fault fault.Plan
@@ -293,8 +281,7 @@ type Snapshot struct {
 // session is pumping. Config-referenced helpers (decoder, scheduling
 // policy) are shared by reference — they are stateless by contract —
 // and a stateful row policy stays shared too, so clones of a hot-row
-// system must not run concurrently (the same restriction that already
-// gates parallel channel stepping).
+// system must not run concurrently.
 func (s *System) Snapshot() memsys.Checkpoint { return s.snapshot() }
 
 func (s *System) snapshot() *Snapshot {
@@ -442,23 +429,13 @@ type frontEnd struct {
 
 	// groups batches each channel's live bank controllers behind one
 	// engine.Group registration per channel (registration order is
-	// channel order, so the serial engine ticks them exactly as the
-	// historical single all-channel group did, and the parallel engine
-	// steps whole channels concurrently); gidx maps [channel][bank] to
-	// the member index within its channel's group (-1 for hard-faulted
+	// channel order, so the engine ticks them exactly as the historical
+	// single all-channel group did); gidx maps [channel][bank] to the
+	// member index within its channel's group (-1 for hard-faulted
 	// banks). The front end uses it to force a lazily-skipped
 	// controller's tick in the broadcast cycle.
 	groups []*bcGroup
 	gidx   [][]int
-
-	// obsBuf, when parallel stepping runs with tracing on, holds each
-	// channel's private bank-controller event buffer: controllers emit
-	// into their channel's buffer during the (concurrent) group step,
-	// and the front end drains the buffers to the real sink in channel
-	// order — reproducing the exact serial event stream. nil when
-	// tracing is off or stepping is serial (events then flow through
-	// unbuffered).
-	obsBuf []*chanObserver
 
 	lines      [][]uint32 // per command: gathered line (reads) or computed line (writes)
 	remaining  int        // accepted commands not yet retired
@@ -622,9 +599,6 @@ func (fe *frontEnd) reset() {
 	for _, g := range fe.groups {
 		g.reset()
 	}
-	for _, o := range fe.obsBuf {
-		o.events = o.events[:0]
-	}
 	for ch := range fe.fbBusy {
 		fe.fbBusy[ch] = 0
 		fe.nacks[ch] = 0
@@ -639,25 +613,18 @@ func (fe *frontEnd) reset() {
 // Done implements engine.Driver: all accepted commands have retired.
 func (fe *frontEnd) Done() bool { return fe.remaining == 0 }
 
-// Poked implements engine.Driver. Between two Steps only three things
+// Poked implements engine.Driver. Between two Steps only two things
 // change what NextWake reads: a transaction-complete line deasserting
-// during a bank-controller tick (each channel's board latches it),
+// during a bank-controller tick (each channel's board latches it), and
 // Session.Issue admitting a command or starting to wait at the
-// admission gate, and bank events buffered in parallel mode with
-// tracing on, which the next Step must flush before its own events.
-// Bus tenures, timers, retry back-off and dependences all belong to
-// the front end.
+// admission gate. Bus tenures, timers, retry back-off and dependences
+// all belong to the front end.
 func (fe *frontEnd) Poked() bool {
 	if fe.poked {
 		return true
 	}
 	for _, b := range fe.boards {
 		if b.Settled() {
-			return true
-		}
-	}
-	for _, o := range fe.obsBuf {
-		if len(o.events) > 0 {
 			return true
 		}
 	}
@@ -889,11 +856,6 @@ func (fe *frontEnd) debugString() string {
 // schedule the next bus tenure on every channel (which may begin this
 // very cycle), then deliver due events and observe completion lines.
 func (fe *frontEnd) Step(now uint64) error {
-	if fe.obsBuf != nil {
-		// Drain the previous cycle's buffered bank events before this
-		// cycle's front-end events, preserving the serial event order.
-		fe.flushObs()
-	}
 	for ch := range fe.buses {
 		if err := fe.scheduleChannel(ch, now); err != nil {
 			return err
@@ -1315,21 +1277,6 @@ func (fe *frontEnd) runFallback(i int, st *cmdState, ch int) {
 func (fe *frontEnd) observe(e trace.Event) {
 	if fe.cfg.Observer != nil {
 		fe.cfg.Observer(e)
-	}
-}
-
-// flushObs drains the per-channel bank-controller event buffers to the
-// configured sink in channel order. Within a channel the buffer holds
-// events in emission (bank, then device) order, so the concatenation
-// across channels is byte-for-byte the stream the serial loop emits.
-// Called at the start of every driver step and after every session
-// pump; a no-op when buffering is off.
-func (fe *frontEnd) flushObs() {
-	for _, o := range fe.obsBuf {
-		for _, e := range o.events {
-			fe.cfg.Observer(e)
-		}
-		o.events = o.events[:0]
 	}
 }
 

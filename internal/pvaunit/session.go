@@ -11,7 +11,6 @@ import (
 	"pva/internal/fault"
 	"pva/internal/memsys"
 	"pva/internal/sdram"
-	"pva/internal/trace"
 )
 
 // Session is a streaming front end onto one PVA system: commands enter
@@ -108,33 +107,6 @@ type TicketInfo struct {
 	Data []uint32
 }
 
-// chanObserver is one channel's private trace-event buffer, used when
-// parallel channel stepping runs with tracing on: the channel's bank
-// controllers emit into it during the (concurrent) group step, and the
-// front end drains it to the real sink at the next serial point, in
-// channel order. See frontEnd.flushObs.
-type chanObserver struct {
-	events []trace.Event
-}
-
-func (o *chanObserver) observe(e trace.Event) { o.events = append(o.events, e) }
-
-// parallelEnabled reports whether this system's sessions step channels
-// concurrently: the config opted in, there is more than one channel to
-// overlap, and no shared stateful row policy is installed (a hot-row
-// predictor trains across channels in tick order, which concurrent
-// stepping would scramble; such configs silently keep the serial loop,
-// preserving bit-identity over speed).
-func (s *System) parallelEnabled() bool {
-	if !s.cfg.Parallel || s.cfg.Channels <= 1 {
-		return false
-	}
-	if _, stateful := s.cfg.RowPolicy.(interface{ Reset() }); stateful {
-		return false
-	}
-	return true
-}
-
 // Open builds the session's hardware — per-channel transaction boards,
 // vector buses and bank controllers, all registered on a fresh clocked
 // engine — and returns a Session accepting commands at cycle zero. The
@@ -175,11 +147,6 @@ func (s *System) Open() (*Session, error) {
 		offline[db] = true
 		anyOffline = true
 	}
-	parallel := s.parallelEnabled()
-	var obsBuf []*chanObserver
-	if parallel && s.cfg.Observer != nil {
-		obsBuf = make([]*chanObserver, C)
-	}
 	boards := make([]*bus.Board, C)
 	buses := make([]*bus.Bus, C)
 	bcs := make([][]*bankctl.BC, C)
@@ -187,14 +154,6 @@ func (s *System) Open() (*Session, error) {
 		boards[ch] = bus.NewBoard(M)
 		buses[ch] = bus.New()
 		bcs[ch] = make([]*bankctl.BC, M)
-		bcObserver := s.cfg.Observer
-		if obsBuf != nil {
-			// Concurrent channel ticks must not share the sink: give the
-			// channel's controllers a private buffer, drained in channel
-			// order at the next serial point.
-			obsBuf[ch] = &chanObserver{}
-			bcObserver = obsBuf[ch].observe
-		}
 		for b := uint32(0); b < M; b++ {
 			bcfg := bankctl.Config{
 				SGeom:    s.cfg.SGeom,
@@ -203,7 +162,7 @@ func (s *System) Open() (*Session, error) {
 				Static:   s.cfg.Static,
 				VCWindow: s.cfg.VCWindow,
 				Policy:   s.cfg.Policy,
-				Observer: bcObserver,
+				Observer: s.cfg.Observer,
 				Injector: inj,
 			}
 			if closedForm {
@@ -251,7 +210,6 @@ func (s *System) Open() (*Session, error) {
 		nacks:      make([]uint64, C),
 		retries:    make([]uint64, C),
 		fallbk:     make([]uint64, C),
-		obsBuf:     obsBuf,
 
 		idxBus:      make([]uint64, C),
 		idxElems:    make([]uint64, C),
@@ -262,16 +220,14 @@ func (s *System) Open() (*Session, error) {
 		MaxCycles:       s.cfg.MaxCycles,
 		WatchdogCycles:  s.cfg.WatchdogCycles,
 		DisableIdleSkip: s.cfg.DisableIdleSkip,
-		ParallelGroups:  parallel,
 	}, fe)
 	// Member order is tick order: channel-major, bank-minor, the order
 	// the historical batch loop used. Each channel's live controllers
 	// sit behind one group registration — the engine's per-cycle
 	// dispatch is one interface call per channel, the per-controller
 	// loop runs on concrete types, and groups registered in channel
-	// order tick serially in exactly the historical order (or step
-	// concurrently, one pool task per channel, in parallel mode).
-	// Hard-faulted controllers are powered off and never added.
+	// order tick in exactly the historical order. Hard-faulted
+	// controllers are powered off and never added.
 	fe.groups = make([]*bcGroup, C)
 	fe.gidx = make([][]int, C)
 	for ch := uint32(0); ch < C; ch++ {
@@ -454,10 +410,6 @@ func (s *Session) Result() (memsys.Result, error) {
 func (s *Session) pump(cond func() bool) (err error) {
 	defer fault.RecoverInvariant(&err)
 	defer func() {
-		// The last stepped cycle's bank events may still sit in the
-		// per-channel buffers (parallel mode with tracing): hand them to
-		// the sink before the caller can inspect its log.
-		s.fe.flushObs()
 		if err != nil && s.err == nil {
 			s.err = err
 		}

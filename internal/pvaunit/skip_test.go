@@ -15,16 +15,15 @@ import (
 // kernel, paper stride and alignment, the skipping and strict
 // tick-every-cycle engines must agree on the cycle count, every
 // statistic, every gathered word and the whole Observer event stream —
-// on the SDRAM prototype, the idealized SRAM variant, multi-channel
-// machines on the SALP and PCM back ends under the line and xor
-// decoders, and a machine stepping its channels in parallel (whose
-// controllers buffer their events for the front end to flush).
+// on the SDRAM prototype, the idealized SRAM variant, and multi-channel
+// machines on the SDRAM, SALP and PCM back ends under the line and xor
+// decoders.
 func TestIdleSkipBitIdentical(t *testing.T) {
 	strides := []uint32{1, 2, 4, 8, 16, 19}
 	if testing.Short() {
 		strides = []uint32{1, 16, 19}
 	}
-	machine := func(channels uint32, decoder, tech string, units uint32, parallel bool) func() Config {
+	machine := func(channels uint32, decoder, tech string, units uint32) func() Config {
 		return func() Config {
 			c := PaperConfig()
 			c.Channels = channels
@@ -42,7 +41,6 @@ func TestIdleSkipBitIdentical(t *testing.T) {
 			if err := ApplyTech(&c, tech, sub, part); err != nil {
 				t.Fatal(err)
 			}
-			c.Parallel = parallel
 			return c
 		}
 	}
@@ -53,9 +51,9 @@ func TestIdleSkipBitIdentical(t *testing.T) {
 	}{
 		{"sdram", PaperConfig},
 		{"sram", SRAMConfig},
-		{"4ch-xor-pcm-4p", machine(4, "xor", "pcm", 4, false)},
-		{"2ch-line-salp-4", machine(2, "line", "salp", 4, false)},
-		{"4ch-xor-parallel", machine(4, "xor", "sdram", 0, true)},
+		{"4ch-xor-pcm-4p", machine(4, "xor", "pcm", 4)},
+		{"2ch-line-salp-4", machine(2, "line", "salp", 4)},
+		{"4ch-xor-sdram", machine(4, "xor", "sdram", 0)},
 	} {
 		for _, k := range all {
 			for _, s := range strides {

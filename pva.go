@@ -174,16 +174,6 @@ type Config struct {
 	// ErrDeadlock, with a diagnostic dump, instead of spinning until the
 	// MaxCycles backstop. 0 disables the watchdog.
 	WatchdogCycles uint64
-
-	// ParallelChannels ticks each memory channel's hardware (bus, bank
-	// controllers, devices) on its own worker of a shared pool, with a
-	// deterministic barrier per simulated cycle. Results — cycle counts,
-	// stats, per-ticket timestamps, trace events — are bit-identical to
-	// the serial engine; only wall-clock time changes. The engine falls
-	// back to serial ticking automatically when the configuration has a
-	// single channel or shares mutable state across channels (the
-	// "hotrow" row policy trains one predictor in global tick order).
-	ParallelChannels bool
 }
 
 // DefaultConfig returns the paper's prototype parameters.
@@ -301,7 +291,6 @@ func (c Config) toInternal(static bool) (pvaunit.Config, error) {
 		DisableIdleSkip: c.DisableIdleSkip,
 		Fault:           c.FaultPlan,
 		WatchdogCycles:  c.WatchdogCycles,
-		Parallel:        c.ParallelChannels,
 	}
 	if !static {
 		// The SRAM comparison system has no rows, so the technology

@@ -3,8 +3,8 @@
 // the PCM partition model change timing the way the literature says they
 // should — SALP removing row-conflict work on strided kernels, PCM
 // slowing writes asymmetrically and stalling on busy partitions. Every
-// back end must behave identically across the batch, streaming, clone,
-// and parallel-channel execution paths.
+// back end must behave identically across the batch, streaming and
+// clone execution paths.
 package pva
 
 import (
@@ -233,42 +233,6 @@ func TestTechStreamingEquivalence(t *testing.T) {
 			t.Errorf("%s: clone (%d cycles, %+v), source (%d cycles, %+v)",
 				label, cres.Cycles, cres.Stats, want.Cycles, want.Stats)
 		}
-	}
-}
-
-// TestTechParallelChannelEquivalence: on every back end, a four-channel
-// system ticked in parallel is bit-identical to the serial engine —
-// cycles, merged and per-channel statistics, data, and per-ticket
-// timestamps.
-func TestTechParallelChannelEquivalence(t *testing.T) {
-	k, err := KernelByName("vaxpy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := PaperParams(19, 1)
-	p.Elements = 128
-	tr := k.Build(p)
-	for _, cfg := range techGrid() {
-		label := fmt.Sprintf("%s/%d/%d", cfg.Tech, cfg.SubarraysPerBank, cfg.Partitions)
-		cfg.Channels = 4
-		icfg, err := cfg.toInternal(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := pvaunit.New(icfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.ParallelChannels = true
-		pcfg, err := cfg.toInternal(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := pvaunit.New(pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, label, serial, parallel, tr)
 	}
 }
 

@@ -74,36 +74,6 @@ func TestSteadyStateZeroAllocStrict(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAllocParallel repeats the pin with four memory
-// channels ticked concurrently: the worker pool is process-global and
-// steady-state (no per-cycle goroutine spawns), the per-cycle barrier
-// reuses one WaitGroup, and the per-channel result slots live in the
-// engine — so parallel ticking must be just as allocation-free as the
-// serial loop.
-func TestSteadyStateZeroAllocParallel(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Channels = 4
-	cfg.ParallelChannels = true
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := steadyTrace()
-	for i := 0; i < 3; i++ {
-		if _, err := sys.Run(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sys.Run(tr); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("parallel steady-state Run allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
 // steadyIndexedTrace mixes strided and indexed reads and preset-data
 // writes, with duplicate offsets and a dependence across the two kinds.
 // Like steadyTrace it carries no Compute writes.
@@ -124,12 +94,14 @@ func steadyIndexedTrace() Trace {
 	}}
 }
 
-// TestSteadyStateZeroAllocIndexed extends the pin to the pre-claimed
-// path: under decoders without closed-form hit math every command's
+// TestSteadyStateZeroAllocIndexed extends the pin to multi-channel
+// machines. Under decoders without closed-form hit math every command's
 // per-bank element lists come from the dispatcher's per-transaction
-// storage, which must be reused rather than rebuilt once warm. It runs
+// storage, which must be reused rather than rebuilt once warm: it runs
 // on four channels under the xor decoder with 4-partition PCM, and
-// under a tuned XOR-hash spec.
+// under a tuned XOR-hash spec. The four-channel word row pins the
+// closed-form path, which the word decoder keeps for strided commands
+// on any channel count.
 func TestSteadyStateZeroAllocIndexed(t *testing.T) {
 	xorPCM := DefaultConfig()
 	xorPCM.Channels = 4
@@ -139,11 +111,13 @@ func TestSteadyStateZeroAllocIndexed(t *testing.T) {
 	tuned := DefaultConfig()
 	tuned.Channels = 4
 	tuned.AddrMap = "tuned:0x9,0x12,0x24,0x3"
+	word := DefaultConfig()
+	word.Channels = 4
 	tr := steadyIndexedTrace()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"xor-pcm4", xorPCM}, {"tuned", tuned}} {
+	}{{"xor-pcm4", xorPCM}, {"tuned", tuned}, {"4ch-word", word}} {
 		sys, err := NewSystem(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
