@@ -74,6 +74,34 @@ func TestSteadyStateZeroAllocStrict(t *testing.T) {
 	}
 }
 
+// TestSteadyStateZeroAllocMultiChannel repeats the pin on four memory
+// channels under the word decoder, whose strided commands keep the
+// closed-form path on any channel count: the per-channel controllers,
+// buses and devices ticked in the one serial loop must be just as
+// allocation-free as a single channel.
+func TestSteadyStateZeroAllocMultiChannel(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Channels = 4
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := steadyTrace()
+	for i := 0; i < 3; i++ {
+		if _, err := sys.Run(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sys.Run(tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("four-channel steady-state Run allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // steadyIndexedTrace mixes strided and indexed reads and preset-data
 // writes, with duplicate offsets and a dependence across the two kinds.
 // Like steadyTrace it carries no Compute writes.
@@ -94,14 +122,12 @@ func steadyIndexedTrace() Trace {
 	}}
 }
 
-// TestSteadyStateZeroAllocIndexed extends the pin to multi-channel
-// machines. Under decoders without closed-form hit math every command's
+// TestSteadyStateZeroAllocIndexed extends the pin to the pre-claimed
+// path: under decoders without closed-form hit math every command's
 // per-bank element lists come from the dispatcher's per-transaction
-// storage, which must be reused rather than rebuilt once warm: it runs
+// storage, which must be reused rather than rebuilt once warm. It runs
 // on four channels under the xor decoder with 4-partition PCM, and
-// under a tuned XOR-hash spec. The four-channel word row pins the
-// closed-form path, which the word decoder keeps for strided commands
-// on any channel count.
+// under a tuned XOR-hash spec.
 func TestSteadyStateZeroAllocIndexed(t *testing.T) {
 	xorPCM := DefaultConfig()
 	xorPCM.Channels = 4
@@ -111,13 +137,11 @@ func TestSteadyStateZeroAllocIndexed(t *testing.T) {
 	tuned := DefaultConfig()
 	tuned.Channels = 4
 	tuned.AddrMap = "tuned:0x9,0x12,0x24,0x3"
-	word := DefaultConfig()
-	word.Channels = 4
 	tr := steadyIndexedTrace()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"xor-pcm4", xorPCM}, {"tuned", tuned}, {"4ch-word", word}} {
+	}{{"xor-pcm4", xorPCM}, {"tuned", tuned}} {
 		sys, err := NewSystem(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
