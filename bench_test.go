@@ -181,9 +181,9 @@ func BenchmarkAblationRowPolicy(b *testing.B) {
 }
 
 // BenchmarkAblationSchedPolicy compares the paper's SPU heuristic with
-// FCFS, EDF and shortest-job arbitration.
+// FCFS arbitration.
 func BenchmarkAblationSchedPolicy(b *testing.B) {
-	for _, pol := range []string{"paper", "fcfs", "edf", "shortest-job"} {
+	for _, pol := range []string{"paper", "fcfs"} {
 		b.Run(pol, func(b *testing.B) {
 			b.ReportAllocs()
 			var cycles uint64
@@ -239,26 +239,6 @@ func BenchmarkSplitVector(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIndirectGather measures the two-phase vector-indirect gather
-// of Section 7.
-func BenchmarkIndirectGather(b *testing.B) {
-	b.ReportAllocs()
-	e := NewIndirectEngine()
-	for i := uint32(0); i < 32; i++ {
-		e.Store().Write(4096+i, i*97%5000)
-	}
-	iv := Vector{Base: 4096, Stride: 1, Length: 32}
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := e.Gather(1<<20, iv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = res.Cycles
-	}
-	b.ReportMetric(float64(cycles), "cycles")
 }
 
 // BenchmarkSweepSerial runs the full evaluation sweep (960 points) on

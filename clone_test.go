@@ -7,6 +7,7 @@ package pva
 import (
 	"encoding/json"
 	"os"
+	"sync"
 	"testing"
 
 	"pva/internal/memsys"
@@ -231,6 +232,69 @@ func TestCloneNoAliasing(t *testing.T) {
 	clone3 := src.Clone()
 	if got := clone3.Peek(base); got != 0x22220000 {
 		t.Fatalf("late clone missed source write: clone3[%d] = %#x", base, got)
+	}
+}
+
+// TestCloneHotRowConcurrent runs four clones of one hot-row snapshot at
+// once, five runs each, and demands every run time exactly as a lone
+// clone does. The hot-row predictor trains on every access, so any
+// predictor state the clones shared would be trained by all of them at
+// once (and race under -race).
+func TestCloneHotRowConcurrent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RowPolicy = "hotrow"
+	src, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := src.(Snapshotter).Snapshot()
+	k, err := KernelByName("vaxpy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := PaperParams(19, 1)
+	p.Elements = 512
+	lone, err := snap.NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lone.Run(k.Build(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clones, runs = 4, 5
+	got := make([][]uint64, clones)
+	errs := make([]error, clones)
+	var wg sync.WaitGroup
+	for c := 0; c < clones; c++ {
+		sys, err := snap.NewSystem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := k.Build(p)
+			for r := 0; r < runs; r++ {
+				res, err := sys.Run(tr)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				got[c] = append(got[c], res.Cycles)
+			}
+		}()
+	}
+	wg.Wait()
+	for c := range got {
+		if errs[c] != nil {
+			t.Fatalf("clone %d: %v", c, errs[c])
+		}
+		for r, cycles := range got[c] {
+			if cycles != want.Cycles {
+				t.Errorf("clone %d run %d: %d cycles, a lone clone takes %d", c, r, cycles, want.Cycles)
+			}
+		}
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // systemsUnderTest builds one fresh instance of every cycle-level
-// system, including a hot-row-predictor PVA whose row policy is the one
-// stateful component shared across a System's lifetime.
+// system, including a hot-row-predictor PVA whose bank controllers
+// train a row history on every access.
 func systemsUnderTest(t *testing.T) map[string]System {
 	t.Helper()
 	hot := DefaultConfig()

@@ -1,6 +1,7 @@
-// Extension-facing API: the vector-indirect scatter/gather and
-// bit-reversal capabilities the paper's conclusion sketches, plus the
-// SplitVector paging front end and the hardware complexity accounting.
+// Extension-facing API: the bit-reversal capability the paper's
+// conclusion sketches (vector-indirect scatter/gather is the indexed
+// VectorCmd kind), the Impulse shadow space, the SplitVector paging
+// front end and the hardware complexity accounting.
 
 package pva
 
@@ -8,7 +9,6 @@ import (
 	"pva/internal/bitrev"
 	"pva/internal/complexity"
 	"pva/internal/core"
-	"pva/internal/indirect"
 	"pva/internal/shadow"
 	"pva/internal/vcmd"
 )
@@ -23,21 +23,6 @@ type ShadowMapping = shadow.Mapping
 
 // NewShadowSpace validates and indexes shadow mappings.
 func NewShadowSpace(maps []ShadowMapping) (*ShadowSpace, error) { return shadow.New(maps) }
-
-// IndirectEngine performs two-phase vector-indirect scatter/gather
-// (Section 7): phase one loads the indirection vector, phase two
-// broadcasts the resolved addresses, which every bank claims by bit
-// mask and services in parallel.
-type IndirectEngine = indirect.Engine
-
-// IndirectResult reports one indirect operation.
-type IndirectResult = indirect.Result
-
-// NewIndirectEngine returns an engine with the paper's prototype
-// parameters over a fresh store.
-func NewIndirectEngine() *IndirectEngine {
-	return indirect.MustNew(indirect.PaperConfig())
-}
 
 // BitReverse reverses the low `bits` bits of x — the FFT reordering
 // pattern of Section 7.

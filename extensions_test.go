@@ -1,9 +1,6 @@
 // Pins the extension-facing public surface: the Impulse-style shadow
-// space, the bit-reversal helpers, the superpage TLB indexed
-// translation, and the IndirectEngine wrapper — whose behavioral
-// contract (two-address-per-cycle broadcasts, 16 per-bank slots,
-// persistent store, error cases) must hold regardless of how the engine
-// is implemented underneath.
+// space, the bit-reversal helpers and the superpage TLB indexed
+// translation.
 package pva
 
 import (
@@ -94,91 +91,6 @@ func TestTranslateIndexedTLB(t *testing.T) {
 	}
 	if _, err := TranslateIndexed(tlb, 1<<16, []uint32{0}); err == nil {
 		t.Fatal("unmapped indexed access translated")
-	}
-}
-
-func TestIndirectEngineRoundTrip(t *testing.T) {
-	e := NewIndirectEngine()
-	addrs := []uint32{10, 26, 42, 1 << 20, 3, 3} // dup addresses allowed
-	data := []uint32{100, 200, 300, 400, 500, 500}
-	wr, err := e.ScatterAddrs(addrs, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wr.Data != nil {
-		t.Error("scatter returned gathered data")
-	}
-	rd, err := e.GatherAddrs(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		if rd.Data[i] != data[i] {
-			t.Errorf("word %d = %d, want %d", i, rd.Data[i], data[i])
-		}
-	}
-	// The broadcast carries two addresses per bus cycle; the prototype
-	// has 16 bank slots.
-	if rd.BroadcastCycle != uint64(len(addrs)+1)/2 {
-		t.Errorf("BroadcastCycle = %d, want %d", rd.BroadcastCycle, (len(addrs)+1)/2)
-	}
-	if len(rd.BankCycles) != 16 {
-		t.Errorf("len(BankCycles) = %d, want 16", len(rd.BankCycles))
-	}
-	if rd.Cycles == 0 || rd.StageCycles == 0 {
-		t.Errorf("cycles=%d stage=%d, want nonzero", rd.Cycles, rd.StageCycles)
-	}
-	// The store persists across operations and is shared with Store().
-	if got := e.Store().Read(10); got != 100 {
-		t.Errorf("Store().Read(10) = %d, want 100", got)
-	}
-}
-
-func TestIndirectEngineTwoPhase(t *testing.T) {
-	e := NewIndirectEngine()
-	ivBase := uint32(1 << 16)
-	offsets := []uint32{7, 129, 3, 514, 31, 8, 77, 2048}
-	for i, off := range offsets {
-		e.Store().Write(ivBase+uint32(i), off)
-	}
-	table := uint32(1 << 20)
-	for _, off := range offsets {
-		e.Store().Write(table+off, off*11)
-	}
-	res, err := e.Gather(table, Vector{Base: ivBase, Stride: 1, Length: uint32(len(offsets))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, off := range offsets {
-		if res.Data[i] != off*11 {
-			t.Errorf("gathered[%d] = %d, want %d", i, res.Data[i], off*11)
-		}
-	}
-	// Two-phase cost: strictly more cycles than the phase-two gather
-	// alone (phase one is added in).
-	addrs := make([]uint32, len(offsets))
-	for i, off := range offsets {
-		addrs[i] = table + off
-	}
-	p2, err := e.GatherAddrs(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles <= p2.Cycles {
-		t.Errorf("two-phase cycles %d not greater than phase-two-only %d", res.Cycles, p2.Cycles)
-	}
-}
-
-func TestIndirectEngineErrors(t *testing.T) {
-	e := NewIndirectEngine()
-	if _, err := e.GatherAddrs(nil); err == nil {
-		t.Error("empty gather accepted")
-	}
-	if _, err := e.ScatterAddrs([]uint32{1, 2}, []uint32{1}); err == nil {
-		t.Error("mismatched scatter accepted")
-	}
-	if _, err := e.GatherAddrs([]uint32{5}); err != nil {
-		t.Errorf("single-address gather rejected: %v", err)
 	}
 }
 

@@ -206,23 +206,8 @@ func Search(w Workload, o Options) (*Result, error) {
 		lm:     uint(bits.TrailingZeros32(o.Banks)),
 	}
 
-	// The toggleable bits: bank-word bits that vary across the workload
-	// (a constant bit contributes a constant parity — pure relabeling,
-	// never a conflict change), optionally capped by MaskBits.
-	shift := uint(bits.TrailingZeros32(o.Channels)) + s.lm
-	var vary, bw0 uint32
-	first := true
-	for _, tr := range captured {
-		for _, cmd := range tr.Cmds {
-			for _, a := range cmd {
-				bw := a >> shift
-				if first {
-					bw0, first = bw, false
-				}
-				vary |= bw ^ bw0
-			}
-		}
-	}
+	// The toggleable bits, optionally capped by MaskBits.
+	vary := varyingBits(captured, uint(bits.TrailingZeros32(o.Channels))+s.lm)
 	if o.MaskBits > 0 && o.MaskBits < 32 {
 		vary &= 1<<o.MaskBits - 1
 	}
@@ -379,6 +364,27 @@ type climb struct {
 	cost  uint64
 	evals int
 	err   error
+}
+
+// varyingBits is the mask of bank-word bits (the address bits above
+// shift) that vary across the captured workload. Only these can change
+// a conflict: a constant bit contributes a constant parity, a pure
+// relabeling.
+func varyingBits(captured []kernels.AddressTrace, shift uint) uint32 {
+	var vary, bw0 uint32
+	first := true
+	for _, tr := range captured {
+		for _, cmd := range tr.Cmds {
+			for _, a := range cmd {
+				bw := a >> shift
+				if first {
+					bw0, first = bw, false
+				}
+				vary |= bw ^ bw0
+			}
+		}
+	}
+	return vary
 }
 
 // greedy hill-climbs one mask set to a local optimum: toggle every

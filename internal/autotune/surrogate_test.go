@@ -201,19 +201,25 @@ func TestSurrogateNeighbourAllocsNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkSurrogateNeighbour is the surrogate rung's unit of work: one
-// greedy neighbour of the xor landmark scored over swap at the paper
-// strides on 1024-element vectors.
-func BenchmarkSurrogateNeighbour(b *testing.B) {
+// BenchmarkSurrogateNeighbourVaryingBits is the surrogate rung's unit
+// of work: one greedy neighbour of the xor landmark scored over swap at
+// the paper strides on 1024-element vectors. It cycles the four masks
+// and the bank-word bits that vary across the traces (bits 0–10, 18 and
+// 19), the bits a search toggles.
+func BenchmarkSurrogateNeighbourVaryingBits(b *testing.B) {
 	trs := captureKernel(b, "swap", []uint32{1, 2, 4, 8, 16, 19}, 1024)
 	sc := mustScorer(b, trs, pvaunit.PaperConfig().SGeom, 1, 16)
 	if _, err := sc.load(addrmap.XORFoldMasks(1, 16)); err != nil {
 		b.Fatal(err)
 	}
+	var vary []uint
+	for v := varyingBits(trs, 4); v != 0; v &= v - 1 {
+		vary = append(vary, uint(bits.TrailingZeros32(v)))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchCost, _ = sc.neighbour(nil, i&3, uint(i%20))
+		benchCost, _ = sc.neighbour(nil, i&3, vary[i%len(vary)])
 	}
 }
 

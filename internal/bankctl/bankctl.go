@@ -27,7 +27,9 @@
 //     Scheduling Policy Units: daisy-chained, oldest-first arbitration
 //     for the single SDRAM command slot per cycle, row-open/precharge
 //     promotion, the bus polarity rule of Section 5.2.4, and the
-//     ManageRow auto-precharge heuristic (sched.go).
+//     ManageRow auto-precharge heuristic (sched.go). Config.Policy is
+//     the ablation table: FCFS in place of row-op promotion, and
+//     closed-page, open-page or hot-row rules in place of ManageRow.
 //   - Staging Units (SUs): per-transaction read-gather and write-scatter
 //     line buffers wired to the transaction-complete lines (staging.go).
 //
@@ -75,7 +77,7 @@ type Config struct {
 	Static   bool           // idealized SRAM device (PVA SRAM system)
 	VCWindow int            // number of Vector Contexts (prototype: 4)
 	FHCDelay int            // FirstHit-Calculate latency in cycles (prototype: 2)
-	Policy   Policy         // scheduling policy (nil: paper's SPU heuristic)
+	Policy   Policy         // SPU and row policy (zero value: the paper's)
 	Observer trace.Observer // optional event sink (nil: tracing off)
 
 	// Injector, when non-nil, is installed on the SDRAM device's read
@@ -196,10 +198,10 @@ func New(cfg Config, store *memsys.Store, board *bus.Board) *BC {
 	return bc
 }
 
-// Reset returns the controller — request queue, scheduler window,
-// staging units, device — to its power-on state without reallocating
-// any backing storage. Cached sessions call it on reuse; the row policy
-// and board wiring installed at construction are untouched.
+// Reset returns the controller — request queue, scheduler window and
+// row predictors, staging units, device — to its power-on state without
+// reallocating any backing storage. Cached sessions call it on reuse;
+// the board wiring installed at construction is untouched.
 func (bc *BC) Reset() {
 	bc.rqf = bc.rqf[:0]
 	bc.rqfHead = 0

@@ -1,11 +1,15 @@
 package bankctl
 
 import (
+	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 
 	"pva/internal/bus"
 	"pva/internal/core"
 	"pva/internal/memsys"
+	"pva/internal/trace"
 )
 
 // rig wires one bank controller to a board and store for direct-drive
@@ -18,9 +22,13 @@ type rig struct {
 
 func newRig(t *testing.T, bank uint32) *rig {
 	t.Helper()
+	return newRigWith(PaperConfig(bank))
+}
+
+func newRigWith(cfg Config) *rig {
 	store := memsys.NewStore()
 	board := bus.NewBoard(16)
-	return &rig{bc: New(PaperConfig(bank), store, board), board: board, store: store}
+	return &rig{bc: New(cfg, store, board), board: board, store: store}
 }
 
 // startRead opens a transaction and broadcasts a read to the single BC.
@@ -227,64 +235,235 @@ func TestPolarityStallsCounted(t *testing.T) {
 func TestRowPolicySwap(t *testing.T) {
 	// Closed-page should produce more precharges than the paper policy
 	// on a row-friendly access pattern.
-	run := func(pol RowPolicy) uint64 {
-		r := newRig(t, 0)
-		if pol != nil {
-			r.bc.SetRowPolicy(pol)
-		}
+	run := func(row RowPolicy) uint64 {
+		cfg := PaperConfig(0)
+		cfg.Policy.Row = row
+		r := newRigWith(cfg)
 		txn := r.startRead(core.Vector{Base: 0, Stride: 16, Length: 32})
 		r.tickUntilDone(t, txn, 300)
 		return r.bc.Device().Stats().Precharges
 	}
-	if def, closed := run(nil), run(ClosedPage{}); closed <= def {
+	if def, closed := run(ManageRow), run(ClosedPage); closed <= def {
 		t.Errorf("closed-page precharges (%d) not above default (%d)", closed, def)
 	}
 }
 
+// TestManageRowDecisionTable checks the row policies' auto-precharge
+// decisions: ManageRow's decision tree, and the closed-page and
+// open-page constants on every row of the same table.
 func TestManageRowDecisionTable(t *testing.T) {
-	m := ManageRow{}
 	cases := []struct {
-		d    RowDecision
+		d    rowDecision
 		want bool
 	}{
 		// Request complete, someone else still hitting: leave open.
-		{RowDecision{RequestComplete: true, MoreHitPredict: true}, false},
+		{rowDecision{requestComplete: true, moreHitPredict: true}, false},
 		// Request complete, another row wanted: close.
-		{RowDecision{RequestComplete: true, ClosePredict: true}, true},
+		{rowDecision{requestComplete: true, closePredict: true}, true},
 		// Request complete, predictor says close.
-		{RowDecision{RequestComplete: true, AutoPredict: true}, true},
+		{rowDecision{requestComplete: true, autoPredict: true}, true},
 		// Request complete, no signals: leave open.
-		{RowDecision{RequestComplete: true}, false},
+		{rowDecision{requestComplete: true}, false},
 		// Mid-request, next element same row: leave open.
-		{RowDecision{NextSelfSameRow: true}, false},
+		{rowDecision{nextSelfSameRow: true}, false},
 		// Mid-request, moving to another row, nobody needs this one: close.
-		{RowDecision{}, true},
+		{rowDecision{}, true},
 		// Mid-request, another VC needs this row: leave open.
-		{RowDecision{MoreHitPredict: true}, false},
+		{rowDecision{moreHitPredict: true}, false},
 	}
 	for i, c := range cases {
-		if got := m.AutoPrecharge(c.d); got != c.want {
-			t.Errorf("case %d %+v: AutoPrecharge = %v, want %v", i, c.d, got, c.want)
+		var h rowHistory
+		if got := ManageRow.autoPrecharge(c.d, &h); got != c.want {
+			t.Errorf("case %d %+v: ManageRow auto-precharge = %v, want %v", i, c.d, got, c.want)
 		}
-	}
-	if (ClosedPage{}).AutoPrecharge(RowDecision{}) != true {
-		t.Error("closed page must always precharge")
-	}
-	if (OpenPage{}).AutoPrecharge(RowDecision{ClosePredict: true}) != false {
-		t.Error("open page must never auto-precharge")
+		if !ClosedPage.autoPrecharge(c.d, &h) {
+			t.Errorf("case %d %+v: closed page must always precharge", i, c.d)
+		}
+		if OpenPage.autoPrecharge(c.d, &h) {
+			t.Errorf("case %d %+v: open page must never auto-precharge", i, c.d)
+		}
+		if h != (rowHistory{}) {
+			t.Errorf("case %d: a stateless row policy wrote the history: %+v", i, h)
+		}
 	}
 }
 
 func TestPolicyNames(t *testing.T) {
-	if (PaperPolicy{}).Name() == "" || (ManageRow{}).Name() == "" ||
-		(ClosedPage{}).Name() == "" || (OpenPage{}).Name() == "" {
-		t.Error("empty policy name")
+	for _, c := range []struct {
+		spu, row string
+		want     Policy
+	}{
+		{"", "", Policy{}},
+		{"paper", "manage-row", Policy{}},
+		{"fcfs", "", Policy{SPU: FCFS}},
+		{"", "closed-page", Policy{Row: ClosedPage}},
+		{"", "open-page", Policy{Row: OpenPage}},
+		{"fcfs", "hotrow", Policy{SPU: FCFS, Row: HotRow}},
+	} {
+		got, err := ParsePolicy(c.spu, c.row)
+		if err != nil || got != c.want {
+			t.Errorf("ParsePolicy(%q, %q) = %+v, %v; want %+v", c.spu, c.row, got, err, c.want)
+		}
 	}
-	if !(PaperPolicy{}).PromoteRowOps() {
-		t.Error("paper policy must promote row ops")
+	for _, c := range []struct {
+		spu, row string
+		valid    []string
+	}{
+		{"edf", "", spuNames[:]},
+		{"shortest-job", "", spuNames[:]},
+		{"nope", "", spuNames[:]},
+		{"", "nope", rowNames[:]},
+	} {
+		_, err := ParsePolicy(c.spu, c.row)
+		if err == nil {
+			t.Errorf("ParsePolicy(%q, %q) accepted", c.spu, c.row)
+			continue
+		}
+		for _, name := range c.valid {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not list %q", err, name)
+			}
+		}
 	}
-	if (PaperPolicy{}).Pick(make([]Candidate, 3)) != 0 {
-		t.Error("paper policy must pick the oldest")
+}
+
+// hotRow feeds the hot-row policy one access whose row hits (or not)
+// and reports whether it left the row open.
+func hotRow(h *rowHistory, hit bool) (open bool) {
+	return !HotRow.autoPrecharge(rowDecision{nextSelfSameRow: hit}, h)
+}
+
+func TestHotRowHistoryShifts(t *testing.T) {
+	var h rowHistory
+	for _, hit := range []bool{true, false, true, true} {
+		hotRow(&h, hit)
+	}
+	// The oldest outcome shifts toward bit 3: T,F,T,T becomes 1011.
+	if h.hot != 0xb {
+		t.Fatalf("history = %#x, want 0xb", h.hot)
+	}
+	hotRow(&h, false)
+	if h.hot != 0x6 {
+		t.Fatalf("history after a miss = %#x, want 0x6", h.hot)
+	}
+	// Another VC hitting the open row counts as a hit too.
+	HotRow.autoPrecharge(rowDecision{moreHitPredict: true}, &h)
+	if h.hot != 0xd {
+		t.Fatalf("history after a morehit = %#x, want 0xd", h.hot)
+	}
+}
+
+func TestHotRowMajorityRegister(t *testing.T) {
+	for hist := uint8(0); hist < 16; hist++ {
+		// Prime the history so that the access under test shifts in
+		// hist's low bit on top of hist's upper three bits.
+		h := rowHistory{hot: hist >> 1}
+		open := hotRow(&h, hist&1 == 1)
+		if want := bits.OnesCount8(hist) >= 2; open != want || h.hot != hist {
+			t.Errorf("history %04b: open = %v (history %04b), want %v", hist, open, h.hot, want)
+		}
+	}
+}
+
+func TestHotRowAdapts(t *testing.T) {
+	var h rowHistory
+	var open bool
+	for i := 0; i < 4; i++ {
+		open = hotRow(&h, true)
+	}
+	if !open {
+		t.Fatal("predictor closes the row after a hit streak")
+	}
+	for i := 0; i < 4; i++ {
+		open = hotRow(&h, false)
+	}
+	if open {
+		t.Fatal("predictor leaves the row open after a miss streak")
+	}
+	for i := 0; i < 2; i++ {
+		open = hotRow(&h, true)
+	}
+	if !open {
+		t.Fatal("predictor does not reopen after two hits")
+	}
+}
+
+// TestHotRowUnitsIndependent: each row-state unit of each controller
+// keeps its own history. A read streaming one internal bank trains only
+// that unit, a read of another internal bank leaves the first unit's
+// history alone, and a second controller starts cold.
+func TestHotRowUnitsIndependent(t *testing.T) {
+	cfg := PaperConfig(0)
+	cfg.Policy.Row = HotRow
+	r := newRigWith(cfg)
+	r.tickUntilDone(t, r.startRead(core.Vector{Base: 0, Stride: 16, Length: 32}), 300)
+	// 31 accesses whose next element hits the row, then the last one.
+	hist := r.bc.sched.hist
+	if hist[0].hot != 0xe {
+		t.Fatalf("unit 0 history after a row-hit stream = %04b, want 1110", hist[0].hot)
+	}
+	for u := 1; u < len(hist); u++ {
+		if hist[u].hot != 0 {
+			t.Fatalf("unit %d trained by unit 0's accesses: %04b", u, hist[u].hot)
+		}
+	}
+	// Internal bank 1 (bank word 512 of bank 0), two accesses to one
+	// row: a hit, then the last element.
+	r.tickUntilDone(t, r.startRead(core.Vector{Base: 512 * 16, Stride: 16, Length: 2}), 300)
+	if hist[0].hot != 0xe || hist[1].hot != 0x2 {
+		t.Fatalf("after two accesses to unit 1: unit 0 %04b, unit 1 %04b; want 1110, 0010", hist[0].hot, hist[1].hot)
+	}
+	if other := newRigWith(cfg); other.bc.sched.hist[0] != (rowHistory{lastOpened: -1}) {
+		t.Fatalf("a second controller starts with history %+v", other.bc.sched.hist[0])
+	}
+	r.bc.Reset()
+	if hist[0].hot != 0 {
+		t.Fatalf("Reset left unit 0's history at %04b", hist[0].hot)
+	}
+}
+
+// TestFCFSDefersRowOps: in a cycle with a ready access and a legal row
+// op, the paper SPU issues the row op and FCFS issues the access. A
+// read streams row hits from internal bank 0 when a second read, to
+// internal bank 1, needs an activate.
+func TestFCFSDefersRowOps(t *testing.T) {
+	run := func(spu SPU) []trace.Event {
+		cfg := PaperConfig(0)
+		cfg.Policy.SPU = spu
+		var evs []trace.Event
+		cfg.Observer = func(e trace.Event) { evs = append(evs, e) }
+		r := newRigWith(cfg)
+		first := r.startRead(core.Vector{Base: 0, Stride: 16, Length: 32})
+		for i := 0; i < 8; i++ {
+			if err := r.bc.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		second := r.startRead(core.Vector{Base: 512 * 16, Stride: 16, Length: 32})
+		r.tickUntilDone(t, first, 300)
+		r.tickUntilDone(t, second, 300)
+		return evs
+	}
+	paper, fcfs := run(PaperSPU), run(FCFS)
+	at := -1 // the paper SPU's activate for the second read
+	for i, e := range paper {
+		if e.Kind == trace.Activate && e.IBank == 1 {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("paper SPU never activated internal bank 1")
+	}
+	if at >= len(fcfs) || !slices.Equal(paper[:at], fcfs[:at]) {
+		t.Fatal("the two SPUs diverged before the second read's activate")
+	}
+	cycle := paper[at].Cycle
+	if e := fcfs[at]; e.Cycle != cycle || e.Kind != trace.ReadCmd || e.IBank != 0 {
+		t.Fatalf("cycle %d: FCFS issued %+v, want the first read's access", cycle, e)
+	}
+	if last := paper[len(paper)-1]; last.Cycle <= cycle {
+		t.Fatal("the paper SPU's activate did not overlap the first read")
 	}
 }
 

@@ -70,8 +70,7 @@ type Config struct {
 	Tech      dramtech.Spec  // device back end (zero value: plain SDRAM)
 	Static    bool           // true: the idealized PVA-SRAM variant
 	VCWindow  int            // vector contexts per bank controller (4)
-	Policy    bankctl.Policy // scheduling policy; nil = paper heuristic
-	RowPolicy bankctl.RowPolicy
+	Policy    bankctl.Policy // SPU and row policy (zero value: the paper's)
 	Observer  trace.Observer // optional event sink (nil: tracing off)
 	MaxCycles uint64         // deadlock guard; 0 = default
 
@@ -250,8 +249,8 @@ func (s *System) Store() *memsys.Store { return s.store }
 
 // DeviceStats returns every bank controller's device counters in flat
 // channel*Banks+bank order, for the current session's hardware — nil
-// before the first Open/Run. The indirect wrapper uses it to report
-// per-bank activity.
+// before the first Open/Run. The counters are the last run's alone:
+// every Open rewinds the devices.
 func (s *System) DeviceStats() []sdram.Stats {
 	if s.ses == nil {
 		return nil
@@ -278,10 +277,9 @@ type Snapshot struct {
 
 // Snapshot implements memsys.Snapshotter: capture the system's current
 // memory image and configuration. Call it between runs, never while a
-// session is pumping. Config-referenced helpers (decoder, scheduling
-// policy) are shared by reference — they are stateless by contract —
-// and a stateful row policy stays shared too, so clones of a hot-row
-// system must not run concurrently.
+// session is pumping. The decoder is shared by reference (it is
+// stateless by contract); every clone builds its own bank controllers,
+// so no predictor state is shared.
 func (s *System) Snapshot() memsys.Checkpoint { return s.snapshot() }
 
 func (s *System) snapshot() *Snapshot {

@@ -64,11 +64,8 @@ type Session struct {
 // engine clock), front-end state recycled into the pools, sticky error
 // and queue depth restored to their Open defaults. A reused session is
 // bit-identical to a freshly built one — the fault injector is stateless
-// and the row policy is re-reset exactly as Open does.
+// and each bank controller's reset clears its row predictors.
 func (s *Session) reuse() {
-	if r, ok := s.sys.cfg.RowPolicy.(interface{ Reset() }); ok {
-		r.Reset()
-	}
 	for ch := range s.fe.boards {
 		s.fe.boards[ch].Reset()
 		s.fe.buses[ch].Reset()
@@ -134,12 +131,6 @@ func (s *System) Open() (*Session, error) {
 	if closedForm {
 		geom = hm.HitGeometry()
 	}
-	// Stateful row policies (the hot-row predictor) train across
-	// accesses; a session must not inherit the previous run's history,
-	// or repeated Runs on one System would time differently.
-	if r, ok := s.cfg.RowPolicy.(interface{ Reset() }); ok {
-		r.Reset()
-	}
 	inj := fault.NewInjector(s.cfg.Fault)
 	offline := make([]bool, C*M)
 	anyOffline := false
@@ -178,9 +169,6 @@ func (s *System) Open() (*Session, error) {
 			bcfg.FHCDelay = 2
 			bc := bankctl.New(bcfg, s.store, boards[ch])
 			bc.SetBoardBank(b)
-			if s.cfg.RowPolicy != nil {
-				bc.SetRowPolicy(s.cfg.RowPolicy)
-			}
 			bcs[ch][b] = bc
 		}
 	}

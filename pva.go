@@ -35,10 +35,8 @@ import (
 	"pva/internal/core"
 	"pva/internal/dramtech"
 	"pva/internal/fault"
-	"pva/internal/hotrow"
 	"pva/internal/memsys"
 	"pva/internal/pvaunit"
-	"pva/internal/sched"
 	"pva/internal/sdram"
 )
 
@@ -151,11 +149,12 @@ type Config struct {
 	// (power of two; 0 means 1).
 	Partitions uint32
 
-	// Policy selects the Scheduling Policy Unit: "paper" (default),
-	// "fcfs", "edf", "shortest-job".
+	// Policy selects the Scheduling Policy Unit: "paper" (default) or
+	// "fcfs" (row operations fill only cycles no access can use).
 	Policy string
 	// RowPolicy selects row management: "manage-row" (default),
-	// "closed-page", "open-page", "hotrow" (Alpha 21174-style).
+	// "closed-page", "open-page", "hotrow" (Alpha 21174-style, one
+	// history per bank controller and row-state unit).
 	RowPolicy string
 
 	// DisableIdleSkip forces the strict tick-every-cycle simulation loop
@@ -224,8 +223,9 @@ func (c Config) fill() Config {
 // Validate checks the configuration up front, before any system is
 // built: interleaving requires power-of-two bank, channel, and line-word
 // counts, the transaction-complete board is a wired-OR of at most 64
-// lines per channel, the fault plan's rates and dead-bank indices must
-// be in range, and the bank controllers must be able to run it (see
+// lines per channel, the policy names must be known, the fault plan's
+// rates and dead-bank indices must be in range, and the bank
+// controllers must be able to run it (see
 // pvaunit.ValidateLimits: VCWindow and RefreshInterval).
 // Zero-valued fields are filled with the paper's defaults first, so
 // DefaultConfig() and the zero Config both validate.
@@ -247,6 +247,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pva: %w", err)
 	}
 	if err := dramtech.ValidateSelection(c.Tech, c.SubarraysPerBank, c.Partitions); err != nil {
+		return fmt.Errorf("pva: %w", err)
+	}
+	if _, err := bankctl.ParsePolicy(c.Policy, c.RowPolicy); err != nil {
 		return fmt.Errorf("pva: %w", err)
 	}
 	if err := c.FaultPlan.Validate(c.Channels, c.Banks); err != nil {
@@ -279,6 +282,10 @@ func (c Config) toInternal(static bool) (pvaunit.Config, error) {
 	if err != nil {
 		return pvaunit.Config{}, err
 	}
+	pol, err := bankctl.ParsePolicy(c.Policy, c.RowPolicy)
+	if err != nil {
+		return pvaunit.Config{}, fmt.Errorf("pva: %w", err)
+	}
 	cfg := pvaunit.Config{
 		Banks:           c.Banks,
 		Channels:        c.Channels,
@@ -288,6 +295,7 @@ func (c Config) toInternal(static bool) (pvaunit.Config, error) {
 		Timing:          c.timing(),
 		Static:          static,
 		VCWindow:        c.VCWindow,
+		Policy:          pol,
 		DisableIdleSkip: c.DisableIdleSkip,
 		Fault:           c.FaultPlan,
 		WatchdogCycles:  c.WatchdogCycles,
@@ -298,28 +306,6 @@ func (c Config) toInternal(static bool) (pvaunit.Config, error) {
 		if err := pvaunit.ApplyTech(&cfg, c.Tech, c.SubarraysPerBank, c.Partitions); err != nil {
 			return pvaunit.Config{}, fmt.Errorf("pva: %w", err)
 		}
-	}
-	switch c.Policy {
-	case "", "paper":
-	case "fcfs":
-		cfg.Policy = sched.FCFSPolicy{}
-	case "edf":
-		cfg.Policy = sched.EDFPolicy{}
-	case "shortest-job":
-		cfg.Policy = sched.ShortestJobPolicy{}
-	default:
-		return pvaunit.Config{}, fmt.Errorf("pva: unknown scheduling policy %q", c.Policy)
-	}
-	switch c.RowPolicy {
-	case "", "manage-row":
-	case "closed-page":
-		cfg.RowPolicy = bankctl.ClosedPage{}
-	case "open-page":
-		cfg.RowPolicy = bankctl.OpenPage{}
-	case "hotrow":
-		cfg.RowPolicy = hotrow.NewRowPolicy(c.InternalBanks, hotrow.MajorityPolicy())
-	default:
-		return pvaunit.Config{}, fmt.Errorf("pva: unknown row policy %q", c.RowPolicy)
 	}
 	return cfg, nil
 }

@@ -42,21 +42,39 @@ func TestAllConstructors(t *testing.T) {
 }
 
 func TestConfigPolicies(t *testing.T) {
-	for _, pol := range []string{"paper", "fcfs", "edf", "shortest-job"} {
+	for _, pol := range []string{"", "paper", "fcfs"} {
 		if _, err := NewSystem(Config{Policy: pol}); err != nil {
-			t.Errorf("policy %s: %v", pol, err)
+			t.Errorf("policy %q: %v", pol, err)
 		}
 	}
-	for _, rp := range []string{"manage-row", "closed-page", "open-page", "hotrow"} {
+	for _, rp := range []string{"", "manage-row", "closed-page", "open-page", "hotrow"} {
 		if _, err := NewSystem(Config{RowPolicy: rp}); err != nil {
-			t.Errorf("row policy %s: %v", rp, err)
+			t.Errorf("row policy %q: %v", rp, err)
 		}
 	}
-	if _, err := NewSystem(Config{Policy: "nope"}); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if _, err := NewSystem(Config{RowPolicy: "nope"}); err == nil {
-		t.Error("bad row policy accepted")
+	spus := []string{"paper", "fcfs"}
+	rows := []string{"manage-row", "closed-page", "open-page", "hotrow"}
+	for _, c := range []struct {
+		cfg   Config
+		valid []string
+	}{
+		{Config{Policy: "edf"}, spus},
+		{Config{Policy: "shortest-job"}, spus},
+		{Config{Policy: "nope"}, spus},
+		{Config{RowPolicy: "nope"}, rows},
+	} {
+		_, err := NewSystem(c.cfg)
+		for name, err := range map[string]error{"Validate": c.cfg.Validate(), "NewSystem": err} {
+			if err == nil {
+				t.Errorf("%s accepted policy %q, row policy %q", name, c.cfg.Policy, c.cfg.RowPolicy)
+				continue
+			}
+			for _, v := range c.valid {
+				if !strings.Contains(err.Error(), v) {
+					t.Errorf("%s error %q does not list %q", name, err, v)
+				}
+			}
+		}
 	}
 	if _, err := NewSystem(Config{Banks: 3}); err == nil {
 		t.Error("bank count 3 accepted")
@@ -76,7 +94,7 @@ func TestPolicyAblationRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []string{"paper", "fcfs", "edf", "shortest-job"} {
+	for _, pol := range []string{"paper", "fcfs"} {
 		for _, rp := range []string{"manage-row", "closed-page", "open-page", "hotrow"} {
 			sys, err := NewSystem(Config{Policy: pol, RowPolicy: rp})
 			if err != nil {
@@ -91,6 +109,48 @@ func TestPolicyAblationRuns(t *testing.T) {
 					t.Fatalf("%s/%s: wrong data at word %d", pol, rp, j)
 				}
 			}
+		}
+	}
+}
+
+// TestAblationCycles pins the ablation numbers EXPERIMENTS.md quotes:
+// the four row policies on single-bank, row-conflicting saxpy, the two
+// SPUs tying on vaxpy stride 8, and a cell where FCFS beats the paper
+// SPU (row ops there win the slot over a ready access).
+func TestAblationCycles(t *testing.T) {
+	for _, c := range []struct {
+		kernel, policy, rowPolicy string
+		stride                    uint32
+		align                     int
+		elements                  uint32
+		cycles                    uint64
+	}{
+		{"saxpy", "", "manage-row", 16, 4, 1024, 3408},
+		{"saxpy", "", "closed-page", 16, 4, 1024, 12154},
+		{"saxpy", "", "open-page", 16, 4, 1024, 3380},
+		{"saxpy", "", "hotrow", 16, 4, 1024, 3386},
+		{"vaxpy", "paper", "", 8, 0, 1024, 2888},
+		{"vaxpy", "fcfs", "", 8, 0, 1024, 2888},
+		{"vaxpy", "paper", "", 1, 3, 256, 639},
+		{"vaxpy", "fcfs", "", 1, 3, 256, 634},
+	} {
+		sys, err := NewSystem(Config{Policy: c.policy, RowPolicy: c.rowPolicy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := KernelByName(c.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := PaperParams(c.stride, c.align)
+		p.Elements = c.elements
+		res, err := sys.Run(k.Build(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != c.cycles {
+			t.Errorf("%s stride %d align %d (%d elements) under %q/%q: %d cycles, want %d",
+				c.kernel, c.stride, c.align, c.elements, c.policy, c.rowPolicy, res.Cycles, c.cycles)
 		}
 	}
 }
@@ -173,17 +233,6 @@ func TestKernelsExported(t *testing.T) {
 }
 
 func TestExtensionsAPI(t *testing.T) {
-	// Indirect gather.
-	e := NewIndirectEngine()
-	e.Store().Write(100, 7)
-	e.Store().Write(1<<20+7, 777)
-	res, err := e.Gather(1<<20, Vector{Base: 100, Stride: 1, Length: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Data[0] != 777 {
-		t.Errorf("indirect gather = %d", res.Data[0])
-	}
 	// Bit reversal.
 	if BitReverse(1, 4) != 8 {
 		t.Error("BitReverse broken")
