@@ -69,19 +69,14 @@ func loadSeedGolden(t *testing.T) []seedPoint {
 // checkpoint path for the serial baselines.
 func cloneFns(t *testing.T) map[string]func() memsys.System {
 	t.Helper()
-	protoFor := func(static bool) *pvaunit.System {
-		cfg := DefaultConfig()
-		icfg, err := cfg.toInternal(static)
+	protoFor := func(build func(Config) (System, error)) *pvaunit.System {
+		s, err := build(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := pvaunit.New(icfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return s.(*pvaunit.System)
 	}
-	sdram, sram := protoFor(false), protoFor(true)
+	sdram, sram := protoFor(NewSystem), protoFor(NewSRAMSystem)
 	snapshotOf := func(s System) memsys.Checkpoint {
 		sn, ok := s.(memsys.Snapshotter)
 		if !ok {
@@ -192,7 +187,7 @@ func TestCloneQuickEquivalence(t *testing.T) {
 // the copy-on-write store has to fork pages, not share mutable buffers.
 func TestCloneNoAliasing(t *testing.T) {
 	cfg := DefaultConfig()
-	icfg, err := cfg.toInternal(false)
+	icfg, err := cfg.toInternal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,6 @@ import (
 	"pva/internal/engine"
 	"pva/internal/fault"
 	"pva/internal/memsys"
-	"pva/internal/sdram"
 	"pva/internal/trace"
 )
 
@@ -67,18 +66,17 @@ type AddrView interface {
 
 // Config fixes one bank controller's parameters.
 type Config struct {
-	Bank     uint32         // this controller's external bank number
-	Banks    uint32         // M, total external banks
-	Geom     core.Geometry  // word-interleave hit math for M banks
-	View     AddrView       // non-nil: address the device via this view; commands arrive pre-claimed
-	SGeom    addr.SDRAMGeom // device geometry
-	Timing   sdram.Timing   // device timing
-	Tech     dramtech.Spec  // device back end (zero value: plain SDRAM)
-	Static   bool           // idealized SRAM device (PVA SRAM system)
-	VCWindow int            // number of Vector Contexts (prototype: 4)
-	FHCDelay int            // FirstHit-Calculate latency in cycles (prototype: 2)
-	Policy   Policy         // SPU and row policy (zero value: the paper's)
-	Observer trace.Observer // optional event sink (nil: tracing off)
+	Bank     uint32          // this controller's external bank number
+	Banks    uint32          // M, total external banks
+	Geom     core.Geometry   // word-interleave hit math for M banks
+	View     AddrView        // non-nil: address the device via this view; commands arrive pre-claimed
+	SGeom    addr.SDRAMGeom  // device geometry
+	Timing   dramtech.Timing // device timing as the restimers assume it (see dramtech.NewDevice)
+	Tech     dramtech.Spec   // device back end (zero value: plain SDRAM)
+	VCWindow int             // number of Vector Contexts (prototype: 4)
+	FHCDelay int             // FirstHit-Calculate latency in cycles (prototype: 2)
+	Policy   Policy          // SPU and row policy (zero value: the paper's)
+	Observer trace.Observer  // optional event sink (nil: tracing off)
 
 	// Injector, when non-nil, is installed on the SDRAM device's read
 	// path: transient bit flips run through the SEC-DED codec there.
@@ -93,7 +91,7 @@ func PaperConfig(bank uint32) Config {
 		Banks:    16,
 		Geom:     core.MustGeometry(16),
 		SGeom:    addr.MustSDRAMGeom(4, 512, 8192),
-		Timing:   sdram.PaperTiming(),
+		Timing:   dramtech.PaperTiming(),
 		VCWindow: 4,
 		FHCDelay: 2,
 	}
@@ -131,7 +129,7 @@ func (r *request) elemAddr(i uint32) uint32 {
 // BC is one bank controller.
 type BC struct {
 	cfg   Config
-	dev   *sdram.Device
+	dev   *dramtech.Device
 	model *dramtech.Model // dev's row-state machine, read by unit index
 	board *bus.Board
 	pla   *core.K1PLA
@@ -158,7 +156,7 @@ type BC struct {
 }
 
 // Stats counts controller-level events (device-level counters live on
-// the sdram.Device).
+// the dramtech.Device).
 type Stats struct {
 	Requests        uint64 // vector commands with at least one hit here
 	NoHitCommands   uint64 // broadcasts that missed this bank entirely
@@ -173,12 +171,7 @@ func New(cfg Config, store *memsys.Store, board *bus.Board) *BC {
 	if cfg.VCWindow <= 0 {
 		fault.Invariantf("bankctl", "VCWindow must be positive")
 	}
-	var dev *sdram.Device
-	if cfg.Static {
-		dev = sdram.NewStatic(cfg.SGeom, store, cfg.Bank, cfg.Banks)
-	} else {
-		dev = sdram.NewTech(cfg.SGeom, cfg.Timing, cfg.Tech, store, cfg.Bank, cfg.Banks)
-	}
+	dev := dramtech.NewDevice(cfg.SGeom, cfg.Timing, cfg.Tech, store, cfg.Bank, cfg.Banks)
 	if cfg.View != nil {
 		dev.SetCompose(cfg.View.Compose)
 	}
@@ -220,8 +213,8 @@ func (bc *BC) rqfLen() int { return len(bc.rqf) - bc.rqfHead }
 // with lines 0..M-1 regardless of the controller's global unit number.
 func (bc *BC) SetBoardBank(b uint32) { bc.boardBank = b }
 
-// Device exposes the SDRAM device (stats, inspection).
-func (bc *BC) Device() *sdram.Device { return bc.dev }
+// Device exposes the memory device (stats, inspection).
+func (bc *BC) Device() *dramtech.Device { return bc.dev }
 
 // Stats returns a copy of the controller counters.
 func (bc *BC) Stats() Stats { return bc.stats }
@@ -372,10 +365,8 @@ func (bc *BC) NextEventAt() uint64 {
 	if at := bc.dev.NextDataAt(); at < next {
 		next = at
 	}
-	if !bc.cfg.Static && bc.cfg.Timing.RefreshInterval > 0 {
-		if at := bc.dev.NextRefreshAt(); at < next {
-			next = at
-		}
+	if at := bc.dev.NextRefreshAt(); at < next {
+		next = at
 	}
 	return next
 }
@@ -404,7 +395,7 @@ func (bc *BC) AdvanceIdle(delta uint64) error {
 // evaluation ignores refresh; this path exists for configurations that
 // model the 64 ms obligation.
 func (bc *BC) stepRefresh() (bool, error) {
-	if bc.cfg.Static || bc.cfg.Timing.RefreshInterval == 0 || !bc.dev.RefreshDue() {
+	if !bc.dev.RefreshDue() {
 		return false, nil
 	}
 	allIdle := true
@@ -417,7 +408,7 @@ func (bc *BC) stepRefresh() (bool, error) {
 		if ready {
 			// The precharge names the row it is closing, so the device
 			// never mistakes a refresh precharge for a row conflict.
-			return true, bc.dev.Issue(sdram.Request{Cmd: sdram.Precharge, IBank: ib, Row: row})
+			return true, bc.dev.Issue(dramtech.Request{Cmd: dramtech.Precharge, IBank: ib, Row: row})
 		}
 	}
 	if !allIdle {
@@ -428,7 +419,7 @@ func (bc *BC) stepRefresh() (bool, error) {
 			return true, nil // precharge still completing
 		}
 	}
-	return true, bc.dev.Issue(sdram.Request{Cmd: sdram.Refresh})
+	return true, bc.dev.Issue(dramtech.Request{Cmd: dramtech.Refresh})
 }
 
 // stepFHC is the FirstHit Calculate block: it works on the oldest

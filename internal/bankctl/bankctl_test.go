@@ -8,6 +8,7 @@ import (
 
 	"pva/internal/bus"
 	"pva/internal/core"
+	"pva/internal/dramtech"
 	"pva/internal/memsys"
 	"pva/internal/trace"
 )
@@ -467,11 +468,11 @@ func TestFCFSDefersRowOps(t *testing.T) {
 	}
 }
 
-func TestStaticModeNoRowOps(t *testing.T) {
+func TestSRAMBackendNoRowOps(t *testing.T) {
 	store := memsys.NewStore()
 	board := bus.NewBoard(16)
 	cfg := PaperConfig(0)
-	cfg.Static = true
+	cfg.Tech = dramtech.Spec{Backend: dramtech.BackendSRAM}
 	bc := New(cfg, store, board)
 	txn, _ := board.Alloc()
 	board.Open(txn)
@@ -485,11 +486,11 @@ func TestStaticModeNoRowOps(t *testing.T) {
 		}
 	}
 	if !board.AllDone(txn) {
-		t.Fatal("static read never completed")
+		t.Fatal("SRAM read never completed")
 	}
 	ds := bc.Device().Stats()
 	if ds.Activates != 0 || ds.Precharges != 0 {
-		t.Errorf("static device saw row ops: %+v", ds)
+		t.Errorf("SRAM device saw row ops: %+v", ds)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"pva/internal/core"
 	"pva/internal/dramtech"
 	"pva/internal/memsys"
-	"pva/internal/sdram"
 )
 
 // BenchmarkSchedulerStep drives one bank controller, alone on its
@@ -29,11 +28,11 @@ func BenchmarkSchedulerStep(b *testing.B) {
 	for _, tech := range []struct {
 		name   string
 		spec   dramtech.Spec
-		timing sdram.Timing
+		timing dramtech.Timing
 	}{
-		{"sdram", dramtech.Spec{}, sdram.PaperTiming()},
-		{"salp-4", salp, sdram.PaperTiming()},
-		{"pcm-4p", pcm, sdram.PCMTiming()},
+		{"sdram", dramtech.Spec{}, dramtech.PaperTiming()},
+		{"salp-4", salp, dramtech.PaperTiming()},
+		{"pcm-4p", pcm, dramtech.PCMTiming()},
 	} {
 		b.Run(tech.name, func(b *testing.B) {
 			cfg := PaperConfig(0)

@@ -26,9 +26,9 @@ import (
 	"fmt"
 
 	"pva/internal/addrmap"
+	"pva/internal/dramtech"
 	"pva/internal/engine"
 	"pva/internal/memsys"
-	"pva/internal/sdram"
 )
 
 // serialDriver runs a trace strictly serially on the clocked engine:
@@ -280,7 +280,7 @@ func (s *CacheLineSerial) linesTouched(c memsys.VectorCmd) uint64 {
 
 // GatheringSerial is the pipelined serial gathering system.
 type GatheringSerial struct {
-	Timing sdram.Timing // per-command startup latencies
+	Timing dramtech.Timing // per-command startup latencies
 	// Decoder, when set, splits each command's elements across the
 	// decoder's memory channels: the command expands its per-channel
 	// subvectors in parallel (one element per cycle per channel), so its
@@ -293,7 +293,7 @@ type GatheringSerial struct {
 // NewGatheringSerial returns the paper's configuration (2-cycle RAS,
 // CAS, precharge).
 func NewGatheringSerial() *GatheringSerial {
-	return &GatheringSerial{Timing: sdram.PaperTiming(), store: memsys.NewStore()}
+	return &GatheringSerial{Timing: dramtech.PaperTiming(), store: memsys.NewStore()}
 }
 
 // NewGatheringSerialChannels returns the gathering system expanding each

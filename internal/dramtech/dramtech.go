@@ -1,11 +1,26 @@
-// Package dramtech quantifies the memory-technology background of the
-// paper's Chapter 2: how Fast Page Mode, EDO, SDRAM and dual-data-rate
-// parts differ in the one number that drives the evaluation — the time
-// to move a cache line's worth of words through one device — and why
-// every post-FPM interface amounts to deeper pipelining of the same
-// DRAM core ("The current trends in DRAM technology can all be
-// considered as interface modifications that are geared towards
-// exploiting this ability to pipeline accesses to the maximum").
+// Package dramtech models the memory devices behind the bank
+// controllers, in two layers.
+//
+// The technology table quantifies the background of the paper's
+// Chapter 2: how Fast Page Mode, EDO, SDRAM and dual-data-rate parts
+// differ in the one number that drives the evaluation — the time to
+// move a cache line's worth of words through one device — and why every
+// post-FPM interface amounts to deeper pipelining of the same DRAM core
+// ("The current trends in DRAM technology can all be considered as
+// interface modifications that are geared towards exploiting this
+// ability to pipeline accesses to the maximum").
+//
+// The executable device (Device) is a cycle-level model of one
+// external bank: the Micron 256 Mbit parts of the PVA prototype paired
+// into a 32-bit-wide device with four internal banks, 2 KB rows and
+// two-cycle RAS, CAS and precharge latencies (Section 6.1). Its Model
+// tracks row state per unit over a choice of back end: plain SDRAM,
+// SALP subarrays, PCM partitions, or the rowless SRAM of the PVA-SRAM
+// comparison system. The device is deliberately strict: Issue returns
+// a *ViolationError for any command that breaks the back end's state
+// machine or timing. The bank controller's restimers exist precisely
+// to make such violations impossible, and the tests inject illegal
+// sequences to prove the checker catches them.
 package dramtech
 
 import "fmt"
@@ -75,13 +90,13 @@ type Tech struct {
 	WriteBusy uint64
 }
 
-// presets is the single source of truth for technology timings,
-// normalized to the evaluation's 100 MHz controller clock (SDRAM
-// matches the paper's 2/2/2 prototype device exactly). Both the
+// presets is the single source of truth for technology timings, in
+// Kind order, normalized to the evaluation's 100 MHz controller clock
+// (SDRAM matches the paper's 2/2/2 prototype device exactly). Both the
 // Chapter-2 comparison tables and the executable device back ends
-// (internal/sdram's PaperTiming/SRAMTiming/PCMTiming and the PCM
-// write occupancy in SpecFor) derive from this table, so the
-// background numbers cannot drift from the simulated model.
+// (PaperTiming, PCMTiming, the SRAM device's timing and the PCM write
+// occupancy in SpecFor) derive from this table, so the background
+// numbers cannot drift from the simulated model.
 var presets = [...]Tech{
 	{Kind: FPM, RowOpen: 2, FirstWord: 3, PerWordNum: 3, PerWordDen: 1, Precharge: 3},
 	{Kind: EDO, RowOpen: 2, FirstWord: 3, PerWordNum: 2, PerWordDen: 1, Precharge: 3},
@@ -106,16 +121,6 @@ func ByKind(k Kind) (Tech, error) {
 		}
 	}
 	return Tech{}, fmt.Errorf("dramtech: unknown kind %d", int(k))
-}
-
-// MustByKind is ByKind for the compile-time-known kinds the device
-// layer derives its timings from.
-func MustByKind(k Kind) Tech {
-	t, err := ByKind(k)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // LineFill returns the cycles to read n consecutive words from one

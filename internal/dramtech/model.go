@@ -1,21 +1,25 @@
-// The executable device model: the bank state machine extracted from
-// internal/sdram so that a bank is no longer the finest concurrency
-// unit. A Model tracks one row-state machine per *unit* — the whole
-// internal bank for plain SDRAM, a subarray for SALP (Kim et al.:
-// overlapping ACTIVATEs to different subarrays of one bank), or a
-// partition for PCM (Song et al.: partition-level parallelism with
-// asymmetric read/write occupancy).
+// The executable row-state model. A Model tracks one row-state machine
+// per *unit* — the whole internal bank for plain SDRAM, a subarray for
+// SALP (Kim et al.: overlapping ACTIVATEs to different subarrays of one
+// bank), or a partition for PCM (Song et al.: partition-level
+// parallelism with asymmetric read/write occupancy) — or, for the SRAM
+// back end, no row state at all.
 //
-// internal/sdram delegates every state transition, timing check and
-// legal-op query here, deriving the unit from (internal bank, row) on
-// every command; internal/bankctl holds the same model and reads a
-// unit's row state by the flat index it cached when its vector context
-// last moved (UnitIndex, then OpenRow and ReadyAt). With Units == 1 and
-// WriteBusy == 0 the model is exactly the historical SDRAM bank state
-// machine, transition for transition — the seed-cycle golden pins this.
+// Device.Issue runs every command through the model's checks, which
+// derive the unit from (internal bank, row) on every command;
+// internal/bankctl reads the same model by the flat unit index it
+// cached when its vector context last moved (UnitIndex, then Need and
+// OpenRow). With Units == 1 and WriteBusy == 0 the model is exactly the
+// historical SDRAM bank state machine, transition for transition — the
+// seed-cycle golden pins this.
+
 package dramtech
 
-import "fmt"
+import (
+	"fmt"
+
+	"pva/internal/addr"
+)
 
 // Backend selects the executable device back end.
 type Backend uint8
@@ -34,6 +38,12 @@ const (
 	// its partition busy for WriteBusy extra cycles (the read/write
 	// asymmetry of PCM cells).
 	BackendPCM
+	// BackendSRAM is the idealized static memory of the PVA-SRAM
+	// comparison system (Section 6.1): no rows, so every access is legal
+	// at once and ACTIVATE and PRECHARGE are protocol violations. No
+	// user-facing tech name selects it; the SRAM system's constructors
+	// do.
+	BackendSRAM
 )
 
 // String implements fmt.Stringer.
@@ -45,6 +55,8 @@ func (b Backend) String() string {
 		return "salp"
 	case BackendPCM:
 		return "pcm"
+	case BackendSRAM:
+		return "sram"
 	default:
 		return fmt.Sprintf("backend(%d)", uint8(b))
 	}
@@ -63,26 +75,6 @@ type Spec struct {
 	WriteBusy uint64
 }
 
-// UnitCount normalizes Units (0 means 1).
-func (s Spec) UnitCount() uint32 {
-	if s.Units == 0 {
-		return 1
-	}
-	return s.Units
-}
-
-// Validate checks the spec's internal consistency.
-func (s Spec) Validate() error {
-	u := s.UnitCount()
-	if u&(u-1) != 0 {
-		return fmt.Errorf("dramtech: Units=%d is not a power of two", s.Units)
-	}
-	if s.Backend == BackendSDRAM && u > 1 {
-		return fmt.Errorf("dramtech: plain SDRAM has one unit per bank (Units=%d)", s.Units)
-	}
-	return nil
-}
-
 // ValidateSelection checks a user-facing (tech, subarrays, partitions)
 // selection before any hardware is built. tech "" means "sdram".
 func ValidateSelection(tech string, subarrays, partitions uint32) error {
@@ -98,14 +90,14 @@ func ValidateSelection(tech string, subarrays, partitions uint32) error {
 		if partitions > 1 {
 			return fmt.Errorf("dramtech: Partitions=%d requires tech \"pcm\", not \"salp\"", partitions)
 		}
-		if s := max32(subarrays, 1); s&(s-1) != 0 {
+		if s := max(subarrays, 1); s&(s-1) != 0 {
 			return fmt.Errorf("dramtech: SubarraysPerBank=%d is not a power of two", subarrays)
 		}
 	case "pcm":
 		if subarrays > 1 {
 			return fmt.Errorf("dramtech: SubarraysPerBank=%d requires tech \"salp\", not \"pcm\"", subarrays)
 		}
-		if p := max32(partitions, 1); p&(p-1) != 0 {
+		if p := max(partitions, 1); p&(p-1) != 0 {
 			return fmt.Errorf("dramtech: Partitions=%d is not a power of two", partitions)
 		}
 	default:
@@ -125,65 +117,26 @@ func SpecFor(tech string, subarrays, partitions uint32) (Spec, error) {
 	case "", "sdram":
 		return Spec{}, nil
 	case "salp":
-		return Spec{Backend: BackendSALP, Units: max32(subarrays, 1)}, nil
+		return Spec{Backend: BackendSALP, Units: max(subarrays, 1)}, nil
 	default: // "pcm"
-		t, err := ByKind(PCM)
-		if err != nil {
-			return Spec{}, err
-		}
-		return Spec{Backend: BackendPCM, Units: max32(partitions, 1), WriteBusy: t.WriteBusy}, nil
+		return Spec{Backend: BackendPCM, Units: max(partitions, 1), WriteBusy: presets[PCM].WriteBusy}, nil
 	}
 }
 
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// RefusalCode classifies why the state machine refuses an operation.
-type RefusalCode uint8
+// Need is what an access to one row asks of its unit this cycle.
+type Need uint8
 
 const (
-	// RefusalNone: the operation is legal.
-	RefusalNone RefusalCode = iota
-	// RefusalUnitOpen: ACTIVATE to a unit that already holds a row.
-	RefusalUnitOpen
-	// RefusalUnitClosed: access or PRECHARGE to a precharged unit.
-	RefusalUnitClosed
-	// RefusalBusy: the unit's pending transition (tRCD, tRP, tRFC, PCM
-	// write occupancy) has not completed.
-	RefusalBusy
-	// RefusalRowMismatch: access intends a row other than the open one.
-	RefusalRowMismatch
+	// NeedWait: the unit is still completing a transition (tRCD, tRP,
+	// tRFC or PCM write occupancy).
+	NeedWait Need = iota
+	// NeedAccess: the column access is legal now.
+	NeedAccess
+	// NeedActivate: the unit is precharged; the row must be opened.
+	NeedActivate
+	// NeedPrecharge: the unit holds another row, which must be closed.
+	NeedPrecharge
 )
-
-// Refusal reports a refused operation with the state the caller needs
-// to format a diagnostic: the conflicting open row or the cycle the
-// unit becomes ready.
-type Refusal struct {
-	Code    RefusalCode
-	Row     uint32 // open row, for RefusalUnitOpen / RefusalRowMismatch
-	ReadyAt uint64 // for RefusalBusy
-}
-
-// Counters are the model-level statistics the back ends expose beyond
-// the device's command counts.
-type Counters struct {
-	// SubarrayHits counts accesses served from an open row while at
-	// least one *other* unit of the same internal bank also held a row
-	// open — intra-bank parallelism actually exploited. Always zero
-	// with one unit per bank.
-	SubarrayHits uint64
-	// RowConflicts counts precharges forced by a conflicting row: the
-	// scheduler needed a row other than the one the target unit held.
-	RowConflicts uint64
-	// PartitionStalls counts cycles an otherwise-issuable operation
-	// waited on a unit still occupied by an earlier WRITE (PCM write
-	// asymmetry). Always zero when WriteBusy is zero.
-	PartitionStalls uint64
-}
 
 // unit is one row-state machine: an internal bank (SDRAM), a subarray
 // (SALP), or a partition (PCM).
@@ -197,74 +150,66 @@ type unit struct {
 
 const never = ^uint64(0)
 
-// Model is the executable bank state machine for one device: ibanks
-// internal banks of spec.UnitCount() units each. It holds no store
-// references and no cross-device state, so devices (and their models)
-// clone by construction.
+// Model is the executable bank state machine for one device: its
+// internal banks of units each. It holds no store references and no
+// cross-device state, so devices (and their models) clone by
+// construction. It counts row and back-end events into the owning
+// device's Stats.
 type Model struct {
-	spec   Spec
-	units  uint32 // per internal bank
-	log2u  uint32
-	mask   uint32 // units - 1; 0 selects the single-unit fast path
-	trcd   uint64
-	trp    uint64
-	trfc   uint64
-	wbusy  uint64
-	us     []unit
-	stall  []uint64 // last cycle a write-busy stall was counted, per unit
-	ctr    Counters
-	ibanks uint32
+	geom    addr.SDRAMGeom
+	rowless bool   // BackendSRAM: no row state, every access legal at once
+	units   uint32 // per internal bank
+	log2u   uint32
+	mask    uint32 // units - 1; 0 selects the single-unit fast path
+	trcd    uint64
+	trp     uint64
+	trfc    uint64
+	wbusy   uint64
+	us      []unit
+	stall   []uint64 // last cycle a write-busy stall was counted, per unit
+	stats   *Stats
 }
 
-// NewModel builds the state machine for spec over ibanks internal banks
-// with the given core timings (in controller cycles).
-func NewModel(spec Spec, ibanks uint32, trcd, trp, trfc uint64) *Model {
-	u := spec.UnitCount()
+// init builds the state machine for spec over the device geometry with
+// the given core timing, counting into stats.
+func (m *Model) init(spec Spec, geom addr.SDRAMGeom, t Timing, stats *Stats) {
+	u := max(spec.Units, 1)
 	log2 := uint32(0)
 	for 1<<log2 < u {
 		log2++
 	}
-	m := &Model{
-		spec:   spec,
-		units:  u,
-		log2u:  log2,
-		mask:   u - 1,
-		trcd:   trcd,
-		trp:    trp,
-		trfc:   trfc,
-		wbusy:  spec.WriteBusy,
-		us:     make([]unit, ibanks*u),
-		stall:  make([]uint64, ibanks*u),
-		ibanks: ibanks,
+	*m = Model{
+		geom:    geom,
+		rowless: spec.Backend == BackendSRAM,
+		units:   u,
+		log2u:   log2,
+		mask:    u - 1,
+		trcd:    t.TRCD,
+		trp:     t.TRP,
+		trfc:    t.TRFC,
+		wbusy:   spec.WriteBusy,
+		us:      make([]unit, geom.InternalBanks*u),
+		stall:   make([]uint64, geom.InternalBanks*u),
+		stats:   stats,
 	}
-	for i := range m.stall {
-		m.stall[i] = never
-	}
-	return m
+	m.reset()
 }
 
-// Reset returns every unit to the precharged power-on state and zeroes
-// the counters, keeping the backing arrays.
-func (m *Model) Reset() {
+// reset returns every unit to the precharged power-on state, keeping
+// the backing arrays.
+func (m *Model) reset() {
 	for i := range m.us {
 		m.us[i] = unit{}
 		m.stall[i] = never
 	}
-	m.ctr = Counters{}
 }
 
-// Spec returns the model's backing specification.
-func (m *Model) Spec() Spec { return m.spec }
-
-// Counters returns a copy of the model-level statistics.
-func (m *Model) Counters() Counters { return m.ctr }
-
-// UnitOf maps a row to its unit within an internal bank by XOR-folding
+// unitOf maps a row to its unit within an internal bank by XOR-folding
 // the row bits down to log2(units). Folding (rather than taking low or
 // high bits) spreads both small-stride neighbors and the large
 // power-of-two row distances vector workloads produce across units, so
 // conflicting vectors land in different subarrays.
-func (m *Model) UnitOf(row uint32) uint32 {
+func (m *Model) unitOf(row uint32) uint32 {
 	if m.mask == 0 {
 		return 0
 	}
@@ -280,18 +225,18 @@ func (m *Model) UnitOf(row uint32) uint32 {
 func (m *Model) Units() uint32 { return uint32(len(m.us)) }
 
 // UnitIndex flattens (internal bank, row) to the model's flat unit
-// index, the key of OpenRow, ReadyAt and NoteBlocked. A caller that
-// revisits one row caches it instead of folding the row each time.
+// index, the key of Need and OpenRow. A caller that revisits one row
+// caches it instead of folding the row each time.
 func (m *Model) UnitIndex(ib, row uint32) uint32 {
-	return ib*m.units + m.UnitOf(row)
+	return ib*m.units + m.unitOf(row)
 }
 
 func (m *Model) unitFor(ib, row uint32) *unit {
-	return &m.us[ib*m.units+m.UnitOf(row)]
+	return &m.us[ib*m.units+m.unitOf(row)]
 }
 
 // OpenRow reports whether unit u (a flat UnitIndex) holds a row open,
-// and which.
+// and which. Rowless units never do.
 func (m *Model) OpenRow(u uint32) (uint32, bool) {
 	un := &m.us[u]
 	if !un.active {
@@ -300,9 +245,29 @@ func (m *Model) OpenRow(u uint32) (uint32, bool) {
 	return un.row, true
 }
 
-// ReadyAt returns the cycle at which unit u (a flat UnitIndex) accepts
-// its next operation.
-func (m *Model) ReadyAt(u uint32) uint64 { return m.us[u].readyAt }
+// Need answers what an access to row, in flat unit u, must do at
+// cycle: wait, activate, precharge, or access. A rowless unit always
+// answers access. Waiting on a unit still busy with a PCM write counts
+// one partition stall per unit per cycle.
+func (m *Model) Need(u, row uint32, cycle uint64) Need {
+	if m.rowless {
+		return NeedAccess
+	}
+	un := &m.us[u]
+	switch {
+	case cycle < un.readyAt:
+		if un.wrBusy && m.stall[u] != cycle {
+			m.stall[u] = cycle
+			m.stats.PartitionStalls++
+		}
+		return NeedWait
+	case !un.active:
+		return NeedActivate
+	case un.row != row:
+		return NeedPrecharge
+	}
+	return NeedAccess
+}
 
 // MaxReadyAt returns the latest pending-transition completion across
 // the internal bank's units — the bank-wide "ready" the refresh path
@@ -337,73 +302,82 @@ func (m *Model) PrechargeTarget(ib uint32, cycle uint64) (row uint32, ready, ope
 	return 0, false, open
 }
 
-// NoteBlocked records that the caller wanted to operate on unit u (a
-// flat UnitIndex) this cycle but found it busy. Only write-occupancy
-// busy spans count (PartitionStalls), deduplicated per unit per cycle;
-// for symmetric back ends this is a no-op.
-func (m *Model) NoteBlocked(u uint32, cycle uint64) {
-	if m.wbusy == 0 {
-		return
-	}
-	un := &m.us[u]
-	if un.wrBusy && cycle < un.readyAt && m.stall[u] != cycle {
-		m.stall[u] = cycle
-		m.ctr.PartitionStalls++
-	}
+// rowCmdOnSRAM is the protocol violation of a row command (ACT, PRE,
+// REF) on the rowless back end.
+func rowCmdOnSRAM(r Request, cycle uint64) error {
+	return violation(ViolationProtocol, r.Cmd, r.IBank, cycle, "%v illegal on rowless (SRAM) device", r.Cmd)
 }
 
-// CanActivate checks ACTIVATE legality on the unit owning (ib, row)
-// without changing state.
-func (m *Model) CanActivate(ib, row uint32, cycle uint64) Refusal {
-	u := m.unitFor(ib, row)
-	if u.active {
-		return Refusal{Code: RefusalUnitOpen, Row: u.row}
+// checkActivate checks ACTIVATE legality without changing state.
+func (m *Model) checkActivate(r Request, cycle uint64) error {
+	if m.rowless {
+		return rowCmdOnSRAM(r, cycle)
 	}
-	if cycle < u.readyAt {
-		return Refusal{Code: RefusalBusy, ReadyAt: u.readyAt}
+	u := m.unitFor(r.IBank, r.Row)
+	switch {
+	case u.active:
+		return violation(ViolationState, r.Cmd, r.IBank, cycle, "ACT to open internal bank %d (row %d open) at cycle %d", r.IBank, u.row, cycle)
+	case cycle < u.readyAt:
+		return violation(ViolationTiming, r.Cmd, r.IBank, cycle, "ACT to internal bank %d during precharge (tRP) at cycle %d < %d", r.IBank, cycle, u.readyAt)
+	case r.Row >= m.geom.Rows:
+		return violation(ViolationRange, r.Cmd, r.IBank, cycle, "row %d out of range", r.Row)
 	}
-	return Refusal{}
+	return nil
 }
 
-// Activate opens row in its unit; the caller has checked CanActivate.
-func (m *Model) Activate(ib, row uint32, cycle uint64) {
+// activate opens row in its unit; checkActivate has passed.
+func (m *Model) activate(ib, row uint32, cycle uint64) {
 	u := m.unitFor(ib, row)
 	u.active = true
 	u.row = row
 	u.readyAt = cycle + m.trcd
 	u.accessed = false
 	u.wrBusy = false
+	m.stats.Activates++
 }
 
-// CanAccess checks READ/WRITE legality on the unit owning (ib, row)
-// without changing state.
-func (m *Model) CanAccess(ib, row uint32, cycle uint64) Refusal {
-	u := m.unitFor(ib, row)
-	if !u.active {
-		return Refusal{Code: RefusalUnitClosed}
+// checkAccess checks READ/WRITE legality without changing state. A
+// rowless device checks only the address range.
+func (m *Model) checkAccess(r Request, cycle uint64) error {
+	if m.rowless {
+		if r.Col >= m.geom.RowWords || r.Row >= m.geom.Rows {
+			return violation(ViolationRange, r.Cmd, r.IBank, cycle, "access out of range (row %d col %d)", r.Row, r.Col)
+		}
+		return nil
 	}
-	if cycle < u.readyAt {
-		return Refusal{Code: RefusalBusy, ReadyAt: u.readyAt}
+	u := m.unitFor(r.IBank, r.Row)
+	switch {
+	case !u.active:
+		return violation(ViolationState, r.Cmd, r.IBank, cycle, "%v to precharged internal bank %d at cycle %d", r.Cmd, r.IBank, cycle)
+	case cycle < u.readyAt:
+		return violation(ViolationTiming, r.Cmd, r.IBank, cycle, "%v to internal bank %d before tRCD at cycle %d < %d", r.Cmd, r.IBank, cycle, u.readyAt)
+	case r.Col >= m.geom.RowWords:
+		return violation(ViolationRange, r.Cmd, r.IBank, cycle, "column %d out of range", r.Col)
+	case r.Row != u.row:
+		// The real device would silently access the open row; the
+		// simulator treats a mismatched scheduler intent as a bug.
+		return violation(ViolationRange, r.Cmd, r.IBank, cycle, "%v intends row %d but internal bank %d has row %d open", r.Cmd, r.Row, r.IBank, u.row)
 	}
-	if row != u.row {
-		return Refusal{Code: RefusalRowMismatch, Row: u.row}
-	}
-	return Refusal{}
+	return nil
 }
 
-// Access commits a column access the caller has checked with CanAccess:
-// row-hit accounting, subarray-parallelism accounting, the PCM write
-// occupancy, and the auto-precharge rider. It reports whether the
-// access hit a row already touched since its activate.
-func (m *Model) Access(ib, row uint32, write, auto bool, cycle uint64) (rowHit bool) {
+// access commits a column access checkAccess has passed: row-hit and
+// subarray-parallelism accounting, the PCM write occupancy, and the
+// auto-precharge rider. A rowless device has nothing to commit.
+func (m *Model) access(ib, row uint32, write, auto bool, cycle uint64) {
+	if m.rowless {
+		return
+	}
 	u := m.unitFor(ib, row)
-	rowHit = u.accessed
+	if u.accessed {
+		m.stats.RowHits++
+	}
 	u.accessed = true
 	if m.mask != 0 {
 		base := ib * m.units
 		for i := uint32(0); i < m.units; i++ {
 			if o := &m.us[base+i]; o.active && o != u {
-				m.ctr.SubarrayHits++
+				m.stats.SubarrayHits++
 				break
 			}
 		}
@@ -417,57 +391,64 @@ func (m *Model) Access(ib, row uint32, write, auto bool, cycle uint64) (rowHit b
 		u.active = false
 		u.wrBusy = occupied > 0
 		u.readyAt = cycle + m.trp + occupied
+		m.stats.Precharges++
 	} else if occupied > 0 {
 		u.readyAt = cycle + occupied
 	}
-	return rowHit
 }
 
-// CanPrecharge checks PRECHARGE legality on the unit owning (ib, row)
-// without changing state.
-func (m *Model) CanPrecharge(ib, row uint32, cycle uint64) Refusal {
-	u := m.unitFor(ib, row)
-	if !u.active {
-		return Refusal{Code: RefusalUnitClosed}
+// checkPrecharge checks PRECHARGE legality without changing state.
+func (m *Model) checkPrecharge(r Request, cycle uint64) error {
+	if m.rowless {
+		return rowCmdOnSRAM(r, cycle)
 	}
-	if cycle < u.readyAt {
-		return Refusal{Code: RefusalBusy, ReadyAt: u.readyAt}
+	u := m.unitFor(r.IBank, r.Row)
+	switch {
+	case !u.active:
+		return violation(ViolationState, r.Cmd, r.IBank, cycle, "PRE to precharged internal bank %d at cycle %d", r.IBank, cycle)
+	case cycle < u.readyAt:
+		return violation(ViolationTiming, r.Cmd, r.IBank, cycle, "PRE to internal bank %d before tRCD at cycle %d < %d", r.IBank, cycle, u.readyAt)
 	}
-	return Refusal{}
+	return nil
 }
 
-// Precharge closes the unit owning (ib, row); the caller has checked
-// CanPrecharge. A precharge whose intended row differs from the open
-// one is a row conflict — the scheduler is evicting a row to make
-// room — and is counted; refresh precharges pass the open row itself.
-func (m *Model) Precharge(ib, row uint32, cycle uint64) {
+// precharge closes the unit owning (ib, row); checkPrecharge has
+// passed. A precharge whose intended row differs from the open one is a
+// row conflict — the scheduler is evicting a row to make room — and is
+// counted; refresh precharges pass the open row itself.
+func (m *Model) precharge(ib, row uint32, cycle uint64) {
 	u := m.unitFor(ib, row)
 	if row != u.row {
-		m.ctr.RowConflicts++
+		m.stats.RowConflicts++
 	}
 	u.active = false
 	u.wrBusy = false
 	u.readyAt = cycle + m.trp
+	m.stats.Precharges++
 }
 
-// RefreshCheck verifies the whole device may accept AUTO REFRESH: every
+// checkRefresh verifies the whole device may accept AUTO REFRESH: every
 // unit precharged and idle. It reports the first offending internal
 // bank, walking units in bank-major order so single-unit devices see
 // the historical bank walk exactly.
-func (m *Model) RefreshCheck(cycle uint64) (ib uint32, ref Refusal) {
+func (m *Model) checkRefresh(cycle uint64) error {
+	if m.rowless {
+		return rowCmdOnSRAM(Request{Cmd: Refresh}, cycle)
+	}
 	for i := range m.us {
+		ib := uint32(i) / m.units
 		if m.us[i].active {
-			return uint32(i) / m.units, Refusal{Code: RefusalUnitOpen, Row: m.us[i].row}
+			return violation(ViolationRefresh, Refresh, ib, cycle, "REF with internal bank %d open at cycle %d", ib, cycle)
 		}
 		if cycle < m.us[i].readyAt {
-			return uint32(i) / m.units, Refusal{Code: RefusalBusy, ReadyAt: m.us[i].readyAt}
+			return violation(ViolationRefresh, Refresh, ib, cycle, "REF during precharge of internal bank %d at cycle %d", ib, cycle)
 		}
 	}
-	return 0, Refusal{}
+	return nil
 }
 
-// Refresh applies the AUTO REFRESH occupancy: every unit busy for tRFC.
-func (m *Model) Refresh(cycle uint64) {
+// refresh applies the AUTO REFRESH occupancy: every unit busy for tRFC.
+func (m *Model) refresh(cycle uint64) {
 	for i := range m.us {
 		m.us[i].readyAt = cycle + m.trfc
 	}

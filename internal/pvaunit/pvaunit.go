@@ -56,23 +56,21 @@ import (
 	"pva/internal/engine"
 	"pva/internal/fault"
 	"pva/internal/memsys"
-	"pva/internal/sdram"
 	"pva/internal/trace"
 )
 
 // Config describes a PVA memory system.
 type Config struct {
-	Banks     uint32         // M, banks per channel, power of two (prototype: 16)
-	Channels  uint32         // memory channels, power of two (prototype: 1); 0 = 1
-	LineWords uint32         // words per cache line / max vector length (32)
-	SGeom     addr.SDRAMGeom // per-bank device geometry
-	Timing    sdram.Timing   // device timing
-	Tech      dramtech.Spec  // device back end (zero value: plain SDRAM)
-	Static    bool           // true: the idealized PVA-SRAM variant
-	VCWindow  int            // vector contexts per bank controller (4)
-	Policy    bankctl.Policy // SPU and row policy (zero value: the paper's)
-	Observer  trace.Observer // optional event sink (nil: tracing off)
-	MaxCycles uint64         // deadlock guard; 0 = default
+	Banks     uint32          // M, banks per channel, power of two (prototype: 16)
+	Channels  uint32          // memory channels, power of two (prototype: 1); 0 = 1
+	LineWords uint32          // words per cache line / max vector length (32)
+	SGeom     addr.SDRAMGeom  // per-bank device geometry
+	Timing    dramtech.Timing // device timing
+	Tech      dramtech.Spec   // device back end (zero value: plain SDRAM)
+	VCWindow  int             // vector contexts per bank controller (4)
+	Policy    bankctl.Policy  // SPU and row policy (zero value: the paper's)
+	Observer  trace.Observer  // optional event sink (nil: tracing off)
+	MaxCycles uint64          // deadlock guard; 0 = default
 
 	// Decoder is the address-decode function mapping word addresses to
 	// (channel, bank, bank word). nil selects word interleaving across
@@ -111,25 +109,26 @@ func PaperConfig() Config {
 		Channels:  1,
 		LineWords: 32,
 		SGeom:     addr.MustSDRAMGeom(4, 512, 8192),
-		Timing:    sdram.PaperTiming(),
+		Timing:    dramtech.PaperTiming(),
 		VCWindow:  4,
 	}
 }
 
 // SRAMConfig returns the idealized PVA-SRAM comparison system of Section
-// 6.1: the same parallel access scheme over single-cycle static memory.
+// 6.1: the same parallel access scheme over single-cycle static memory,
+// the rowless SRAM back end. The controllers keep the paper's timing.
 func SRAMConfig() Config {
 	c := PaperConfig()
-	c.Static = true
+	c.Tech = dramtech.Spec{Backend: dramtech.BackendSRAM}
 	return c
 }
 
 // ApplyTech resolves a user-facing technology selection onto cfg: the
-// executable Spec, and for PCM the preset core timing (slower row open,
-// cheap precharge, refresh off — the cells are non-volatile), which
-// replaces cfg.Timing wholesale. tech "" or "sdram" with <=1 subarrays
-// and partitions leaves cfg untouched, so the zero-value selection is
-// provably the paper's device.
+// executable Spec replaces cfg.Tech, and for PCM the preset core timing
+// (slower row open, cheap precharge, refresh off — the cells are
+// non-volatile) replaces cfg.Timing wholesale. tech "" or "sdram" with
+// <=1 subarrays and partitions selects the zero Spec, so the zero-value
+// selection is provably the paper's device.
 func ApplyTech(cfg *Config, tech string, subarrays, partitions uint32) error {
 	spec, err := dramtech.SpecFor(tech, subarrays, partitions)
 	if err != nil {
@@ -137,7 +136,7 @@ func ApplyTech(cfg *Config, tech string, subarrays, partitions uint32) error {
 	}
 	cfg.Tech = spec
 	if spec.Backend == dramtech.BackendPCM {
-		cfg.Timing = sdram.PCMTiming()
+		cfg.Timing = dramtech.PCMTiming()
 	}
 	return nil
 }
@@ -210,7 +209,7 @@ func New(cfg Config) (*System, error) {
 //     and TRP from 1 to 6, TRFC from 1 to 10, VCWindow from 1 to 8 and
 //     2 to 8 internal banks, on all eleven kernels at strides 1 and 19,
 //     found no stuck interval above this floor.
-func ValidateLimits(vcWindow int, t sdram.Timing) error {
+func ValidateLimits(vcWindow int, t dramtech.Timing) error {
 	if vcWindow < 1 {
 		return fmt.Errorf("VCWindow=%d: a bank controller needs at least one vector context", vcWindow)
 	}
@@ -233,7 +232,7 @@ func MustNew(cfg Config) *System {
 
 // Name implements memsys.System.
 func (s *System) Name() string {
-	if s.cfg.Static {
+	if s.cfg.Tech.Backend == dramtech.BackendSRAM {
 		return "pva-sram"
 	}
 	return "pva-sdram"
@@ -251,11 +250,11 @@ func (s *System) Store() *memsys.Store { return s.store }
 // channel*Banks+bank order, for the current session's hardware — nil
 // before the first Open/Run. The counters are the last run's alone:
 // every Open rewinds the devices.
-func (s *System) DeviceStats() []sdram.Stats {
+func (s *System) DeviceStats() []dramtech.Stats {
 	if s.ses == nil {
 		return nil
 	}
-	out := make([]sdram.Stats, 0, int(s.cfg.Channels)*int(s.cfg.Banks))
+	out := make([]dramtech.Stats, 0, int(s.cfg.Channels)*int(s.cfg.Banks))
 	for _, row := range s.ses.fe.bcs {
 		for _, bc := range row {
 			out = append(out, bc.Device().Stats())

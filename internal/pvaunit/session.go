@@ -7,10 +7,10 @@ import (
 	"pva/internal/bankctl"
 	"pva/internal/bus"
 	"pva/internal/core"
+	"pva/internal/dramtech"
 	"pva/internal/engine"
 	"pva/internal/fault"
 	"pva/internal/memsys"
-	"pva/internal/sdram"
 )
 
 // Session is a streaming front end onto one PVA system: commands enter
@@ -150,7 +150,6 @@ func (s *System) Open() (*Session, error) {
 				SGeom:    s.cfg.SGeom,
 				Timing:   s.cfg.Timing,
 				Tech:     s.cfg.Tech,
-				Static:   s.cfg.Static,
 				VCWindow: s.cfg.VCWindow,
 				Policy:   s.cfg.Policy,
 				Observer: s.cfg.Observer,
@@ -175,10 +174,10 @@ func (s *System) Open() (*Session, error) {
 	// Serial-fallback per-element cost: a degraded bank's elements are
 	// serviced one at a time over a dedicated maintenance path — each
 	// element pays a full closed-page SDRAM access (ACT + CAS + PRE)
-	// plus the transfer cycle; on the static variant only the transfer
+	// plus the transfer cycle; on the SRAM back end only the transfer
 	// cycle.
 	fbCost := uint64(1)
-	if !s.cfg.Static {
+	if s.cfg.Tech.Backend != dramtech.BackendSRAM {
 		fbCost += s.cfg.Timing.TRCD + s.cfg.Timing.CL + s.cfg.Timing.TRP
 	}
 	fe := &frontEnd{
@@ -432,7 +431,7 @@ func (s *Session) info(t Ticket) TicketInfo {
 
 // deviceStats maps one SDRAM device's counters onto the shared Stats
 // shape so Stats.Merge can fold them.
-func deviceStats(ds sdram.Stats) memsys.Stats {
+func deviceStats(ds dramtech.Stats) memsys.Stats {
 	return memsys.Stats{
 		SDRAMReads:         ds.Reads,
 		SDRAMWrites:        ds.Writes,

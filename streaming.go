@@ -26,7 +26,7 @@ type (
 // Open builds the PVA SDRAM system and opens a streaming Session on it
 // at cycle zero.
 func Open(c Config) (*Session, error) {
-	cfg, err := c.toInternal(false)
+	cfg, err := c.toInternal()
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func Open(c Config) (*Session, error) {
 
 // OpenSRAM is Open for the idealized PVA SRAM variant.
 func OpenSRAM(c Config) (*Session, error) {
-	cfg, err := c.toInternal(true)
+	cfg, err := c.sramInternal()
 	if err != nil {
 		return nil, err
 	}

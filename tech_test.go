@@ -200,7 +200,7 @@ func TestTechStreamingEquivalence(t *testing.T) {
 	tr := k.Build(p)
 	for _, cfg := range techGrid() {
 		label := fmt.Sprintf("%s/%d/%d", cfg.Tech, cfg.SubarraysPerBank, cfg.Partitions)
-		icfg, err := cfg.toInternal(false)
+		icfg, err := cfg.toInternal()
 		if err != nil {
 			t.Fatal(err)
 		}

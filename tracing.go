@@ -33,7 +33,7 @@ const (
 // the returned log.
 func NewTracedSystem(c Config) (System, *TraceLog, error) {
 	log := &TraceLog{}
-	cfg, err := c.toInternal(false)
+	cfg, err := c.toInternal()
 	if err != nil {
 		return nil, nil, err
 	}
