@@ -100,16 +100,51 @@ func TestConfigLimits(t *testing.T) {
 	for _, c := range []struct {
 		cfg   Config
 		field string
+		sram  bool // rejected by the PVA-SRAM constructors, not by Validate
 	}{
-		{Config{VCWindow: -1}, "VCWindow"},
-		{Config{RefreshInterval: 5, TRFC: 10}, "RefreshInterval"},
+		{Config{VCWindow: -1}, "VCWindow", false},
+		{Config{RefreshInterval: 5, TRFC: 10}, "RefreshInterval", false},
+		// PCM runs on its preset timing: row timing and refresh settings
+		// would be dropped, so they are refused, not ignored.
+		{Config{Tech: "pcm", Partitions: 4, TRCD: 6, CL: 6, TRP: 6}, "TRCD=6, CL=6, TRP=6", false},
+		{Config{Tech: "pcm", Partitions: 4, RefreshInterval: 100, TRFC: 10}, "RefreshInterval=100, TRFC=10", false},
+		{Config{Tech: "pcm", Partitions: 4, RefreshInterval: 15, TRFC: 10}, "RefreshInterval=15, TRFC=10", false},
+		{Config{Tech: "pcm", CL: 3}, "CL=3", false},
+		// The PVA-SRAM system has no rows, back ends or refresh.
+		{Config{Tech: "pcm", Partitions: 4}, `Tech="pcm", Partitions=4`, true},
+		{Config{Tech: "salp", SubarraysPerBank: 4}, `Tech="salp", SubarraysPerBank=4`, true},
+		{Config{SubarraysPerBank: 2}, "SubarraysPerBank=2", true},
+		{Config{TRCD: 6, CL: 6, TRP: 1}, "TRCD=6, TRP=1", true},
+		{Config{RefreshInterval: 100, TRFC: 10}, "RefreshInterval=100, TRFC=10", true},
+		{Config{TRFC: 10}, "TRFC=10", true},
 	} {
+		if c.sram {
+			_, err := NewSRAMSystem(c.cfg)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%+v: NewSRAMSystem = %v, want an error naming %s", c.cfg, err, c.field)
+			}
+			if _, err := OpenSRAM(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%+v: OpenSRAM = %v, want an error naming %s", c.cfg, err, c.field)
+			}
+			continue
+		}
 		err := c.cfg.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%+v: Validate = %v, want an error naming %s", c.cfg, err, c.field)
 		}
 		if _, err := NewSystem(c.cfg); err == nil {
 			t.Errorf("%+v: NewSystem accepted it", c.cfg)
+		}
+	}
+	// What each system does read stays accepted: PCM at the paper's
+	// timing spelled out, and the SRAM system's CL (the controllers'
+	// turnaround) and the explicit single-unit SDRAM selection.
+	if err := (Config{Tech: "pcm", Partitions: 4, TRCD: 2, CL: 2, TRP: 2}).Validate(); err != nil {
+		t.Errorf("PCM at the paper's timing: %v", err)
+	}
+	for _, cfg := range []Config{{CL: 6}, {Tech: "sdram", SubarraysPerBank: 1, Partitions: 1, TRCD: 2, TRP: 2}} {
+		if _, err := NewSRAMSystem(cfg); err != nil {
+			t.Errorf("%+v: NewSRAMSystem = %v", cfg, err)
 		}
 	}
 	d := DefaultConfig()
