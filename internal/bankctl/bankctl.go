@@ -19,8 +19,9 @@
 //     timing is that of the snoop it replaces: indexed claims and
 //     power-of-two strides resolve in the broadcast cycle, other strides
 //     pay the FHC multiply-add.
-//   - Request FIFO (RQF) + Register File (RF): an eight-entry queue of
-//     pending vector requests (one per outstanding bus transaction).
+//   - Request FIFO (RQF) + Register File (RF): one register-file slot
+//     per bus transaction ID, written in place at the broadcast, and a
+//     ring of the IDs waiting for a Vector Context, oldest first.
 //   - FirstHit Calculate (FHC): the two-cycle multiply-add that resolves
 //     first-hit addresses for non-power-of-two strides (stepFHC).
 //   - Access Scheduler (SCHED) with four Vector Contexts (VCs) and their
@@ -97,7 +98,7 @@ func PaperConfig(bank uint32) Config {
 	}
 }
 
-// request is one Register File entry.
+// request is one Register File entry: the slot of one transaction ID.
 type request struct {
 	op   memsys.Op
 	v    core.Vector
@@ -114,6 +115,7 @@ type request struct {
 	acc        bool // "address calculation complete"
 	fhcCycles  int  // remaining FHC work when !acc
 	enqueuedAt uint64
+	held       bool // queued in the RQF or held by a vector context
 }
 
 // elemAddr returns the global word address of element i under either
@@ -140,13 +142,14 @@ type BC struct {
 	// while cfg.Bank stays the controller's global interleave unit.
 	boardBank uint32
 
-	// The Register File is managed as a queue over a reusable backing
-	// array: rqfHead indexes the oldest live entry, dispatch advances it,
-	// and the array rewinds to its start whenever the queue drains — so
-	// steady-state operation appends into capacity left by earlier
-	// requests instead of allocating.
-	rqf     []request
+	// The Register File holds one slot per transaction ID, written in
+	// place at the broadcast; a vector context points at its slot. The
+	// Request FIFO is a ring of the queued IDs: rqfHead is the oldest,
+	// rqfLen how many wait.
+	rf      [bus.MaxTransactions]request
+	rqf     [bus.MaxTransactions]int
 	rqfHead int
+	rqfLen  int
 
 	sched *scheduler
 	su    *staging
@@ -196,8 +199,8 @@ func New(cfg Config, store *memsys.Store, board *bus.Board) *BC {
 // reallocating any backing storage. Cached sessions call it on reuse;
 // the board wiring installed at construction is untouched.
 func (bc *BC) Reset() {
-	bc.rqf = bc.rqf[:0]
-	bc.rqfHead = 0
+	bc.rf = [bus.MaxTransactions]request{}
+	bc.rqfHead, bc.rqfLen = 0, 0
 	bc.cycle = 0
 	bc.stats = Stats{}
 	bc.sched.reset()
@@ -205,8 +208,10 @@ func (bc *BC) Reset() {
 	bc.dev.Reset()
 }
 
-// rqfLen is the number of live Register File entries.
-func (bc *BC) rqfLen() int { return len(bc.rqf) - bc.rqfHead }
+// queued returns the Register File slot of the i-th oldest queued ID.
+func (bc *BC) queued(i int) *request {
+	return &bc.rf[bc.rqf[(bc.rqfHead+i)%bus.MaxTransactions]]
+}
 
 // SetBoardBank renumbers this controller's transaction-complete line
 // (default: cfg.Bank). Multi-channel front ends use per-channel boards
@@ -219,26 +224,41 @@ func (bc *BC) Device() *dramtech.Device { return bc.dev }
 // Stats returns a copy of the controller counters.
 func (bc *BC) Stats() Stats { return bc.stats }
 
-// CycleNow reports the controller's local clock. Under lazy ticking the
-// front end lets idle controllers fall behind the global cycle and uses
-// this to compute the catch-up AdvanceIdle span.
+// CycleNow reports the controller's local clock. Under lazy ticking an
+// idle controller falls behind the global cycle until a timer of its own
+// or a broadcast it owns elements of wakes it.
 func (bc *BC) CycleNow() uint64 { return bc.cycle }
 
 // Busy reports whether the controller still has queued or in-flight work.
 func (bc *BC) Busy() bool {
-	return bc.rqfLen() > 0 || bc.sched.busy()
+	return bc.rqfLen > 0 || bc.sched.busy()
 }
 
-// ObserveCommand is the FirstHit Predict block, called in the cycle a
-// VEC_READ or VEC_WRITE is broadcast. idx is an indexed command's
+// ObserveCommand is the FirstHit Predict block, called in the cycle now
+// a VEC_READ or VEC_WRITE is broadcast. idx is an indexed command's
 // offsets (element i lives at v.Base + idx[i]; nil for strided
 // commands). owned selects the predictor: nil runs the stride PLA,
 // which only strided commands under word interleaving may use;
 // otherwise it is this bank's pre-claimed element list, ascending, and
 // empty when the bank owns nothing. The controller keeps owned, read
-// only, until txn is released. Banks owning nothing deassert the
-// transaction line immediately.
-func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, idx, owned []uint32, txn int) {
+// only, until txn is released.
+//
+// A bank owning nothing deasserts the transaction line at once and
+// leaves its clock alone: it reports false and needs no tick. A bank
+// that owns elements catches its clock up to now, writes the request
+// into txn's register-file slot and reports true; the caller must tick
+// it this cycle. The error reports a failed catch-up.
+func (bc *BC) ObserveCommand(now uint64, op memsys.Op, v core.Vector, idx, owned []uint32, txn int) (bool, error) {
+	if txn < 0 || txn >= bus.MaxTransactions {
+		fault.Invariantf("bankctl", "bank %d: transaction ID %d outside [0, %d)", bc.cfg.Bank, txn, bus.MaxTransactions)
+	}
+	r := &bc.rf[txn]
+	if r.held {
+		// The front end reuses an ID only after every line of its last
+		// transaction deasserted, which this bank does only once the
+		// slot's vector context has issued its last element.
+		fault.Invariantf("bankctl", "bank %d: register file slot %d still in use", bc.cfg.Bank, txn)
+	}
 	var hit core.Hit
 	switch {
 	case owned != nil:
@@ -257,16 +277,20 @@ func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, idx, owned []uint32, t
 			bc.su.dropWrite(txn)
 		}
 		bc.board.Done(bc.boardBank, txn)
-		return
+		return false, nil
+	}
+	if bc.cycle < now {
+		if err := bc.AdvanceIdle(now - bc.cycle); err != nil {
+			return false, err
+		}
 	}
 	bc.stats.Requests++
-	if bc.rqfLen() >= bus.MaxTransactions {
-		// The register file holds one request per transaction ID (a
-		// NACKed broadcast never reaches it), so this is a front-end
-		// protocol violation, not a backpressure condition.
-		fault.Invariantf("bankctl", "bank %d register file overflow", bc.cfg.Bank)
-	}
-	r := request{op: op, v: v, txn: txn, hit: hit, idxs: owned, cmdIdx: idx, enqueuedAt: bc.cycle}
+	// The slot is written field by field: a composite literal assigned
+	// through the pointer would be built aside and copied in.
+	r.op, r.v, r.txn, r.hit = op, v, txn, hit
+	r.idxs, r.cmdIdx = owned, idx
+	r.addr, r.acc, r.fhcCycles = 0, false, 0
+	r.enqueuedAt, r.held = bc.cycle, true
 	switch {
 	case idx != nil:
 		// Indexed claim: the first owned address is known from the
@@ -286,7 +310,9 @@ func (bc *BC) ObserveCommand(op memsys.Op, v core.Vector, idx, owned []uint32, t
 	if op == memsys.Read {
 		bc.su.openRead(txn, hit.Count)
 	}
-	bc.rqf = append(bc.rqf, r)
+	bc.rqf[(bc.rqfHead+bc.rqfLen)%bus.MaxTransactions] = txn
+	bc.rqfLen++
+	return true, nil
 }
 
 // StageWriteData is the write Staging Unit's buffer fill: the front end
@@ -358,7 +384,7 @@ func (bc *BC) NextEventAt() uint64 {
 	// Queued requests (FHC work, dispatch) and live vector contexts need
 	// cycle-by-cycle attention: their next action depends on bank
 	// restimers and arbitration that the per-cycle scheduler resolves.
-	if bc.rqfLen() > 0 || bc.sched.busy() {
+	if bc.rqfLen > 0 || bc.sched.busy() {
 		return bc.cycle
 	}
 	next := uint64(NoEvent)
@@ -379,7 +405,7 @@ func (bc *BC) AdvanceIdle(delta uint64) error {
 	if delta == 0 {
 		return nil
 	}
-	if bc.rqfLen() > 0 || bc.sched.busy() {
+	if bc.rqfLen > 0 || bc.sched.busy() {
 		return fmt.Errorf("bankctl: bank %d AdvanceIdle with work queued", bc.cfg.Bank)
 	}
 	if err := bc.dev.AdvanceIdle(delta); err != nil {
@@ -428,8 +454,8 @@ func (bc *BC) stepRefresh() (bool, error) {
 // the ACC flag set (the bypass path to the VC window is modeled by
 // dispatch accepting entries the cycle ACC is set).
 func (bc *BC) stepFHC() {
-	for i := bc.rqfHead; i < len(bc.rqf); i++ {
-		r := &bc.rqf[i]
+	for i := 0; i < bc.rqfLen; i++ {
+		r := bc.queued(i)
 		if r.acc {
 			continue
 		}
@@ -446,24 +472,21 @@ func (bc *BC) stepFHC() {
 // dispatch moves the head of the Request FIFO into a free Vector Context
 // — at most one per cycle, and only entries whose address calculation is
 // complete and that were enqueued in an earlier cycle (the FHP itself
-// takes the broadcast cycle).
+// takes the broadcast cycle). The context points at the entry's
+// register-file slot, which stays held until the context completes.
 func (bc *BC) dispatch() {
-	if bc.rqfLen() == 0 {
+	if bc.rqfLen == 0 {
 		return
 	}
-	head := &bc.rqf[bc.rqfHead]
+	head := bc.queued(0)
 	if !head.acc || head.enqueuedAt >= bc.cycle {
 		return
 	}
-	if !bc.sched.accept(*head) {
+	if !bc.sched.accept(head) {
 		return
 	}
-	*head = request{} // drop the slot's references until the array rewinds
-	bc.rqfHead++
-	if bc.rqfHead == len(bc.rqf) {
-		bc.rqf = bc.rqf[:0]
-		bc.rqfHead = 0
-	}
+	bc.rqfHead = (bc.rqfHead + 1) % bus.MaxTransactions
+	bc.rqfLen--
 }
 
 // DebugString summarizes queue and scheduler state for deadlock
@@ -472,9 +495,9 @@ func (bc *BC) DebugString() string {
 	if !bc.Busy() {
 		return ""
 	}
-	s := fmt.Sprintf("bank %d: rqf=%d", bc.cfg.Bank, bc.rqfLen())
-	for i := bc.rqfHead; i < len(bc.rqf); i++ {
-		r := &bc.rqf[i]
+	s := fmt.Sprintf("bank %d: rqf=%d", bc.cfg.Bank, bc.rqfLen)
+	for i := 0; i < bc.rqfLen; i++ {
+		r := bc.queued(i)
 		s += fmt.Sprintf(" [txn%d %v acc=%v first=%d n=%d]", r.txn, r.op, r.acc, r.hit.First, r.hit.Count)
 	}
 	for i, vc := range bc.sched.vcs {

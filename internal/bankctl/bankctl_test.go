@@ -1,6 +1,7 @@
 package bankctl
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"pva/internal/bus"
 	"pva/internal/core"
 	"pva/internal/dramtech"
+	"pva/internal/fault"
 	"pva/internal/memsys"
 	"pva/internal/trace"
 )
@@ -32,6 +34,14 @@ func newRigWith(cfg Config) *rig {
 	return &rig{bc: New(cfg, store, board), board: board, store: store}
 }
 
+// observe broadcasts a strided command to the rig's controller in its
+// current cycle.
+func (r *rig) observe(op memsys.Op, v core.Vector, txn int) {
+	if _, err := r.bc.ObserveCommand(r.bc.CycleNow(), op, v, nil, nil, txn); err != nil {
+		panic(err)
+	}
+}
+
 // startRead opens a transaction and broadcasts a read to the single BC.
 func (r *rig) startRead(v core.Vector) int {
 	txn, ok := r.board.Alloc()
@@ -45,7 +55,7 @@ func (r *rig) startRead(v core.Vector) int {
 			r.board.Done(b, txn)
 		}
 	}
-	r.bc.ObserveCommand(memsys.Read, v, nil, nil, txn)
+	r.observe(memsys.Read, v, txn)
 	return txn
 }
 
@@ -76,6 +86,41 @@ func TestNoHitDeassertsImmediately(t *testing.T) {
 	}
 	if s := r.bc.Stats(); s.NoHitCommands != 1 || s.Requests != 0 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// TestObserveCatchesUpOnlyOnHit: a broadcast the bank owns nothing of
+// leaves its lagging clock alone; one it owns elements of catches the
+// clock up to the broadcast cycle before the request is stamped, so the
+// request dispatches the cycle after.
+func TestObserveCatchesUpOnlyOnHit(t *testing.T) {
+	r := newRig(t, 0)
+	for _, c := range []struct {
+		now  uint64
+		base uint32
+		took bool
+	}{{5, 1, false}, {9, 0, true}} {
+		txn, _ := r.board.Alloc()
+		r.board.Open(txn)
+		took, err := r.bc.ObserveCommand(c.now, memsys.Read, core.Vector{Base: c.base, Stride: 16, Length: 32}, nil, nil, txn)
+		if err != nil || took != c.took {
+			t.Fatalf("broadcast at %d: took %v, %v; want %v", c.now, took, err, c.took)
+		}
+	}
+	if now := r.bc.CycleNow(); now != 9 {
+		t.Fatalf("clock at %d after the owned broadcast at 9", now)
+	}
+	if head := r.bc.queued(0); head.enqueuedAt != 9 {
+		t.Fatalf("request stamped at %d, want 9", head.enqueuedAt)
+	}
+	if err := r.bc.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.bc.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if r.bc.rqfLen != 0 || !r.bc.sched.busy() {
+		t.Fatal("request not dispatched the cycle after its broadcast")
 	}
 }
 
@@ -173,7 +218,7 @@ func TestWriteCommitsAndDeasserts(t *testing.T) {
 	}
 	r.bc.StageWriteData(txn, line)
 	v := core.Vector{Base: 0, Stride: 16, Length: 32}
-	r.bc.ObserveCommand(memsys.Write, v, nil, nil, txn)
+	r.observe(memsys.Write, v, txn)
 	r.tickUntilDone(t, txn, 200)
 	for i := uint32(0); i < 32; i++ {
 		if got := r.store.Read(v.Addr(i)); got != 0x700+i {
@@ -186,7 +231,7 @@ func TestWriteWithoutStagedDataErrors(t *testing.T) {
 	r := newRig(t, 0)
 	txn, _ := r.board.Alloc()
 	r.board.Open(txn)
-	r.bc.ObserveCommand(memsys.Write, core.Vector{Base: 0, Stride: 16, Length: 4}, nil, nil, txn)
+	r.observe(memsys.Write, core.Vector{Base: 0, Stride: 16, Length: 4}, txn)
 	var err error
 	for i := 0; i < 20 && err == nil; i++ {
 		err = r.bc.Tick()
@@ -196,21 +241,60 @@ func TestWriteWithoutStagedDataErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterFileOverflowPanics(t *testing.T) {
-	r := newRig(t, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("register file overflow did not panic")
-		}
-	}()
-	for i := 0; i < 9; i++ {
-		txn := i % bus.MaxTransactions
-		if i < bus.MaxTransactions {
-			txn, _ = r.board.Alloc()
-		}
-		r.board.Open(txn)
-		r.bc.ObserveCommand(memsys.Read, core.Vector{Base: 0, Stride: 16, Length: 32}, nil, nil, txn)
+// TestRegisterFileSlotInvariant: the register file holds one slot per
+// transaction ID, so a broadcast naming an ID outside the pool, or an ID
+// whose slot is still queued or still held by a vector context, is a
+// front-end protocol violation. A slot frees when its context issues
+// its last element.
+func TestRegisterFileSlotInvariant(t *testing.T) {
+	v := core.Vector{Base: 0, Stride: 16, Length: 32}
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			rec := recover()
+			ie, ok := rec.(*fault.InvariantError)
+			if !ok || ie.Component != "bankctl" || !strings.Contains(ie.Msg, want) {
+				t.Fatalf("%s: recovered %v, want a bankctl invariant naming %q", name, rec, want)
+			}
+		}()
+		f()
 	}
+	for _, txn := range []int{-1, bus.MaxTransactions} {
+		r := newRig(t, 0)
+		mustPanic(fmt.Sprintf("ID %d", txn), "outside", func() { r.observe(memsys.Read, v, txn) })
+	}
+
+	// Queued: a second broadcast with the same ID in the same cycle.
+	r := newRig(t, 0)
+	txn := r.startRead(v)
+	mustPanic("queued slot", "still in use", func() { r.observe(memsys.Read, v, txn) })
+
+	// Held by a vector context: dispatched, elements left to issue. The
+	// check fires whether or not the bank owns elements of the new
+	// command.
+	r = newRig(t, 0)
+	txn = r.startRead(v)
+	for i := 0; i < 3; i++ {
+		if err := r.bc.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.bc.rqfLen != 0 || !r.bc.sched.busy() {
+		t.Fatalf("setup: rqf %d, window busy %v; want the request in a context", r.bc.rqfLen, r.bc.sched.busy())
+	}
+	mustPanic("held slot", "still in use", func() { r.observe(memsys.Read, v, txn) })
+	mustPanic("held slot, no hit", "still in use", func() { r.observe(memsys.Read, core.Vector{Base: 1, Stride: 16, Length: 32}, txn) })
+
+	// Once the context issued its last element the slot takes the next
+	// command for the ID, as the front end reuses it after the retire.
+	r.tickUntilDone(t, txn, 200)
+	r.board.Release(txn)
+	again := r.startRead(v)
+	if again != txn {
+		t.Fatalf("setup: reused ID %d, want %d", again, txn)
+	}
+	r.tickUntilDone(t, again, 200)
 }
 
 func TestPolarityStallsCounted(t *testing.T) {
@@ -225,7 +309,7 @@ func TestPolarityStallsCounted(t *testing.T) {
 	}
 	line := make([]uint32, 32)
 	r.bc.StageWriteData(txnW, line)
-	r.bc.ObserveCommand(memsys.Write, core.Vector{Base: 1 << 12, Stride: 16, Length: 32}, nil, nil, txnW)
+	r.observe(memsys.Write, core.Vector{Base: 1 << 12, Stride: 16, Length: 32}, txnW)
 	r.tickUntilDone(t, txnR, 300)
 	r.tickUntilDone(t, txnW, 300)
 	if s := r.bc.Stats(); s.PolarityStalls == 0 {
@@ -479,7 +563,9 @@ func TestSRAMBackendNoRowOps(t *testing.T) {
 	for b := uint32(1); b < 16; b++ {
 		board.Done(b, txn)
 	}
-	bc.ObserveCommand(memsys.Read, core.Vector{Base: 0, Stride: 16, Length: 32}, nil, nil, txn)
+	if _, err := bc.ObserveCommand(bc.CycleNow(), memsys.Read, core.Vector{Base: 0, Stride: 16, Length: 32}, nil, nil, txn); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 100 && !board.AllDone(txn); i++ {
 		if err := bc.Tick(); err != nil {
 			t.Fatal(err)

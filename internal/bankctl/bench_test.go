@@ -51,7 +51,9 @@ func BenchmarkSchedulerStep(b *testing.B) {
 				if op == memsys.Write {
 					bc.StageWriteData(txn, line)
 				}
-				bc.ObserveCommand(op, v, nil, nil, txn)
+				if _, err := bc.ObserveCommand(bc.CycleNow(), op, v, nil, nil, txn); err != nil {
+					b.Fatal(err)
+				}
 				for !board.AllDone(txn) {
 					if err := bc.Tick(); err != nil {
 						b.Fatal(err)
@@ -76,4 +78,77 @@ func BenchmarkSchedulerStep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
 		})
 	}
+}
+
+// BenchmarkBroadcast drives one controller of the 16-bank paper machine
+// through the request path. It observes a fixed stream of 32-element
+// reads and writes at the six paper strides, broadcast eight at a time
+// in back-to-back cycles, dispatches them into its vector contexts and
+// drains them. Half the commands start on an odd word, which bank 0
+// never owns at the even strides, so the stream mixes hits and misses.
+// It reports host time per broadcast observed.
+func BenchmarkBroadcast(b *testing.B) {
+	cfg := PaperConfig(0)
+	board := bus.NewBoard(cfg.Banks)
+	bc := New(cfg, memsys.NewStore(), board)
+	type command struct {
+		op memsys.Op
+		v  core.Vector
+	}
+	var stream []command
+	for i, stride := range []uint32{1, 2, 4, 8, 16, 19} {
+		for odd := uint32(0); odd < 2; odd++ {
+			for _, op := range []memsys.Op{memsys.Read, memsys.Write} {
+				stream = append(stream, command{op, core.Vector{Base: uint32(i)<<14 | odd, Stride: stride, Length: 32}})
+			}
+		}
+	}
+	line := make([]uint32, 32)
+	txns := make([]int, 0, bus.MaxTransactions)
+	tick := func() {
+		if err := bc.Tick(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass := func() {
+		for lo := 0; lo < len(stream); lo += bus.MaxTransactions {
+			for _, c := range stream[lo:min(lo+bus.MaxTransactions, len(stream))] {
+				txn, _ := board.Alloc()
+				board.Open(txn)
+				for bank := uint32(1); bank < cfg.Banks; bank++ {
+					board.Done(bank, txn)
+				}
+				if c.op == memsys.Write {
+					bc.StageWriteData(txn, line)
+				}
+				if _, err := bc.ObserveCommand(bc.CycleNow(), c.op, c.v, nil, nil, txn); err != nil {
+					b.Fatal(err)
+				}
+				txns = append(txns, txn)
+				tick()
+			}
+			for _, txn := range txns {
+				for !board.AllDone(txn) {
+					tick()
+				}
+				bc.CollectRead(txn, line)
+				bc.Release(txn)
+				board.Release(txn)
+			}
+			txns = txns[:0]
+		}
+	}
+	pass() // warm the store pages and staging buffers
+	before := bc.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	after := bc.Stats()
+	if hits, misses := after.Requests-before.Requests, after.NoHitCommands-before.NoHitCommands; hits == 0 || misses == 0 {
+		b.Fatalf("stream took %d requests and missed %d broadcasts; want both", hits, misses)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/command")
 }

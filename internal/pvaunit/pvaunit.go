@@ -429,8 +429,8 @@ type frontEnd struct {
 	// channel order, so the engine ticks them exactly as the historical
 	// single all-channel group did); gidx maps [channel][bank] to the
 	// member index within its channel's group (-1 for hard-faulted
-	// banks). The front end uses it to force a lazily-skipped
-	// controller's tick in the broadcast cycle.
+	// banks). The front end uses it to force the tick of a controller a
+	// broadcast feeds in the broadcast cycle.
 	groups []*bcGroup
 	gidx   [][]int
 
@@ -914,16 +914,16 @@ func (fe *frontEnd) Step(now uint64) error {
 						fe.boards[ch].Done(uint32(b), st.txn)
 						continue
 					}
-					// Catch a lazily-skipped controller up to the present
-					// before it timestamps the request, and force its Tick
-					// this cycle so the new work is scheduled on time.
-					if lag := bc.CycleNow(); lag < now {
-						if err := bc.AdvanceIdle(now - lag); err != nil {
-							return err
-						}
+					// A controller that owns elements has caught its clock
+					// up and queued the request; tick it this cycle so the
+					// new work is scheduled on time. The others stay asleep.
+					took, err := bc.ObserveCommand(now, c.Op, c.V, c.Idx, owned, st.txn)
+					if err != nil {
+						return err
 					}
-					bc.ObserveCommand(c.Op, c.V, c.Idx, owned, st.txn)
-					fe.groups[ch].Wake(fe.gidx[ch][b], now)
+					if took {
+						fe.groups[ch].Wake(fe.gidx[ch][b], now)
+					}
 				}
 				cs.broadcastDone = true
 				if c.Indexed() {

@@ -136,3 +136,30 @@ func runEngine(t *testing.T, cfg Config, disableSkip bool, tr memsys.Trace, name
 	}
 	return res, log.Events
 }
+
+// TestMissedControllerSleeps: a broadcast wakes only the controllers it
+// feeds. Three stride-16 reads are all owned by bank 0, so banks 1–15
+// tick once, in the first cycle, when every controller is due, and
+// sleep through all three broadcasts.
+func TestMissedControllerSleeps(t *testing.T) {
+	sys := MustNew(PaperConfig())
+	var cmds []memsys.VectorCmd
+	for k := uint32(0); k < 3; k++ {
+		cmds = append(cmds, readCmd(k<<12, 16, 32))
+	}
+	if _, err := sys.Run(memsys.Trace{Cmds: cmds}); err != nil {
+		t.Fatal(err)
+	}
+	bcs := sys.ses.fe.bcs[0]
+	if s := bcs[0].Stats(); s.Requests != 3 {
+		t.Fatalf("bank 0 took %d requests, want 3", s.Requests)
+	}
+	for b, bc := range bcs[1:] {
+		if s := bc.Stats(); s.Requests != 0 || s.NoHitCommands != 3 {
+			t.Fatalf("bank %d: %d requests, %d missed broadcasts; want 0 and 3", b+1, s.Requests, s.NoHitCommands)
+		}
+		if now := bc.CycleNow(); now != 1 {
+			t.Errorf("bank %d ends the run at cycle %d, want 1", b+1, now)
+		}
+	}
+}
