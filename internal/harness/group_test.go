@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -165,4 +167,100 @@ func TestGroupReplayedCellsLeftOut(t *testing.T) {
 	if !reflect.DeepEqual(groups, want) {
 		t.Fatalf("groups %v, want %v", groups, want)
 	}
+}
+
+// corrupting wraps a system and damages what it reports: Peek flips a
+// bit of the word at each address in peek, and Run's result flips a bit
+// of each (command, word) in gather and resizes the lines in resize to
+// the given length, working on copies of the system's buffers.
+type corrupting struct {
+	memsys.System
+	peek   map[uint32]bool
+	gather map[[2]int]bool
+	resize map[int]int
+}
+
+func (s corrupting) Peek(a uint32) uint32 {
+	w := s.System.Peek(a)
+	if s.peek[a] {
+		w ^= 1
+	}
+	return w
+}
+
+func (s corrupting) Run(t memsys.Trace) (memsys.Result, error) {
+	res, err := s.System.Run(t)
+	if err != nil {
+		return res, err
+	}
+	res.ReadData = slices.Clone(res.ReadData)
+	for i, line := range res.ReadData {
+		line = slices.Clone(line)
+		for j := range line {
+			if s.gather[[2]int{i, j}] {
+				line[j] ^= 1
+			}
+		}
+		if n, ok := s.resize[i]; ok {
+			line = append(line, make([]uint32, max(0, n-len(line)))...)[:n]
+		}
+		res.ReadData[i] = line
+	}
+	return res, nil
+}
+
+// TestGroupVerifyCatchesCorruption: a verified cell fails on one bad
+// final word, one bad gathered word or one line of the wrong length,
+// whether it is its trace group's first cell, which runs the reference,
+// or a later one, which checks against the image the first recorded.
+// The error names the first mismatch in trace order. saxpy reads x[k]
+// and y[k] and writes y[k], so the damaged y word is touched only by a
+// vector the trace reads and then writes, and comes before the damaged
+// x word in trace order though its address is higher.
+func TestGroupVerifyCatchesCorruption(t *testing.T) {
+	k, err := kernels.ByName("saxpy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Runner{Elements: 64, Verify: true}
+	j := job{kernel: k, stride: 1, alignment: 0, machine: r.machine(PVASDRAM)}
+	tr := k.Build(r.Params(j.stride, j.alignment))
+	// Commands 0–2 are x[0], y[0] and y[0]'s write; 3–5 the same for k=1.
+	y0, x1 := tr.Cmds[1].Addr(7), tr.Cmds[3].Addr(0)
+	if tr.Cmds[2].V != tr.Cmds[1].V || x1 >= y0 {
+		t.Fatalf("setup: y[0] write %+v after read %+v, x[1] word %d, y[0] word %d", tr.Cmds[2].V, tr.Cmds[1].V, x1, y0)
+	}
+	for _, tc := range []struct {
+		name string
+		sys  corrupting
+		want string
+	}{
+		{"final word", corrupting{peek: map[uint32]bool{x1: true, y0: true}}, fmt.Sprintf("final image at %d: got", y0)},
+		{"gathered word", corrupting{gather: map[[2]int]bool{{4, 3}: true, {1, 9}: true}}, "cmd 1 word 9: got"},
+		{"short line", corrupting{resize: map[int]int{3: 31}}, "cmd 3: got 31 words, want 32"},
+		{"long line", corrupting{resize: map[int]int{1: 33, 3: 31}}, "cmd 1: got 33 words, want 32"},
+	} {
+		for _, later := range []bool{false, true} {
+			c := &cellRunner{r: r}
+			if later {
+				if _, err := c.measure(newPVA(t), j); err != nil {
+					t.Fatalf("%s: clean first cell: %v", tc.name, err)
+				}
+			}
+			tc.sys.System = newPVA(t)
+			_, err := c.measure(tc.sys, j)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (later cell %v): error %v, want one containing %q", tc.name, later, err, tc.want)
+			}
+		}
+	}
+}
+
+func newPVA(t *testing.T) memsys.System {
+	t.Helper()
+	sys, err := Runner{}.newSystem(PVASDRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }

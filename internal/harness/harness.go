@@ -12,6 +12,7 @@ import (
 
 	"pva/internal/addrmap"
 	"pva/internal/baseline"
+	"pva/internal/core"
 	"pva/internal/fault"
 	"pva/internal/kernels"
 	"pva/internal/memsys"
@@ -261,10 +262,12 @@ func (c *cellRunner) measure(sys memsys.System, j job) (Point, error) {
 
 // verify compares a run of the current trace group's trace with the
 // cold-start reference run of that trace: every gathered line, and the
-// final word at every address the trace touches. The reference runs on
-// the group's first verified cell, on the runner's reference rewound to
-// cold; its result is a pure function of the trace, so every cell of
-// the group gets the verdict a reference run of its own would give.
+// final word at every address the trace touches, both in trace order.
+// The reference runs on the group's first verified cell, on the
+// runner's reference rewound to cold, and leaves the group its gathered
+// lines and its final image (recordImage); its result is a pure
+// function of the trace, so every cell of the group gets the verdict a
+// reference run of its own would give.
 func (c *cellRunner) verify(sys memsys.System, res memsys.Result) error {
 	if !c.checked {
 		if c.ref == nil {
@@ -276,26 +279,66 @@ func (c *cellRunner) verify(sys memsys.System, res memsys.Result) error {
 			return err
 		}
 		c.want, c.checked = want, true
+		c.recordImage()
 	}
-	for i, cmd := range c.trace.Cmds {
-		if cmd.Op != memsys.Read {
+	for i := range c.trace.Cmds {
+		if c.trace.Cmds[i].Op != memsys.Read {
 			continue
 		}
-		for j, w := range c.want.ReadData[i] {
-			if g := res.ReadData[i][j]; g != w {
+		got, want := res.ReadData[i], c.want.ReadData[i]
+		if len(got) != len(want) {
+			return fmt.Errorf("cmd %d: got %d words, want %d", i, len(got), len(want))
+		}
+		for j, w := range want {
+			if g := got[j]; g != w {
 				return fmt.Errorf("cmd %d word %d: got %#x, want %#x", i, j, g, w)
 			}
 		}
 	}
-	for _, cmd := range c.trace.Cmds {
-		for i := uint32(0); i < cmd.V.Length; i++ {
-			a := cmd.Addr(i)
-			if g, w := sys.Peek(a), c.ref.Peek(a); g != w {
-				return fmt.Errorf("final image at %d: got %#x, want %#x", a, g, w)
-			}
+	for _, w := range c.image {
+		if g := sys.Peek(w.addr); g != w.word {
+			return fmt.Errorf("final image at %d: got %#x, want %#x", w.addr, g, w.word)
 		}
 	}
 	return nil
+}
+
+// wordAt is one word of a final memory image.
+type wordAt struct{ addr, word uint32 }
+
+// vecKey identifies the addresses a command touches: its vector, and
+// an indexed command's offsets by identity.
+type vecKey struct {
+	v   core.Vector
+	idx *uint32
+}
+
+// recordImage lists the reference's final word at every address the
+// group's trace touches, in first-touch order. A vector the trace
+// touches again (one it reads and then writes) adds nothing: its
+// addresses are already listed, so checking them again could not find
+// an earlier mismatch.
+func (c *cellRunner) recordImage() {
+	c.image = c.image[:0]
+	if c.seen == nil {
+		c.seen = make(map[vecKey]bool)
+	}
+	clear(c.seen)
+	for i := range c.trace.Cmds {
+		cmd := &c.trace.Cmds[i]
+		k := vecKey{v: cmd.V}
+		if len(cmd.Idx) > 0 {
+			k.idx = &cmd.Idx[0]
+		}
+		if c.seen[k] {
+			continue
+		}
+		c.seen[k] = true
+		for j := uint32(0); j < cmd.V.Length; j++ {
+			a := cmd.Addr(j)
+			c.image = append(c.image, wordAt{a, c.ref.Peek(a)})
+		}
+	}
 }
 
 // Range is a collated cell's execution time over the alignment sweep,

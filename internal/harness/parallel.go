@@ -44,13 +44,17 @@ type cellRunner struct {
 	baseImg *memsys.Image
 
 	// The current trace group: its key and trace (once built), and —
-	// once a cell has been verified — want, the reference run of the
-	// trace on ref, which is reused from group to group.
+	// once a cell has been verified — the reference run of the trace on
+	// ref, which is reused from group to group: want, its gathered
+	// lines, and image, its final word at every address the trace
+	// touches (seen is recordImage's scratch).
 	key     traceKey
 	built   bool
 	trace   memsys.Trace
 	ref     *memsys.Reference
 	want    memsys.Result
+	image   []wordAt
+	seen    map[vecKey]bool
 	checked bool
 }
 
