@@ -273,9 +273,6 @@ func (bc *BC) ObserveCommand(now uint64, op memsys.Op, v core.Vector, idx, owned
 	}
 	if hit.Count == 0 {
 		bc.stats.NoHitCommands++
-		if op == memsys.Write {
-			bc.su.dropWrite(txn)
-		}
 		bc.board.Done(bc.boardBank, txn)
 		return false, nil
 	}
@@ -316,8 +313,9 @@ func (bc *BC) ObserveCommand(now uint64, op memsys.Op, v core.Vector, idx, owned
 }
 
 // StageWriteData is the write Staging Unit's buffer fill: the front end
-// delivers the dense line for txn during STAGE_WRITE data cycles, before
-// the VEC_WRITE broadcast.
+// delivers the dense line for txn, carried by the STAGE_WRITE data
+// cycles, to each controller that took the VEC_WRITE broadcast
+// (ObserveCommand reported true), before it ticks that cycle.
 func (bc *BC) StageWriteData(txn int, line []uint32) {
 	bc.su.putWrite(txn, line)
 }

@@ -118,11 +118,12 @@ func BenchmarkBroadcast(b *testing.B) {
 				for bank := uint32(1); bank < cfg.Banks; bank++ {
 					board.Done(bank, txn)
 				}
-				if c.op == memsys.Write {
-					bc.StageWriteData(txn, line)
-				}
-				if _, err := bc.ObserveCommand(bc.CycleNow(), c.op, c.v, nil, nil, txn); err != nil {
+				took, err := bc.ObserveCommand(bc.CycleNow(), c.op, c.v, nil, nil, txn)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if took && c.op == memsys.Write {
+					bc.StageWriteData(txn, line) // as the front end does
 				}
 				txns = append(txns, txn)
 				tick()

@@ -115,10 +115,6 @@ func (s *staging) takeWrite(txn int, elem uint32) (uint32, bool) {
 	return w.buf[elem], true
 }
 
-// dropWrite discards a staged write line this bank turned out not to
-// need (no elements hit here).
-func (s *staging) dropWrite(txn int) { s.writes[txn].valid = false }
-
 // release clears all staging state for a retired transaction, keeping
 // buffer capacity for the next one.
 func (s *staging) release(txn int) {

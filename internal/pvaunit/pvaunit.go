@@ -329,8 +329,7 @@ type chanState struct {
 	count          uint32 // elements this channel owns
 	reserved       bool   // this channel's broadcast bus tenure is reserved
 	broadcastDone  bool   // this channel's BCs observed the VEC_* command
-	broadcastAt    uint64
-	stageWriteEnd  uint64 // write: when the staged line lands in this channel's SUs
+	broadcastAt    uint64 // the VEC_* cycle, the last of a write's STAGE_WRITE tenure
 	gathered       bool   // read: this channel's transaction-complete line deasserted
 	stagingStarted bool   // read: STAGE_READ reserved on this channel
 	stageReadEnd   uint64
@@ -737,9 +736,6 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 				continue
 			}
 			if !cs.broadcastDone {
-				if c.Op == memsys.Write {
-					upd(cs.stageWriteEnd)
-				}
 				upd(cs.broadcastAt)
 				continue
 			}
@@ -858,9 +854,8 @@ func (fe *frontEnd) Step(now uint64) error {
 			return err
 		}
 	}
-	// Write data lands in the staging units at the end of each channel's
-	// STAGE_WRITE burst, before any broadcast due this cycle. Tenures
-	// only exist on in-flight commands.
+	// Deliver the broadcasts due this cycle. Tenures only exist on
+	// in-flight commands.
 	for _, i := range fe.inflight {
 		st := &fe.state[i]
 		c := &fe.cmds[i]
@@ -868,15 +863,6 @@ func (fe *frontEnd) Step(now uint64) error {
 			cs := &st.ch[ch]
 			if !cs.reserved || cs.broadcastDone {
 				continue
-			}
-			if c.Op == memsys.Write && cs.stageWriteEnd == now {
-				M := len(fe.bcs[ch])
-				for b, bc := range fe.bcs[ch] {
-					if fe.offline[ch*M+b] {
-						continue
-					}
-					bc.StageWriteData(st.txn, st.line)
-				}
 			}
 			if cs.broadcastAt == now {
 				// The vector bus may NACK the broadcast (a dropped or
@@ -915,13 +901,18 @@ func (fe *frontEnd) Step(now uint64) error {
 						continue
 					}
 					// A controller that owns elements has caught its clock
-					// up and queued the request; tick it this cycle so the
-					// new work is scheduled on time. The others stay asleep.
+					// up and queued the request; a write's line, which the
+					// STAGE_WRITE burst ending this cycle carried, lands in
+					// its staging unit. Tick it this cycle so the new work
+					// is scheduled on time. The others stay asleep.
 					took, err := bc.ObserveCommand(now, c.Op, c.V, c.Idx, owned, st.txn)
 					if err != nil {
 						return err
 					}
 					if took {
+						if c.Op == memsys.Write {
+							bc.StageWriteData(st.txn, st.line)
+						}
 						fe.groups[ch].Wake(fe.gidx[ch][b], now)
 					}
 				}
@@ -1153,7 +1144,6 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 				return err
 			}
 			cs.reserved = true
-			cs.stageWriteEnd = at + burst - 1
 			cs.broadcastAt = at + burst - 1
 			fe.observe(trace.Event{Cycle: at, Bank: -1, Kind: trace.StageWrite, Txn: st.txn})
 		}
