@@ -374,6 +374,39 @@ func AppendSplit(dst []core.Hit, d Decoder, v core.Vector) []core.Hit {
 	return dst
 }
 
+// SameFunction reports whether two decoders compute the same address
+// function: the same channel and bank counts, and the same Coord for
+// every word address. Each decoder in this package is GF(2)-linear —
+// every Coord bit is the XOR of some address bits, so Decode(x^y) is
+// Decode(x)^Decode(y) field by field — and two such maps are equal
+// exactly when they agree on address 0 and on the 32 one-bit addresses.
+// A decoder of any other type carries no such guarantee and is never
+// reported equal to anything.
+func SameFunction(a, b Decoder) bool {
+	if !linear(a) || !linear(b) || a.Channels() != b.Channels() || a.Banks() != b.Banks() {
+		return false
+	}
+	if a.Decode(0) != b.Decode(0) {
+		return false
+	}
+	for i := range 32 {
+		if a.Decode(1<<i) != b.Decode(1<<i) {
+			return false
+		}
+	}
+	return true
+}
+
+// linear reports whether d is one of this package's decoders, all
+// GF(2)-linear (TestDecodersLinear).
+func linear(d Decoder) bool {
+	switch d.(type) {
+	case *WordInterleave, *LineInterleave, *XORBank, *Tuned:
+		return true
+	}
+	return false
+}
+
 // BankView is one bank controller's window onto a decoder: the
 // device-word mapping for a fixed (channel, bank). Bank controllers
 // under a decoder with no closed-form hit math use it to address the

@@ -16,7 +16,9 @@
 // surrogate's best few locally optimal candidates (Options.Survivors)
 // are promoted, each evaluated by running the full workload on a fresh
 // system, every trace from its cold post-construction checkpoint,
-// fanned out over the same pool. The winner is the survivor with the
+// fanned out over the same pool. The fixed decoders' baselines ride in
+// that batch, each simulated only if no promoted candidate computes its
+// address function already. The winner is the survivor with the
 // fewest measured cycles; because zero masks reproduce the paper's word
 // interleave and the XOR-fold masks reproduce the classic bank hash,
 // both landmarks are always in the starting population and the tuned
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,9 +142,13 @@ type Result struct {
 	// Survivors are the fully evaluated candidates, best first.
 	Survivors []Candidate `json:"survivors"`
 	// Baselines are the full-simulation totals of the fixed decoders on
-	// the same workload, keyed "word", "line", "xor".
+	// the same workload, keyed "word", "line", "xor". A fixed decoder
+	// with the same address function as a survivor (addrmap.SameFunction)
+	// reports that survivor's total instead of simulating again.
 	Baselines map[string]uint64 `json:"baselines"`
-	// SurrogateEvals and FullEvals count the two rungs of the ladder.
+	// SurrogateEvals and FullEvals count the two rungs of the ladder:
+	// FullEvals is one simulation per survivor and per fixed decoder
+	// matching none, plus every climb step under DisableSurrogate.
 	SurrogateEvals int `json:"surrogate_evals"`
 	FullEvals      int `json:"full_evals"`
 }
@@ -163,8 +170,9 @@ type searcher struct {
 	w       Workload
 	o       Options
 	scorer  *scorer
-	lm      uint   // log2 banks
-	varyBit []uint // bank-word bits the search may toggle, ascending
+	lm      uint       // log2 banks
+	varyBit []uint     // bank-word bits the search may toggle, ascending
+	starts  [][]uint32 // the climbs' starting mask sets
 	surEval int
 	fullMu  sync.Mutex
 	full    int
@@ -173,6 +181,116 @@ type searcher struct {
 // Search runs the autotuner over a workload and returns the winning
 // decoder with its evidence. Deterministic for a fixed Options.Seed.
 func Search(w Workload, o Options) (*Result, error) {
+	s, err := newSearcher(w, o)
+	if err != nil {
+		return nil, err
+	}
+	o = s.o
+
+	// Rung one: greedy per-bit refinement of every start, each climb in
+	// its own slot, then deduplicated in start order.
+	var locals []Candidate
+	seen := map[string]bool{}
+	for _, c := range s.climbAll(s.starts) {
+		if c.err != nil {
+			return nil, c.err
+		}
+		if !o.DisableSurrogate {
+			s.surEval += c.evals
+		}
+		spec := s.tuned(c.masks).String()
+		if seen[spec] {
+			continue
+		}
+		seen[spec] = true
+		locals = append(locals, Candidate{Masks: c.masks, Spec: spec, Surrogate: c.cost})
+	}
+	sort.Slice(locals, func(i, j int) bool {
+		if locals[i].Surrogate != locals[j].Surrogate {
+			return locals[i].Surrogate < locals[j].Surrogate
+		}
+		return locals[i].Spec < locals[j].Spec
+	})
+
+	// Rung two: promote the survivors to the real simulator. The
+	// unrefined landmarks always ride along — they reproduce the word and
+	// xor decoders exactly, so the measured winner can never be worse
+	// than either fixed decoder, whatever the surrogate thought.
+	if len(locals) > o.Survivors {
+		locals = locals[:o.Survivors]
+	}
+	for _, lmk := range [][]uint32{make([]uint32, s.lm), addrmap.XORFoldMasks(o.Channels, o.Banks)} {
+		spec := s.tuned(lmk).String()
+		if slices.ContainsFunc(locals, func(c Candidate) bool { return c.Spec == spec }) {
+			continue
+		}
+		c := Candidate{Masks: lmk, Spec: spec}
+		if !o.DisableSurrogate {
+			s.surEval++
+			c.Surrogate, _ = s.scorer.load(lmk) // the surrogate never fails
+		}
+		locals = append(locals, c)
+	}
+	decs := make([]addrmap.Decoder, len(locals))
+	for i, c := range locals {
+		decs[i] = s.tuned(c.Masks)
+	}
+
+	// Baselines: the fixed decoders on the identical workload. One that
+	// computes the same address function as a decoder already in the
+	// batch takes that decoder's total, since equal functions simulate
+	// identically (TestSameFunctionSameResult): the landmarks cover word
+	// and xor, and word covers line at one channel. The others join the
+	// batch.
+	baseNames := []string{"word", "line", "xor"}
+	baseAt := make([]int, len(baseNames))
+	for i, n := range baseNames {
+		d, err := addrmap.Parse(n, o.Channels, o.Banks, o.LineWords)
+		if err != nil {
+			return nil, err
+		}
+		baseAt[i] = slices.IndexFunc(decs, func(c addrmap.Decoder) bool { return addrmap.SameFunction(c, d) })
+		if baseAt[i] < 0 {
+			baseAt[i] = len(decs)
+			decs = append(decs, d)
+		}
+	}
+	cycles, err := s.evalAll(decs)
+	if err != nil {
+		return nil, err
+	}
+	baselines := make(map[string]uint64, len(baseNames))
+	for i, n := range baseNames {
+		baselines[n] = cycles[baseAt[i]]
+	}
+	for i := range locals {
+		locals[i].Cycles = cycles[i]
+		if o.DisableSurrogate {
+			locals[i].Surrogate = 0 // never surrogate-scored
+		}
+	}
+	sort.Slice(locals, func(i, j int) bool {
+		if locals[i].Cycles != locals[j].Cycles {
+			return locals[i].Cycles < locals[j].Cycles
+		}
+		return locals[i].Spec < locals[j].Spec
+	})
+
+	return &Result{
+		Workload:       w.Name,
+		Best:           locals[0],
+		Survivors:      locals,
+		Baselines:      baselines,
+		SurrogateEvals: s.surEval,
+		FullEvals:      s.full,
+	}, nil
+}
+
+// newSearcher checks the options and the workload, fills in the
+// defaults, captures the workload's addresses for the surrogate, and
+// picks the bank-word bits the climbs may toggle and the mask sets they
+// start from.
+func newSearcher(w Workload, o Options) (*searcher, error) {
 	if o.Restarts < 0 {
 		return nil, fmt.Errorf("autotune: Restarts %d is negative", o.Restarts)
 	}
@@ -216,7 +334,7 @@ func Search(w Workload, o Options) (*Result, error) {
 	}
 
 	// Starting population: the two landmarks plus seeded random masks.
-	starts := [][]uint32{
+	s.starts = [][]uint32{
 		make([]uint32, s.lm), // word interleave
 		addrmap.XORFoldMasks(o.Channels, o.Banks),
 	}
@@ -226,108 +344,9 @@ func Search(w Workload, o Options) (*Result, error) {
 		for j := range m {
 			m[j] = uint32(splitmix64(&seed)) & vary
 		}
-		starts = append(starts, m)
+		s.starts = append(s.starts, m)
 	}
-
-	// Rung one: greedy per-bit refinement of every start, each climb in
-	// its own slot, then deduplicated in start order.
-	var locals []Candidate
-	seen := map[string]bool{}
-	for _, c := range s.climbAll(starts) {
-		if c.err != nil {
-			return nil, c.err
-		}
-		if !o.DisableSurrogate {
-			s.surEval += c.evals
-		}
-		spec := s.tuned(c.masks).String()
-		if seen[spec] {
-			continue
-		}
-		seen[spec] = true
-		locals = append(locals, Candidate{Masks: c.masks, Spec: spec, Surrogate: c.cost})
-	}
-	sort.Slice(locals, func(i, j int) bool {
-		if locals[i].Surrogate != locals[j].Surrogate {
-			return locals[i].Surrogate < locals[j].Surrogate
-		}
-		return locals[i].Spec < locals[j].Spec
-	})
-
-	// Rung two: promote the survivors to the real simulator. The
-	// unrefined landmarks always ride along — they reproduce the word and
-	// xor decoders exactly, so the measured winner can never be worse
-	// than either fixed decoder, whatever the surrogate thought.
-	if len(locals) > o.Survivors {
-		locals = locals[:o.Survivors]
-	}
-	for _, lmk := range [][]uint32{make([]uint32, s.lm), addrmap.XORFoldMasks(o.Channels, o.Banks)} {
-		spec := s.tuned(lmk).String()
-		dup := false
-		for _, c := range locals {
-			if c.Spec == spec {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		c := Candidate{Masks: lmk, Spec: spec}
-		if !o.DisableSurrogate {
-			s.surEval++
-			c.Surrogate, _ = s.scorer.load(lmk) // the surrogate never fails
-		}
-		locals = append(locals, c)
-	}
-	decs := make([]addrmap.Decoder, len(locals))
-	for i, c := range locals {
-		decs[i] = s.tuned(c.Masks)
-	}
-	cycles, err := s.evalAll(decs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range locals {
-		locals[i].Cycles = cycles[i]
-		if o.DisableSurrogate {
-			locals[i].Surrogate = 0 // never surrogate-scored
-		}
-	}
-	sort.Slice(locals, func(i, j int) bool {
-		if locals[i].Cycles != locals[j].Cycles {
-			return locals[i].Cycles < locals[j].Cycles
-		}
-		return locals[i].Spec < locals[j].Spec
-	})
-
-	// Baselines: the fixed decoders on the identical workload.
-	baseNames := []string{"word", "line", "xor"}
-	baseDecs := make([]addrmap.Decoder, len(baseNames))
-	for i, n := range baseNames {
-		d, err := addrmap.Parse(n, o.Channels, o.Banks, o.LineWords)
-		if err != nil {
-			return nil, err
-		}
-		baseDecs[i] = d
-	}
-	baseCycles, err := s.evalAll(baseDecs)
-	if err != nil {
-		return nil, err
-	}
-	baselines := make(map[string]uint64, len(baseNames))
-	for i, n := range baseNames {
-		baselines[n] = baseCycles[i]
-	}
-
-	return &Result{
-		Workload:       w.Name,
-		Best:           locals[0],
-		Survivors:      locals,
-		Baselines:      baselines,
-		SurrogateEvals: s.surEval,
-		FullEvals:      s.full,
-	}, nil
+	return s, nil
 }
 
 // tuned returns the tuned decoder for masks in the searched shape.
@@ -387,10 +406,14 @@ func varyingBits(captured []kernels.AddressTrace, shift uint) uint32 {
 	return vary
 }
 
-// greedy hill-climbs one mask set to a local optimum: toggle every
-// (bank bit, bank-word bit) pair, keep strict improvements, repeat
-// until a full pass finds none. Bits scan in ascending order so the
-// walk is deterministic.
+// greedy hill-climbs one mask set to a local optimum: it toggles the
+// (bank bit, bank-word bit) pairs in a fixed cyclic order (masks in
+// turn, bits ascending within each), keeps strict improvements, and
+// stops after one quiet lap, once every pair has been scored since the
+// last accepted toggle and none improved. Repeating whole passes until
+// one accepts nothing visits the pairs in the same order and accepts
+// the same toggles; it only re-scores, in the same state, pairs the
+// quiet lap already turned down.
 func (s *searcher) greedy(r rung, start []uint32) climb {
 	cur := append([]uint32(nil), start...)
 	best, err := r.load(cur)
@@ -398,23 +421,22 @@ func (s *searcher) greedy(r rung, start []uint32) climb {
 		return climb{err: err}
 	}
 	evals := 1
-	for improved := true; improved; {
-		improved = false
-		for j := range cur {
-			for _, b := range s.varyBit {
-				cur[j] ^= 1 << b
-				c, err := r.neighbour(cur, j, b)
-				if err != nil {
-					return climb{err: err}
-				}
-				evals++
-				if c < best {
-					best, improved = c, true
-					r.accept(j, b)
-				} else {
-					cur[j] ^= 1 << b
-				}
-			}
+	nb := len(s.varyBit)
+	pairs := len(cur) * nb
+	for p, quiet := 0, 0; quiet < pairs; p = (p + 1) % pairs {
+		j, b := p/nb, s.varyBit[p%nb]
+		cur[j] ^= 1 << b
+		c, err := r.neighbour(cur, j, b)
+		if err != nil {
+			return climb{err: err}
+		}
+		evals++
+		if c < best {
+			best, quiet = c, 0
+			r.accept(j, b)
+		} else {
+			cur[j] ^= 1 << b
+			quiet++
 		}
 	}
 	return climb{masks: cur, cost: best, evals: evals}

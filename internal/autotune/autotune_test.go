@@ -1,11 +1,15 @@
 package autotune
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"pva/internal/addrmap"
 	"pva/internal/kernels"
+	"pva/internal/memsys"
+	"pva/internal/pvaunit"
 )
 
 // testWorkload is a small multi-stride mix: no single fixed decoder is
@@ -117,25 +121,54 @@ func TestAutotuneNeverLosesToWordOrXOR(t *testing.T) {
 	}
 }
 
+// TestAutotuneLadderCounts pins the full rung's cost: one simulation
+// per survivor, plus one per fixed decoder whose address function no
+// survivor computes. The landmarks cover word and xor at every channel
+// count, and word covers line at one channel; at four channels line
+// runs on its own. Every reused baseline must equal a simulation of the
+// fixed decoder itself.
 func TestAutotuneLadderCounts(t *testing.T) {
 	w := testWorkload(t, "saxpy")
-	res, err := Search(w, Options{Seed: 3, Restarts: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SurrogateEvals == 0 {
-		t.Fatal("surrogate rung never ran")
-	}
-	// Full simulations: one per survivor plus the three baselines.
-	if want := len(res.Survivors) + 3; res.FullEvals != want {
-		t.Fatalf("FullEvals = %d, want %d (survivors %d + 3 baselines)", res.FullEvals, want, len(res.Survivors))
-	}
-	if res.SurrogateEvals < res.FullEvals {
-		t.Fatalf("ladder inverted: %d surrogate vs %d full evaluations", res.SurrogateEvals, res.FullEvals)
-	}
-	for i := 1; i < len(res.Survivors); i++ {
-		if res.Survivors[i-1].Cycles > res.Survivors[i].Cycles {
-			t.Fatalf("survivors not sorted by cycles: %+v", res.Survivors)
+	for _, c := range []struct {
+		channels uint32
+		ownRuns  int // fixed decoders simulated on their own
+	}{{1, 0}, {4, 1}} {
+		o := Options{Seed: 3, Restarts: 2, Workers: 1, Channels: c.channels}
+		res, err := Search(w, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SurrogateEvals == 0 {
+			t.Fatal("surrogate rung never ran")
+		}
+		if want := len(res.Survivors) + c.ownRuns; res.FullEvals != want {
+			t.Fatalf("%d channels: FullEvals = %d, want %d (survivors %d + %d fixed decoders matching none)",
+				c.channels, res.FullEvals, want, len(res.Survivors), c.ownRuns)
+		}
+		if res.SurrogateEvals < res.FullEvals {
+			t.Fatalf("ladder inverted: %d surrogate vs %d full evaluations", res.SurrogateEvals, res.FullEvals)
+		}
+		for i := 1; i < len(res.Survivors); i++ {
+			if res.Survivors[i-1].Cycles > res.Survivors[i].Cycles {
+				t.Fatalf("survivors not sorted by cycles: %+v", res.Survivors)
+			}
+		}
+		s, err := newSearcher(w, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range res.Baselines {
+			d, err := addrmap.Parse(name, c.channels, 16, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.fullCycles(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%d channels: baseline %s = %d, a simulation of it gives %d", c.channels, name, got, want)
+			}
 		}
 	}
 }
@@ -149,8 +182,11 @@ func TestAutotuneDisableSurrogate(t *testing.T) {
 	if res.SurrogateEvals != 0 {
 		t.Fatalf("surrogate ran %d times with DisableSurrogate", res.SurrogateEvals)
 	}
-	if res.FullEvals <= len(res.Survivors)+3 {
-		t.Fatalf("full-sim-only search did too few simulations: %d", res.FullEvals)
+	// At one channel every fixed decoder reuses a survivor's total, so
+	// the promoted survivors alone account for len(Survivors) runs; the
+	// climbs must add theirs.
+	if res.FullEvals <= len(res.Survivors) {
+		t.Fatalf("full-sim-only search did too few simulations: %d for %d survivors", res.FullEvals, len(res.Survivors))
 	}
 	if _, best := res.BestFixed(); res.Best.Cycles > best {
 		t.Fatalf("full-sim search lost to fixed baseline: %d vs %d", res.Best.Cycles, best)
@@ -172,6 +208,170 @@ func TestAutotuneMultiChannelShape(t *testing.T) {
 	for _, base := range []string{"word", "xor"} {
 		if res.Best.Cycles > res.Baselines[base] {
 			t.Fatalf("4-channel tuned %d worse than %s %d", res.Best.Cycles, base, res.Baselines[base])
+		}
+	}
+}
+
+// TestSameFunctionSameResult pins the premise of Search's baseline
+// reuse: two decoders with the same address function give identical
+// Results (cycles, Stats, per-channel Stats and read data), whichever
+// path the front end takes. word runs the controllers' closed-form hit
+// math; tuned, xor and line hand them pre-claimed element lists. The
+// grid is SDRAM and 4-partition PCM, every kernel at the paper strides
+// and all five alignments, 256 elements.
+func TestSameFunctionSameResult(t *testing.T) {
+	strides := []uint32{1, 2, 4, 8, 16, 19} // the paper's
+	if testing.Short() {
+		strides = []uint32{1, 19}
+	}
+	var traces []memsys.Trace
+	var names []string
+	for _, k := range append(kernels.All(), kernels.Indexed()...) {
+		for _, st := range strides {
+			for al := 0; al < kernels.Alignments; al++ {
+				p := kernels.PaperParams(st, al)
+				p.Elements = 256
+				traces = append(traces, k.Build(p))
+				names = append(names, fmt.Sprintf("%s stride %d align %d", k.Name, st, al))
+			}
+		}
+	}
+	type pair struct {
+		channels uint32
+		a, b     string
+	}
+	var pairs []pair
+	for _, c := range []uint32{1, 2, 4} {
+		pairs = append(pairs,
+			pair{c, "word", addrmap.MustTuned(c, 16, nil).String()},
+			pair{c, "xor", addrmap.MustTuned(c, 16, addrmap.XORFoldMasks(c, 16)).String()})
+	}
+	pairs = append(pairs, pair{1, "line", "word"})
+
+	for _, tech := range []struct {
+		name       string
+		partitions uint32
+	}{{"sdram", 0}, {"pcm", 4}} {
+		for _, p := range pairs {
+			t.Run(fmt.Sprintf("%s/%dch/%s", tech.name, p.channels, p.a), func(t *testing.T) {
+				t.Parallel() // the traces are shared read-only
+				decA, sysA, cpA := sameFunctionSystem(t, tech.name, tech.partitions, p.channels, p.a)
+				decB, sysB, cpB := sameFunctionSystem(t, tech.name, tech.partitions, p.channels, p.b)
+				if !addrmap.SameFunction(decA, decB) {
+					t.Fatalf("%s and %s: not one address function", p.a, p.b)
+				}
+				for i, tr := range traces {
+					ra, err := sysA.Run(tr)
+					if err != nil {
+						t.Fatalf("%s under %s: %v", names[i], p.a, err)
+					}
+					rb, err := sysB.Run(tr)
+					if err != nil {
+						t.Fatalf("%s under %s: %v", names[i], p.b, err)
+					}
+					if !reflect.DeepEqual(ra, rb) {
+						t.Fatalf("%s: %s and %s differ\n%s: %d cycles %+v\n%s: %d cycles %+v",
+							names[i], p.a, p.b, p.a, ra.Cycles, ra.Stats, p.b, rb.Cycles, rb.Stats)
+					}
+					if err := sysA.Restore(cpA); err != nil {
+						t.Fatal(err)
+					}
+					if err := sysB.Restore(cpB); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameFunctionSystem builds a 16-bank PVA system on a back end under
+// the decoder a spec names, and returns the decoder, the system and its
+// cold checkpoint.
+func sameFunctionSystem(t *testing.T, tech string, partitions, channels uint32, spec string) (addrmap.Decoder, *pvaunit.System, memsys.Checkpoint) {
+	t.Helper()
+	cfg := pvaunit.PaperConfig()
+	cfg.Channels = channels
+	if err := pvaunit.ApplyTech(&cfg, tech, 0, partitions); err != nil {
+		t.Fatal(err)
+	}
+	d, err := addrmap.Parse(spec, channels, cfg.Banks, cfg.LineWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Decoder = d
+	sys, err := pvaunit.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, sys, sys.Snapshot()
+}
+
+// fullPassClimb is the climb greedy replaced, kept as its reference:
+// toggle every (bank bit, bank-word bit) pair in turn, keep strict
+// improvements, and repeat whole passes until one accepts nothing.
+func fullPassClimb(s *searcher, r rung, start []uint32) climb {
+	cur := append([]uint32(nil), start...)
+	best, err := r.load(cur)
+	if err != nil {
+		return climb{err: err}
+	}
+	evals := 1
+	for improved := true; improved; {
+		improved = false
+		for j := range cur {
+			for _, b := range s.varyBit {
+				cur[j] ^= 1 << b
+				c, err := r.neighbour(cur, j, b)
+				if err != nil {
+					return climb{err: err}
+				}
+				evals++
+				if c < best {
+					best, improved = c, true
+					r.accept(j, b)
+				} else {
+					cur[j] ^= 1 << b
+				}
+			}
+		}
+	}
+	return climb{masks: cur, cost: best, evals: evals}
+}
+
+// TestGreedyMatchesFullPassClimb: stopping after one quiet lap reaches
+// the same optimum at the same cost as repeating whole passes, with no
+// more evaluations, on the surrogate and under full simulation.
+func TestGreedyMatchesFullPassClimb(t *testing.T) {
+	restarts := 20
+	if testing.Short() {
+		restarts = 4
+	}
+	for _, name := range []string{"saxpy", "swap", "gather"} {
+		w := testWorkload(t, name)
+		for _, o := range []Options{{}, {DisableSurrogate: true, MaskBits: 3}} {
+			o.Seed, o.Restarts = 0x9e11, restarts
+			s, err := newSearcher(w, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r rung = s.scorer
+			if o.DisableSurrogate {
+				r = fullRung{s}
+			}
+			for _, st := range s.starts { // both landmarks, then the seeded starts
+				got, want := s.greedy(r, st), fullPassClimb(s, r, st)
+				if got.err != nil || want.err != nil {
+					t.Fatal(got.err, want.err)
+				}
+				if !reflect.DeepEqual(got.masks, want.masks) || got.cost != want.cost {
+					t.Fatalf("%s %+v from %#x: cyclic climb %#x cost %d, full passes %#x cost %d",
+						name, o, st, got.masks, got.cost, want.masks, want.cost)
+				}
+				if got.evals > want.evals {
+					t.Fatalf("%s %+v from %#x: cyclic climb scored %d, full passes %d", name, o, st, got.evals, want.evals)
+				}
+			}
 		}
 	}
 }
