@@ -228,19 +228,6 @@ func BenchmarkAblationVCWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkSplitVector measures the division-free page split of Section
-// 4.3.2 (the front-end fast path).
-func BenchmarkSplitVector(b *testing.B) {
-	b.ReportAllocs()
-	tlb := IdentityTLB(1<<24, 4096)
-	v := Vector{Base: 12345, Stride: 19, Length: 4096}
-	for i := 0; i < b.N; i++ {
-		if _, err := SplitVector(tlb, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSweepSerial runs the full evaluation sweep (960 points) on
 // the single-threaded engine. Compare with BenchmarkSweepParallel for
 // the worker-pool speedup on multi-core machines (this is the pair the

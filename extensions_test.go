@@ -1,40 +1,10 @@
-// Pins the extension-facing public surface: the Impulse-style shadow
-// space, the bit-reversal helpers and the superpage TLB indexed
-// translation.
+// Pins the extension-facing public surface: the bit-reversal helpers.
 package pva
 
 import (
 	"strings"
 	"testing"
 )
-
-func TestShadowSpaceTranslate(t *testing.T) {
-	s, err := NewShadowSpace([]ShadowMapping{
-		{ShadowBase: 1 << 16, Length: 64, Base: 100, Stride: 19},
-		{ShadowBase: 1<<16 + 64, Length: 32, Base: 5000, Stride: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 64; i++ {
-		got, ok := s.Translate(1<<16 + i)
-		if !ok || got != 100+19*i {
-			t.Fatalf("shadow word %d -> (%d, %v), want (%d, true)", i, got, ok, 100+19*i)
-		}
-	}
-	if got, ok := s.Translate(1<<16 + 64 + 3); !ok || got != 5000+4*3 {
-		t.Fatalf("second region word 3 -> (%d, %v)", got, ok)
-	}
-	if _, ok := s.Translate(42); ok {
-		t.Fatal("unmapped address translated")
-	}
-	if _, err := NewShadowSpace([]ShadowMapping{
-		{ShadowBase: 0, Length: 64, Base: 0, Stride: 1},
-		{ShadowBase: 32, Length: 64, Base: 0, Stride: 1},
-	}); err == nil {
-		t.Fatal("overlapping shadow regions accepted")
-	}
-}
 
 func TestBitReverse(t *testing.T) {
 	cases := []struct {
@@ -68,29 +38,6 @@ func TestBitRevAddresses(t *testing.T) {
 		if a != want {
 			t.Errorf("addrs[%d] = %d, want %d", i, a, want)
 		}
-	}
-}
-
-func TestTranslateIndexedTLB(t *testing.T) {
-	tlb := IdentityTLB(1<<16, 4096)
-	before := tlb.Lookups
-	idx := []uint32{0, 5000, 9999, 12345}
-	out, err := TranslateIndexed(tlb, 100, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, off := range idx {
-		if out[i] != 100+off {
-			t.Errorf("out[%d] = %d, want %d", i, out[i], 100+off)
-		}
-	}
-	// Indexed translation pays one lookup per element — the traffic the
-	// strided SplitVector path avoids.
-	if got := tlb.Lookups - before; got != len(idx) {
-		t.Errorf("TLB lookups = %d, want %d", got, len(idx))
-	}
-	if _, err := TranslateIndexed(tlb, 1<<16, []uint32{0}); err == nil {
-		t.Fatal("unmapped indexed access translated")
 	}
 }
 

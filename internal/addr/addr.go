@@ -1,9 +1,7 @@
-// Package addr implements the address-mapping substrate of the PVA memory
-// system: word/cache-line/block interleaving across banks, the DecodeBank
-// bit-select of the paper's Section 4.1.1, the logical-bank transform of
-// Section 4.1.3 (which turns a W x N x M physical organization into WNM
-// logical banks with W = N = 1), and the decomposition of a per-bank word
-// index into SDRAM column / internal-bank / row coordinates.
+// Package addr holds the simulator's address vocabulary: the 32-bit
+// word address, and the decomposition of a per-bank word index into
+// SDRAM column / internal-bank / row coordinates. How words are spread
+// over channels and banks is internal/addrmap's job.
 //
 // Throughout the simulator an address is a 32-bit *word* address (one word
 // = 4 bytes), matching the paper's convention of measuring strides in
@@ -14,131 +12,6 @@ import "fmt"
 
 // Word is a 32-bit word address. The physical byte address is Word * 4.
 type Word = uint32
-
-// BytesPerWord is the machine word size of the modeled MIPS R10000 system.
-const BytesPerWord = 4
-
-// Interleave maps word addresses to memory banks. All schemes in this
-// package require the bank count to be a power of two so that DecodeBank
-// reduces to a bit-select, as the hardware demands.
-type Interleave interface {
-	// Bank returns the bank holding addr.
-	Bank(a Word) uint32
-	// Banks returns the number of banks M.
-	Banks() uint32
-	// BankWord returns the word index within Bank(a) at which addr is
-	// stored. Successive BankWord values of the same bank are contiguous
-	// in that bank's DRAM array.
-	BankWord(a Word) uint32
-}
-
-// Word0 describes word interleaving: consecutive words round-robin across
-// banks. This is the organization of the PVA prototype (Section 5.1).
-type Word0 struct {
-	M uint32 // number of banks; power of two
-	m uint   // log2(M)
-}
-
-// NewWordInterleave returns a word-interleaved mapping across m banks.
-func NewWordInterleave(banks uint32) (Word0, error) {
-	lg, err := log2(banks)
-	if err != nil {
-		return Word0{}, fmt.Errorf("word interleave: %w", err)
-	}
-	return Word0{M: banks, m: lg}, nil
-}
-
-// MustWordInterleave is NewWordInterleave for known-good constants.
-func MustWordInterleave(banks uint32) Word0 {
-	w, err := NewWordInterleave(banks)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
-// Bank implements Interleave: bank = addr mod M, a pure bit-select.
-func (w Word0) Bank(a Word) uint32 { return a & (w.M - 1) }
-
-// Banks implements Interleave.
-func (w Word0) Banks() uint32 { return w.M }
-
-// BankWord implements Interleave.
-func (w Word0) BankWord(a Word) uint32 { return a >> w.m }
-
-// Log2Banks returns log2(M).
-func (w Word0) Log2Banks() uint { return w.m }
-
-// Line describes cache-line interleaving: each bank holds whole blocks of
-// N consecutive words. DecodeBank(addr) = (addr >> n) mod M as in
-// Section 4.1.1.
-type Line struct {
-	M uint32 // number of banks; power of two
-	N uint32 // words per block (cache line); power of two
-	m uint   // log2(M)
-	n uint   // log2(N)
-}
-
-// NewLineInterleave returns a cache-line-interleaved mapping with the
-// given bank count and block size in words.
-func NewLineInterleave(banks, lineWords uint32) (Line, error) {
-	m, err := log2(banks)
-	if err != nil {
-		return Line{}, fmt.Errorf("line interleave banks: %w", err)
-	}
-	n, err := log2(lineWords)
-	if err != nil {
-		return Line{}, fmt.Errorf("line interleave words: %w", err)
-	}
-	return Line{M: banks, N: lineWords, m: m, n: n}, nil
-}
-
-// MustLineInterleave is NewLineInterleave for known-good constants.
-func MustLineInterleave(banks, lineWords uint32) Line {
-	l, err := NewLineInterleave(banks, lineWords)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Bank implements Interleave.
-func (l Line) Bank(a Word) uint32 { return (a >> l.n) & (l.M - 1) }
-
-// Banks implements Interleave.
-func (l Line) Banks() uint32 { return l.M }
-
-// BankWord implements Interleave.
-func (l Line) BankWord(a Word) uint32 {
-	block := a >> (l.n + l.m) // block index within the bank
-	return block<<l.n | a&(l.N-1)
-}
-
-// Offset returns theta = addr mod N, the offset of addr within its block.
-func (l Line) Offset(a Word) uint32 { return a & (l.N - 1) }
-
-// Block describes block interleaving with W-word wide banks holding
-// N-word blocks: a generalization used by the logical-bank transform of
-// Section 4.1.3. A physical organization of M banks, each W words wide,
-// with blocks of W*N words, is indistinguishable (for bank-conflict
-// purposes) from W*N*M logical banks of one word each.
-type Block struct {
-	M uint32 // physical banks
-	W uint32 // words per memory word (bank width)
-	N uint32 // memory words per block
-}
-
-// LogicalBanks returns the number of logical single-word banks, W*N*M.
-func (b Block) LogicalBanks() uint32 { return b.W * b.N * b.M }
-
-// LogicalBank returns the logical bank L_i holding addr under the
-// transform of Section 4.1.3: consecutive words map to consecutive
-// logical banks, wrapping modulo W*N*M.
-func (b Block) LogicalBank(a Word) uint32 { return a % b.LogicalBanks() }
-
-// PhysicalBank returns the physical bank holding addr: each physical bank
-// owns W*N consecutive logical banks.
-func (b Block) PhysicalBank(a Word) uint32 { return b.LogicalBank(a) / (b.W * b.N) }
 
 // SDRAMGeom decomposes a per-bank word index into SDRAM coordinates.
 // The prototype drives one 32-bit-wide SDRAM per bank with four internal

@@ -5,111 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestWordInterleave(t *testing.T) {
-	w := MustWordInterleave(16)
-	if w.Banks() != 16 || w.Log2Banks() != 4 {
-		t.Fatalf("bad geometry: %+v", w)
-	}
-	for a := Word(0); a < 64; a++ {
-		if got := w.Bank(a); got != a%16 {
-			t.Errorf("Bank(%d) = %d, want %d", a, got, a%16)
-		}
-		if got := w.BankWord(a); got != a/16 {
-			t.Errorf("BankWord(%d) = %d, want %d", a, got, a/16)
-		}
-	}
-}
-
-func TestWordInterleaveValidation(t *testing.T) {
-	for _, bad := range []uint32{0, 3, 5, 12} {
-		if _, err := NewWordInterleave(bad); err == nil {
-			t.Errorf("NewWordInterleave(%d): expected error", bad)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustWordInterleave(3) did not panic")
-		}
-	}()
-	MustWordInterleave(3)
-}
-
-func TestLineInterleave(t *testing.T) {
-	l := MustLineInterleave(16, 32)
-	cases := []struct {
-		a    Word
-		bank uint32
-	}{
-		{0, 0}, {31, 0}, {32, 1}, {63, 1}, {32 * 15, 15}, {32 * 16, 0},
-	}
-	for _, c := range cases {
-		if got := l.Bank(c.a); got != c.bank {
-			t.Errorf("Bank(%d) = %d, want %d", c.a, got, c.bank)
-		}
-	}
-	// Offset within block.
-	if got := l.Offset(37); got != 5 {
-		t.Errorf("Offset(37) = %d, want 5", got)
-	}
-}
-
-func TestLineInterleaveBankWordRoundTrip(t *testing.T) {
-	l := MustLineInterleave(8, 4)
-	// Bank b stores its blocks contiguously; walking addresses of one
-	// bank in order must walk BankWord 0,1,2,...
-	for b := uint32(0); b < 8; b++ {
-		var next uint32
-		for a := Word(0); a < 4*8*4; a++ {
-			if l.Bank(a) != b {
-				continue
-			}
-			if got := l.BankWord(a); got != next {
-				t.Fatalf("bank %d addr %d: BankWord = %d, want %d", b, a, got, next)
-			}
-			next++
-		}
-	}
-}
-
-func TestLineInterleaveValidation(t *testing.T) {
-	if _, err := NewLineInterleave(3, 4); err == nil {
-		t.Error("expected error for banks=3")
-	}
-	if _, err := NewLineInterleave(4, 3); err == nil {
-		t.Error("expected error for lineWords=3")
-	}
-}
-
-// TestLogicalBankTransform checks the Section 4.1.3 equivalence on the
-// paper's own example: N=2, W=4, M=2 maps to 16 logical banks L0..L15
-// assigned round-robin to consecutive words.
-func TestLogicalBankTransform(t *testing.T) {
-	b := Block{M: 2, W: 4, N: 2}
-	if got := b.LogicalBanks(); got != 16 {
-		t.Fatalf("LogicalBanks = %d, want 16", got)
-	}
-	for a := Word(0); a < 64; a++ {
-		if got := b.LogicalBank(a); got != a%16 {
-			t.Errorf("LogicalBank(%d) = %d, want %d", a, got, a%16)
-		}
-		wantPhys := (a % 16) / 8 // W*N = 8 words per physical bank
-		if got := b.PhysicalBank(a); got != wantPhys {
-			t.Errorf("PhysicalBank(%d) = %d, want %d", a, got, wantPhys)
-		}
-	}
-}
-
-func TestLogicalBankQuick(t *testing.T) {
-	b := Block{M: 4, W: 2, N: 8}
-	f := func(a Word) bool {
-		lb := b.LogicalBank(a)
-		return lb < b.LogicalBanks() && b.PhysicalBank(a) == lb/(b.W*b.N)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSDRAMGeomDecompose(t *testing.T) {
 	g := MustSDRAMGeom(4, 512, 8192)
 	cases := []struct {

@@ -7,27 +7,22 @@
 // first-class lets the simulator scale the PVA design past the paper's
 // single-channel, word-interleaved prototype.
 //
-// Four decoders are provided:
+// Two decoder types are provided:
 //
-//   - WordInterleave: consecutive words round-robin first across
-//     channels, then across banks. With one channel this is exactly the
-//     prototype's organization (Section 5.1), and the combined
-//     (channel, bank) selection is word interleaving across
+//   - WordInterleave ("word"): consecutive words round-robin first
+//     across channels, then across banks. With one channel this is
+//     exactly the prototype's organization (Section 5.1), and the
+//     combined (channel, bank) selection is word interleaving across
 //     Channels*Banks units, so the paper's closed-form FirstHit/NextHit
 //     mathematics applies directly (HitGeometry).
-//   - LineInterleave: channels are selected at cache-line granularity
-//     (whole lines round-robin across channels), banks word-interleaved
-//     within each channel. Whole-line traffic parallelizes across
-//     channels; element ownership within a vector is no longer a single
-//     arithmetic progression per bank.
-//   - XORBank: word-interleaved channels, but the bank within a channel
-//     is permuted by XOR-folding the device word index into the bank
-//     bits (the classic conflict-breaking bank hash). Strides that are
-//     multiples of the bank count no longer serialize on one bank.
-//   - Tuned: the generalization of XORBank with one explicit parity
-//     mask per bank bit — the full XOR-hash design space, searched per
-//     workload by internal/autotune and round-tripped through the
-//     canonical "tuned:<mask,...>" spec string (see Parse and Spec).
+//   - Map: every other decoder, one GF(2)-linear family. A channel field
+//     at a fixed bit position, and a bank hashed by XOR masks over the
+//     bank word — the per-bit XOR component functions real DRAM maps
+//     decompose into. "line" selects channels at cache-line granularity
+//     and hashes nothing, "xor" is the classic bank fold, and
+//     "tuned:<mask,...>" names any mask set, searched per workload by
+//     internal/autotune and round-tripped through its canonical spec
+//     string (see Parse and Spec).
 //
 // All component functions are bijections on the word address space:
 // Encode is the exact inverse of Decode, which the device models rely on
@@ -74,32 +69,6 @@ type HitMath interface {
 	HitGeometry() core.Geometry
 }
 
-// ChannelSplitter is implemented by decoders whose per-channel element
-// sets of a base-stride vector are arithmetic progressions — Theorems
-// 4.3/4.4 applied at channel granularity. The channel dispatcher uses it
-// to size each channel's share of a broadcast without enumeration.
-type ChannelSplitter interface {
-	// SplitVector returns, per channel, the subvector of v the channel
-	// owns (First/Delta/Count over v's element indices).
-	SplitVector(v core.Vector) []core.Hit
-}
-
-// ChannelAppender is the allocation-free form of ChannelSplitter: the
-// per-channel hits are appended to dst (reusing its capacity) instead
-// of materializing a fresh slice per broadcast. Hot paths hold a scratch
-// slice and call AppendSplit(scratch[:0], v) each command.
-type ChannelAppender interface {
-	AppendSplit(dst []core.Hit, v core.Vector) []core.Hit
-}
-
-// New returns the decoder a spec names: "word" (the default when the
-// spec is empty), "line", "xor", or a "tuned:<mask,...>" XOR-hash spec.
-// channels and banks must be powers of two; lineWords is only consulted
-// by "line". New is Parse under its historical name.
-func New(name string, channels, banks, lineWords uint32) (Decoder, error) {
-	return Parse(name, channels, banks, lineWords)
-}
-
 // WordInterleave round-robins consecutive words across channels, then
 // across banks within the channel: channel = a mod C, bank = (a/C) mod M,
 // bank word = a / (C*M). With C = 1 it is the paper's prototype mapping.
@@ -110,13 +79,9 @@ type WordInterleave struct {
 
 // NewWordInterleave returns the word-interleaved decoder.
 func NewWordInterleave(channels, banks uint32) (*WordInterleave, error) {
-	lc, err := log2(channels)
+	lc, lm, err := shape(channels, banks)
 	if err != nil {
-		return nil, fmt.Errorf("addrmap: channels: %w", err)
-	}
-	lm, err := log2(banks)
-	if err != nil {
-		return nil, fmt.Errorf("addrmap: banks: %w", err)
+		return nil, err
 	}
 	return &WordInterleave{C: channels, M: banks, c: lc, m: lm}, nil
 }
@@ -165,187 +130,17 @@ func (d *WordInterleave) HitUnit(channel, bank uint32) uint32 {
 	return bank<<d.c | channel
 }
 
-// SplitVector implements ChannelSplitter via the channel-granularity
-// closed form (channel = a mod C).
-func (d *WordInterleave) SplitVector(v core.Vector) []core.Hit {
-	return splitMod(d.C, v)
-}
-
-// AppendSplit implements ChannelAppender with the same closed form.
-func (d *WordInterleave) AppendSplit(dst []core.Hit, v core.Vector) []core.Hit {
-	return appendMod(dst, d.C, v)
-}
-
-// LineInterleave selects the channel at cache-line granularity —
-// channel = (a / N) mod C for N-word lines — and word-interleaves the M
-// banks within each channel over the channel-local address space.
-type LineInterleave struct {
-	C, M, N uint32
-	c, m, n uint
-}
-
-// NewLineInterleave returns the line-granularity channel decoder.
-func NewLineInterleave(channels, banks, lineWords uint32) (*LineInterleave, error) {
-	lc, err := log2(channels)
-	if err != nil {
-		return nil, fmt.Errorf("addrmap: channels: %w", err)
-	}
-	lm, err := log2(banks)
-	if err != nil {
-		return nil, fmt.Errorf("addrmap: banks: %w", err)
-	}
-	ln, err := log2(lineWords)
-	if err != nil {
-		return nil, fmt.Errorf("addrmap: line words: %w", err)
-	}
-	return &LineInterleave{C: channels, M: banks, N: lineWords, c: lc, m: lm, n: ln}, nil
-}
-
-// MustLineInterleave is NewLineInterleave for known-good constants.
-func MustLineInterleave(channels, banks, lineWords uint32) *LineInterleave {
-	d, err := NewLineInterleave(channels, banks, lineWords)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Name implements Decoder.
-func (d *LineInterleave) Name() string { return "line" }
-
-// Channels implements Decoder.
-func (d *LineInterleave) Channels() uint32 { return d.C }
-
-// Banks implements Decoder.
-func (d *LineInterleave) Banks() uint32 { return d.M }
-
-// local drops the channel-select bits: the word's index within its
-// channel's address space.
-func (d *LineInterleave) local(a addr.Word) uint32 {
-	return (a>>(d.n+d.c))<<d.n | a&(d.N-1)
-}
-
-// Decode implements Decoder.
-func (d *LineInterleave) Decode(a addr.Word) Coord {
-	l := d.local(a)
-	return Coord{
-		Channel:  (a >> d.n) & (d.C - 1),
-		Bank:     l & (d.M - 1),
-		BankWord: l >> d.m,
-	}
-}
-
-// Encode implements Decoder.
-func (d *LineInterleave) Encode(c Coord) addr.Word {
-	l := c.BankWord<<d.m | c.Bank
-	return (l>>d.n)<<(d.n+d.c) | c.Channel<<d.n | l&(d.N-1)
-}
-
-// XORBank keeps word-interleaved channels but permutes the bank within
-// each channel by XOR-folding the device word index into the bank bits:
-// bank = ((a/C) mod M) xor fold(a / (C*M)). Row-crossing strides that
-// would pile onto one bank under plain interleaving spread out instead.
-type XORBank struct {
-	C, M uint32
-	c, m uint
-}
-
-// NewXORBank returns the XOR-permutation bank-hash decoder.
-func NewXORBank(channels, banks uint32) (*XORBank, error) {
-	lc, err := log2(channels)
-	if err != nil {
-		return nil, fmt.Errorf("addrmap: channels: %w", err)
-	}
-	lm, err := log2(banks)
-	if err != nil {
-		return nil, fmt.Errorf("addrmap: banks: %w", err)
-	}
-	return &XORBank{C: channels, M: banks, c: lc, m: lm}, nil
-}
-
-// MustXORBank is NewXORBank for known-good constants.
-func MustXORBank(channels, banks uint32) *XORBank {
-	d, err := NewXORBank(channels, banks)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Name implements Decoder.
-func (d *XORBank) Name() string { return "xor" }
-
-// Channels implements Decoder.
-func (d *XORBank) Channels() uint32 { return d.C }
-
-// Banks implements Decoder.
-func (d *XORBank) Banks() uint32 { return d.M }
-
-// fold XORs the bank word down to log2(M) bits.
-func (d *XORBank) fold(bw uint32) uint32 {
-	if d.M == 1 {
-		return 0
-	}
-	var r uint32
-	for x := bw; x != 0; x >>= d.m {
-		r ^= x & (d.M - 1)
-	}
-	return r
-}
-
-// Decode implements Decoder.
-func (d *XORBank) Decode(a addr.Word) Coord {
-	rest := a >> d.c
-	bw := rest >> d.m
-	return Coord{
-		Channel:  a & (d.C - 1),
-		Bank:     rest&(d.M-1) ^ d.fold(bw),
-		BankWord: bw,
-	}
-}
-
-// Encode implements Decoder: the XOR fold is an involution, so the
-// inverse re-applies it.
-func (d *XORBank) Encode(c Coord) addr.Word {
-	return (c.BankWord<<d.m|c.Bank^d.fold(c.BankWord))<<d.c | c.Channel
-}
-
-// SplitVector implements ChannelSplitter: the channel function is plain
-// word interleaving (a mod C), untouched by the bank hash.
-func (d *XORBank) SplitVector(v core.Vector) []core.Hit {
-	return splitMod(d.C, v)
-}
-
-// AppendSplit implements ChannelAppender with the same closed form.
-func (d *XORBank) AppendSplit(dst []core.Hit, v core.Vector) []core.Hit {
-	return appendMod(dst, d.C, v)
-}
-
-// splitMod computes the per-channel subvectors of v under channel =
-// a mod C using the paper's closed forms at channel granularity.
-func splitMod(channels uint32, v core.Vector) []core.Hit {
-	return appendMod(make([]core.Hit, 0, channels), channels, v)
-}
-
-// appendMod is splitMod appending into caller-owned storage.
-func appendMod(dst []core.Hit, channels uint32, v core.Vector) []core.Hit {
-	g := core.MustGeometry(channels)
-	for ch := uint32(0); ch < channels; ch++ {
-		dst = append(dst, g.SubVector(v, ch))
-	}
-	return dst
-}
-
 // SplitVector returns the per-channel subvectors of v under any decoder:
-// the closed form when the decoder is a ChannelSplitter, otherwise by
-// enumerating v's elements. Channels that own no element report Count 0.
-// A ChannelSplitter's hits are true arithmetic subvectors (element
-// First + j*Delta for j < Count); for enumerated decoders a channel's
-// elements need not be evenly spaced, so only First and Count are
-// meaningful and Delta is a nominal 1 — the channel dispatcher hands the
-// bank controllers under such decoders explicit element lists instead.
+// the closed form when the channel is the address mod C (modC),
+// otherwise by enumerating v's elements. Channels that own no element
+// report Count 0. Closed-form hits are true arithmetic subvectors
+// (element First + j*Delta for j < Count); for enumerated decoders a
+// channel's elements need not be evenly spaced, so only First and Count
+// are meaningful and Delta is a nominal 1 — the channel dispatcher hands
+// the bank controllers under such decoders explicit element lists
+// instead.
 func SplitVector(d Decoder, v core.Vector) []core.Hit {
-	return AppendSplit(nil, d, v)
+	return AppendSplit(make([]core.Hit, 0, d.Channels()), d, v)
 }
 
 // AppendSplit is SplitVector appending into caller-owned storage: hits
@@ -353,11 +148,12 @@ func SplitVector(d Decoder, v core.Vector) []core.Hit {
 // and returned. Passing scratch[:0] from a persistent buffer makes the
 // closed-form decoders allocation-free per broadcast.
 func AppendSplit(dst []core.Hit, d Decoder, v core.Vector) []core.Hit {
-	if a, ok := d.(ChannelAppender); ok {
-		return a.AppendSplit(dst, v)
-	}
-	if s, ok := d.(ChannelSplitter); ok {
-		return append(dst, s.SplitVector(v)...)
+	if modC(d) {
+		g := core.MustGeometry(d.Channels())
+		for ch := range d.Channels() {
+			dst = append(dst, g.SubVector(v, ch))
+		}
+		return dst
 	}
 	base := len(dst)
 	for ch := uint32(0); ch < d.Channels(); ch++ {
@@ -372,6 +168,19 @@ func AppendSplit(dst []core.Hit, d Decoder, v core.Vector) []core.Hit {
 		out[ch].Count++
 	}
 	return dst
+}
+
+// modC reports whether d's channel is the address mod C, so that each
+// channel's share of a base-stride vector is an arithmetic progression —
+// Theorems 4.3/4.4 applied at channel granularity.
+func modC(d Decoder) bool {
+	switch d := d.(type) {
+	case *WordInterleave:
+		return true
+	case *Map:
+		return d.at == 0
+	}
+	return false
 }
 
 // SameFunction reports whether two decoders compute the same address
@@ -401,7 +210,7 @@ func SameFunction(a, b Decoder) bool {
 // GF(2)-linear (TestDecodersLinear).
 func linear(d Decoder) bool {
 	switch d.(type) {
-	case *WordInterleave, *LineInterleave, *XORBank, *Tuned:
+	case *WordInterleave, *Map:
 		return true
 	}
 	return false
@@ -423,6 +232,17 @@ func (v BankView) BankWord(a uint32) uint32 { return v.D.Decode(a).BankWord }
 // Compose returns the word address stored at the device word index.
 func (v BankView) Compose(bankWord uint32) uint32 {
 	return v.D.Encode(Coord{Channel: v.Channel, Bank: v.Bank, BankWord: bankWord})
+}
+
+// shape validates a channel and bank count and returns their log2.
+func shape(channels, banks uint32) (lc, lm uint, err error) {
+	if lc, err = log2(channels); err != nil {
+		return 0, 0, fmt.Errorf("addrmap: channels: %w", err)
+	}
+	if lm, err = log2(banks); err != nil {
+		return 0, 0, fmt.Errorf("addrmap: banks: %w", err)
+	}
+	return lc, lm, nil
 }
 
 // log2 returns log2(x) for a positive power of two, or an error.

@@ -4,27 +4,24 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 
 	"pva/internal/core"
 )
 
-// decoders returns one of each decoder family at the given shape.
+// decoders returns word, line and xor at the given shape.
 func decoders(t *testing.T, channels, banks uint32) []Decoder {
 	t.Helper()
-	word, err := NewWordInterleave(channels, banks)
-	if err != nil {
-		t.Fatal(err)
+	var ds []Decoder
+	for _, spec := range []string{"word", "line", "xor"} {
+		d, err := Parse(spec, channels, banks, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
 	}
-	line, err := NewLineInterleave(channels, banks, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xor, err := NewXORBank(channels, banks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Decoder{word, line, xor}
+	return ds
 }
 
 // testAddrs is a mix of small, aligned, odd, and high addresses.
@@ -118,8 +115,10 @@ func TestWordInterleaveHitMath(t *testing.T) {
 	}
 }
 
-// TestSplitVectorAgreement: the closed-form channel split must agree
-// element for element with brute-force enumeration through Decode.
+// TestSplitVectorAgreement: the channel split must agree with brute-force
+// enumeration through Decode — element for element where the channel is
+// the address mod C and the split is closed-form (word, xor), and in
+// First and Count where it is enumerated (line).
 func TestSplitVectorAgreement(t *testing.T) {
 	vectors := []core.Vector{
 		{Base: 0, Stride: 1, Length: 32},
@@ -159,7 +158,7 @@ func TestSplitVectorAgreement(t *testing.T) {
 						t.Fatalf("%s C=%d M=%d v=%+v ch %d: First=%d, enumeration starts at %d",
 							d.Name(), shape[0], shape[1], v, ch, h.First, want[ch][0])
 					}
-					if _, closed := d.(ChannelSplitter); !closed {
+					if !modC(d) {
 						continue // enumerated split: Delta is nominal
 					}
 					e := h.First
@@ -180,7 +179,10 @@ func TestSplitVectorAgreement(t *testing.T) {
 // some address the bank differs from plain word interleave) while
 // never changing the channel.
 func TestXORBankPermutes(t *testing.T) {
-	xor := MustXORBank(2, 16)
+	xor, err := Parse("xor", 2, 16, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	word := MustWordInterleave(2, 16)
 	moved := false
 	for _, a := range testAddrs() {
@@ -197,8 +199,8 @@ func TestXORBankPermutes(t *testing.T) {
 	}
 }
 
-// TestNew covers the constructor's name dispatch and validation.
-func TestNew(t *testing.T) {
+// TestParse covers the name dispatch and validation.
+func TestParse(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		wantOK bool
@@ -210,16 +212,115 @@ func TestNew(t *testing.T) {
 		{"xor", true, "xor"},
 		{"sudoku", false, ""},
 	} {
-		d, err := New(tc.name, 2, 16, 32)
+		d, err := Parse(tc.name, 2, 16, 32)
 		if tc.wantOK != (err == nil) {
-			t.Fatalf("New(%q): err = %v", tc.name, err)
+			t.Fatalf("Parse(%q): err = %v", tc.name, err)
 		}
 		if err == nil && d.Name() != tc.want {
-			t.Fatalf("New(%q).Name() = %q, want %q", tc.name, d.Name(), tc.want)
+			t.Fatalf("Parse(%q).Name() = %q, want %q", tc.name, d.Name(), tc.want)
 		}
 	}
-	if _, err := New("word", 3, 16, 32); err == nil {
-		t.Fatal("New accepted a non-power-of-two channel count")
+	for _, bad := range []struct {
+		spec                      string
+		channels, banks, lineWord uint32
+		want                      string
+	}{
+		{"word", 3, 16, 32, "addrmap: channels: 3 is not"},
+		{"xor", 2, 12, 32, "addrmap: banks: 12 is not"},
+		{"line", 2, 16, 24, "addrmap: line words: 24 is not"},
+		{"line", 3, 16, 24, "addrmap: channels: 3 is not"},
+		{"tuned:1", 2, 0, 32, "addrmap: banks: 0 is not"},
+	} {
+		if _, err := Parse(bad.spec, bad.channels, bad.banks, bad.lineWord); err == nil || !strings.HasPrefix(err.Error(), bad.want) {
+			t.Errorf("Parse(%q, %d, %d, %d) = %v, want an error starting %q",
+				bad.spec, bad.channels, bad.banks, bad.lineWord, err, bad.want)
+		}
+	}
+}
+
+// lineRef computes "line" by its closed formula: channel (a / N) mod C,
+// and the channel-local address, a with the channel bits cut out,
+// word-interleaved over the M banks.
+func lineRef(C, M, N, a uint32) Coord {
+	c, m, n := bits.TrailingZeros32(C), bits.TrailingZeros32(M), bits.TrailingZeros32(N)
+	l := (a>>(n+c))<<n | a&(N-1)
+	return Coord{Channel: (a >> n) & (C - 1), Bank: l & (M - 1), BankWord: l >> m}
+}
+
+// xorRef computes "xor" by its closed formula: channel a mod C, and the
+// word-interleaved bank XORed with every m-bit group of the bank word in
+// turn.
+func xorRef(C, M, a uint32) Coord {
+	c, m := bits.TrailingZeros32(C), bits.TrailingZeros32(M)
+	rest := a >> c
+	bw := rest >> m
+	var fold uint32
+	for x := bw; M > 1 && x != 0; x >>= m {
+		fold ^= x & (M - 1)
+	}
+	return Coord{Channel: a & (C - 1), Bank: rest&(M-1) ^ fold, BankWord: bw}
+}
+
+// tunedRef is the tuned formula computed mask by mask: channel a mod C,
+// and bank bit j of the word-interleaved bank flipped by the bank word's
+// parity under masks[j].
+func tunedRef(C, M uint32, masks []uint32, a uint32) Coord {
+	c, m := bits.TrailingZeros32(C), bits.TrailingZeros32(M)
+	rest := a >> c
+	co := Coord{Channel: a & (C - 1), Bank: rest & (M - 1), BankWord: rest >> m}
+	for j, mk := range masks {
+		co.Bank ^= uint32(bits.OnesCount32(co.BankWord&mk)&1) << j
+	}
+	return co
+}
+
+// TestMapMatchesFormulas checks Map against closed formulas computed
+// here without it: line and xor, and tuned with random masks, at shapes
+// with lines longer than, equal to and shorter than the bank count, and
+// one with more than 256 banks, over 8,192 dense and 8,192 random
+// addresses each. Decode must give the formula's Coord and Encode must
+// invert it.
+func TestMapMatchesFormulas(t *testing.T) {
+	seed := uint64(0xf0)
+	for _, sh := range []struct{ C, M, N uint32 }{
+		{1, 16, 32}, {2, 16, 32}, {4, 16, 32}, {8, 4, 32}, {1, 1, 32},
+		{4, 1, 8}, {2, 64, 32}, {2, 32, 4}, {2, 512, 32},
+	} {
+		masks := make([]uint32, bits.TrailingZeros32(sh.M))
+		for j := range masks {
+			masks[j] = uint32(splitmix64(&seed))
+		}
+		tuned := MustTuned(sh.C, sh.M, masks)
+		line, err := Parse("line", sh.C, sh.M, sh.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xor, err := Parse("xor", sh.C, sh.M, sh.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			d   Decoder
+			ref func(a uint32) Coord
+		}{
+			{line, func(a uint32) Coord { return lineRef(sh.C, sh.M, sh.N, a) }},
+			{xor, func(a uint32) Coord { return xorRef(sh.C, sh.M, a) }},
+			{tuned, func(a uint32) Coord { return tunedRef(sh.C, sh.M, tuned.Masks, a) }},
+		} {
+			for i := range 2 * 8192 {
+				a := uint32(i)
+				if i >= 8192 {
+					a = uint32(splitmix64(&seed))
+				}
+				want := tc.ref(a)
+				if got := tc.d.Decode(a); got != want {
+					t.Fatalf("%s C=%d M=%d N=%d: Decode(%#x) = %+v, formula %+v", Spec(tc.d), sh.C, sh.M, sh.N, a, got, want)
+				}
+				if got := tc.d.Encode(want); got != a {
+					t.Fatalf("%s C=%d M=%d N=%d: Encode(%+v) = %#x, want %#x", Spec(tc.d), sh.C, sh.M, sh.N, want, got, a)
+				}
+			}
+		}
 	}
 }
 
@@ -299,35 +400,70 @@ func TestDecodersLinear(t *testing.T) {
 // opaque hides a decoder's type.
 type opaque struct{ Decoder }
 
-// decodeSink keeps BenchmarkDecode's results live.
-var decodeSink Coord
-
-// BenchmarkDecode times one Decode call through the Decoder interface,
-// as the pre-claim path and the bank views make it, for each decoder
-// family at one and four channels of 16 banks. Each op decodes 1,024
-// addresses at stride 19 from a high base; it reports ns per decode.
-func BenchmarkDecode(b *testing.B) {
-	const n, base, stride = 1024, 1<<22 + 5, 19
+// benchDecoders runs f as one sub-benchmark per decoder family at one
+// and four channels of 16 banks, named "<name>/<C>ch".
+func benchDecoders(b *testing.B, f func(b *testing.B, d Decoder)) {
 	for _, c := range []uint32{1, 4} {
 		for _, spec := range []string{"word", "line", "xor", "tuned:0x40100,0xc0139,0x4000f,0x8013c"} {
 			d, err := Parse(spec, c, 16, 32)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/%dch", d.Name(), c), func(b *testing.B) {
-				var acc Coord
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for k := uint32(0); k < n; k++ {
-						co := d.Decode(base + k*stride)
-						acc.Channel ^= co.Channel
-						acc.Bank ^= co.Bank
-						acc.BankWord ^= co.BankWord
-					}
-				}
-				decodeSink = acc
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/decode")
-			})
+			b.Run(fmt.Sprintf("%s/%dch", d.Name(), c), func(b *testing.B) { f(b, d) })
 		}
 	}
+}
+
+// The benchmarks' 1,024 addresses per op: stride 19 from a high base.
+const benchN, benchBase, benchStride = 1024, 1<<22 + 5, 19
+
+// decodeSink and encodeSink keep the benchmarks' results live.
+var (
+	decodeSink Coord
+	encodeSink uint32
+)
+
+// BenchmarkDecode times one Decode call through the Decoder interface,
+// as the pre-claim path and the bank views make it, for each decoder
+// family at one and four channels of 16 banks. Each op decodes 1,024
+// addresses at stride 19 from a high base; it reports ns per decode.
+func BenchmarkDecode(b *testing.B) {
+	benchDecoders(b, func(b *testing.B, d Decoder) {
+		var acc Coord
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := uint32(0); k < benchN; k++ {
+				co := d.Decode(benchBase + k*benchStride)
+				acc.Channel ^= co.Channel
+				acc.Bank ^= co.Bank
+				acc.BankWord ^= co.BankWord
+			}
+		}
+		decodeSink = acc
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchN), "ns/decode")
+	})
+}
+
+// BenchmarkEncode times one Encode call through the Decoder interface,
+// as BankView.Compose makes it for every device access under a decoder
+// without hit math. Each op encodes the coordinates of BenchmarkDecode's
+// 1,024 addresses, decoded before the timer starts; it reports ns per
+// encode.
+func BenchmarkEncode(b *testing.B) {
+	benchDecoders(b, func(b *testing.B, d Decoder) {
+		cs := make([]Coord, benchN)
+		for k := range cs {
+			cs[k] = d.Decode(benchBase + uint32(k)*benchStride)
+		}
+		var acc uint32
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, co := range cs {
+				acc ^= d.Encode(co)
+			}
+		}
+		encodeSink = acc
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchN), "ns/encode")
+	})
 }

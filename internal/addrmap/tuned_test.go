@@ -65,6 +65,11 @@ func TestTunedParsePrint(t *testing.T) {
 			t.Errorf("Canonical(%q) = %q, %v; want %q", c.spec, can, err, c.canonical)
 		}
 	}
+	// The channel bits narrow the bank word too: at 4 channels of 16
+	// banks it has 26 bits, so bit 25 stays and bit 26 is cleared.
+	if can, err := Canonical("tuned:0x6000000", 4, 16, 32); err != nil || can != "tuned:0x2000000,0x0,0x0,0x0" {
+		t.Errorf("Canonical(tuned:0x6000000) at 4 channels = %q, %v; want tuned:0x2000000,0x0,0x0,0x0", can, err)
+	}
 }
 
 // TestTunedUnknownSpecError pins the unknown-decoder error shape: it
@@ -130,7 +135,7 @@ func TestTunedBijectionProperty(t *testing.T) {
 				c := Coord{
 					Channel:  uint32(r) % sh.C,
 					Bank:     uint32(r>>8) % sh.M,
-					BankWord: uint32(r>>32) & (1<<(32-d.c-d.m) - 1),
+					BankWord: uint32(r>>32) & (1<<(32-d.hi-d.m) - 1),
 				}
 				if got := d.Decode(d.Encode(c)); got != c {
 					t.Fatalf("%s: Decode(Encode(%+v)) = %+v", d, c, got)
@@ -156,18 +161,17 @@ func TestTunedZeroMasksMatchesWord(t *testing.T) {
 }
 
 // TestTunedXORFoldMasksMatchXORBank pins the other landmark: masks
-// {j, j+m, j+2m, ...} reproduce XORBank's fold, so the classic bank
-// hash is one point of the searched space.
+// {j, j+m, j+2m, ...} reproduce the classic bank fold (xorRef, which
+// folds the bank word group by group), so the classic bank hash is one
+// point of the searched space.
 func TestTunedXORFoldMasksMatchXORBank(t *testing.T) {
 	const C, M = 1, 16
-	masks := XORFoldMasks(C, M)
-	tu := MustTuned(C, M, masks)
-	x := MustXORBank(C, M)
+	tu := MustTuned(C, M, XORFoldMasks(C, M))
 	s := uint64(11)
 	for i := 0; i < 4096; i++ {
 		a := uint32(splitmix64(&s))
-		if tu.Decode(a) != x.Decode(a) {
-			t.Fatalf("Decode(%#x): tuned %+v, xor %+v", a, tu.Decode(a), x.Decode(a))
+		if got, want := tu.Decode(a), xorRef(C, M, a); got != want {
+			t.Fatalf("Decode(%#x): tuned %+v, xor %+v", a, got, want)
 		}
 	}
 }
@@ -183,7 +187,7 @@ func TestTunedChannelSplitAgreesWithEnumeration(t *testing.T) {
 		{Base: 123, Stride: 4, Length: 17},
 		{Base: 1 << 20, Stride: 16, Length: 32},
 	} {
-		hits := d.SplitVector(v)
+		hits := SplitVector(d, v)
 		for ch := uint32(0); ch < 4; ch++ {
 			var count uint32
 			first := core.NoHit

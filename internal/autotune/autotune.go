@@ -1,9 +1,9 @@
 // Package autotune searches the XOR-hash address-mapping space for the
 // decoder that minimizes a workload's bank conflicts and total cycles,
-// and ships the winner as a canonical addrmap.Tuned spec usable
-// everywhere a decoder is today (Config.AddrMap, both CLIs, the sweep
-// harness). See DESIGN.md §14 for the search-space and determinism
-// arguments.
+// and ships the winner as the canonical "tuned:" spec of an
+// addrmap.Map, usable everywhere a decoder is today (Config.AddrMap, both
+// CLIs, the sweep harness). See DESIGN.md §14 for the search-space and
+// determinism arguments.
 //
 // The search is a two-rung evaluation ladder. The bottom rung is the
 // decode-only surrogate (surrogate.go): greedy per-bit refinement with
@@ -188,9 +188,10 @@ func Search(w Workload, o Options) (*Result, error) {
 	o = s.o
 
 	// Rung one: greedy per-bit refinement of every start, each climb in
-	// its own slot, then deduplicated in start order.
+	// its own slot, then deduplicated in start order. built keeps each
+	// spec's map for the full rung.
 	var locals []Candidate
-	seen := map[string]bool{}
+	built := map[string]*addrmap.Map{}
 	for _, c := range s.climbAll(s.starts) {
 		if c.err != nil {
 			return nil, c.err
@@ -198,11 +199,12 @@ func Search(w Workload, o Options) (*Result, error) {
 		if !o.DisableSurrogate {
 			s.surEval += c.evals
 		}
-		spec := s.tuned(c.masks).String()
-		if seen[spec] {
+		d := s.tuned(c.masks)
+		spec := d.String()
+		if built[spec] != nil {
 			continue
 		}
-		seen[spec] = true
+		built[spec] = d
 		locals = append(locals, Candidate{Masks: c.masks, Spec: spec, Surrogate: c.cost})
 	}
 	sort.Slice(locals, func(i, j int) bool {
@@ -220,10 +222,12 @@ func Search(w Workload, o Options) (*Result, error) {
 		locals = locals[:o.Survivors]
 	}
 	for _, lmk := range [][]uint32{make([]uint32, s.lm), addrmap.XORFoldMasks(o.Channels, o.Banks)} {
-		spec := s.tuned(lmk).String()
+		d := s.tuned(lmk)
+		spec := d.String()
 		if slices.ContainsFunc(locals, func(c Candidate) bool { return c.Spec == spec }) {
 			continue
 		}
+		built[spec] = d
 		c := Candidate{Masks: lmk, Spec: spec}
 		if !o.DisableSurrogate {
 			s.surEval++
@@ -233,7 +237,7 @@ func Search(w Workload, o Options) (*Result, error) {
 	}
 	decs := make([]addrmap.Decoder, len(locals))
 	for i, c := range locals {
-		decs[i] = s.tuned(c.Masks)
+		decs[i] = built[c.Spec]
 	}
 
 	// Baselines: the fixed decoders on the identical workload. One that
@@ -350,7 +354,7 @@ func newSearcher(w Workload, o Options) (*searcher, error) {
 }
 
 // tuned returns the tuned decoder for masks in the searched shape.
-func (s *searcher) tuned(masks []uint32) *addrmap.Tuned {
+func (s *searcher) tuned(masks []uint32) *addrmap.Map {
 	return addrmap.MustTuned(s.o.Channels, s.o.Banks, masks)
 }
 
@@ -410,10 +414,12 @@ func varyingBits(captured []kernels.AddressTrace, shift uint) uint32 {
 // (bank bit, bank-word bit) pairs in a fixed cyclic order (masks in
 // turn, bits ascending within each), keeps strict improvements, and
 // stops after one quiet lap, once every pair has been scored since the
-// last accepted toggle and none improved. Repeating whole passes until
-// one accepts nothing visits the pairs in the same order and accepts
-// the same toggles; it only re-scores, in the same state, pairs the
-// quiet lap already turned down.
+// last accepted toggle and none improved. The accepted pair counts as
+// scored: toggling it back would restore the strictly worse set the
+// climb just left. Repeating whole passes until one accepts nothing
+// visits the pairs in the same order and accepts the same toggles; it
+// only re-scores, in the same state, pairs the quiet lap already turned
+// down.
 func (s *searcher) greedy(r rung, start []uint32) climb {
 	cur := append([]uint32(nil), start...)
 	best, err := r.load(cur)
@@ -432,7 +438,7 @@ func (s *searcher) greedy(r rung, start []uint32) climb {
 		}
 		evals++
 		if c < best {
-			best, quiet = c, 0
+			best, quiet = c, 1
 			r.accept(j, b)
 		} else {
 			cur[j] ^= 1 << b

@@ -339,6 +339,46 @@ func fullPassClimb(s *searcher, r rung, start []uint32) climb {
 	return climb{masks: cur, cost: best, evals: evals}
 }
 
+// firstPairRung is a fake surrogate in which only the first (mask, bit)
+// pair's toggle improves the start: a set costs 1 with bit varyBit[0] of
+// mask 0 set and 2 otherwise.
+type firstPairRung struct{ bit uint }
+
+func (r firstPairRung) load(masks []uint32) (uint64, error) {
+	return 2 - uint64(masks[0]>>r.bit&1), nil
+}
+
+func (r firstPairRung) neighbour(masks []uint32, _ int, _ uint) (uint64, error) {
+	return r.load(masks)
+}
+
+func (firstPairRung) accept(int, uint) {}
+
+// TestGreedyQuietLapSkipsAcceptedPair: after the first pair's toggle is
+// accepted, the quiet lap scores each of the other pairs once and not
+// the accepted pair, whose toggle back would restore the worse start:
+// the start, then 1 + (pairs-1) neighbours.
+func TestGreedyQuietLapSkipsAcceptedPair(t *testing.T) {
+	s, err := newSearcher(testWorkload(t, "swap"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := len(s.starts[0]) * len(s.varyBit)
+	if pairs < 2 {
+		t.Fatalf("%d (mask, bit) pairs; the test needs at least 2", pairs)
+	}
+	got := s.greedy(firstPairRung{s.varyBit[0]}, s.starts[0])
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.cost != 1 || got.masks[0] != 1<<s.varyBit[0] {
+		t.Fatalf("climb ended at %#x cost %d, want mask 0 = %#x at cost 1", got.masks, got.cost, 1<<s.varyBit[0])
+	}
+	if want := 1 + pairs; got.evals != want {
+		t.Errorf("climb scored %d candidates over %d pairs, want %d", got.evals, pairs, want)
+	}
+}
+
 // TestGreedyMatchesFullPassClimb: stopping after one quiet lap reaches
 // the same optimum at the same cost as repeating whole passes, with no
 // more evaluations, on the surrogate and under full simulation.

@@ -5,14 +5,14 @@
 //
 // The recoverer only needs a same-unit oracle — "do these two addresses
 // land in the same (channel, bank)?" — and exploits linearity: for any
-// decoder in the Tuned family, the bank of address x<<(c+m) is a GF(2)-
-// linear function f of x (the plain interleave bits are zero there, so
-// only the XOR fold remains). Linear maps are determined by their
-// kernel structure: probing basis vectors and testing membership in the
-// span of previously seen images reconstructs f's structure, and the
-// plain interleave bits pin its labeling — an address whose bank word is
-// zero sits in exactly the bank its interleave bits spell (bank =
-// d ^ f(0) = d), a labeled reference ruler the probes are compared
+// tuned addrmap.Map (channel = a mod C), the bank of address x<<(c+m)
+// is a GF(2)-linear function f of x (the plain interleave bits are zero
+// there, so only the XOR fold remains). Linear maps are determined by
+// their kernel structure: probing basis vectors and testing membership
+// in the span of previously seen images reconstructs f's structure, and
+// the plain interleave bits pin its labeling — an address whose bank
+// word is zero sits in exactly the bank its interleave bits spell (bank
+// = d ^ f(0) = d), a labeled reference ruler the probes are compared
 // against. Structure plus labels make the recovery exact, not merely
 // equivalent up to relabeling.
 //
@@ -53,14 +53,14 @@ func (o DecoderOracle) SameUnit(a, b uint32) bool {
 	return ca.Channel == cb.Channel && ca.Bank == cb.Bank
 }
 
-// Recover reconstructs the XOR component masks of an unknown decoder in
-// the Tuned family (word-interleaved channels, bank = interleave bits
+// Recover reconstructs the XOR component masks of an unknown decoder of
+// the tuned form (word-interleaved channels, bank = interleave bits
 // XOR a linear hash of the bank word) by probing the oracle with
 // addresses whose interleave bits are zero. probeBits bounds the
 // bank-word bits probed (0: all of them); bits beyond it are reported
 // as unhashed. The result equals the original decoder's masks exactly
 // on the probed window.
-func Recover(o Oracle, channels, banks uint32, probeBits uint) (*addrmap.Tuned, error) {
+func Recover(o Oracle, channels, banks uint32, probeBits uint) (*addrmap.Map, error) {
 	if channels == 0 || channels&(channels-1) != 0 || banks == 0 || banks&(banks-1) != 0 {
 		return nil, fmt.Errorf("autotune: recover: channels %d / banks %d not powers of two", channels, banks)
 	}

@@ -21,10 +21,10 @@
 //	label = (a & (C*M-1)) ^ fold(bw) << log2(C),
 //
 // which is channel | bank<<log2(C): a bijective relabeling of the
-// decoder's (channel, bank), so the cost is the one the addrmap.Tuned
-// decoder gives. Toggling bank-word bit b in mask j toggles label bit
-// j+log2(C) for exactly the elements whose bank word has bit b set. No
-// Decoder is called and no Tuned is built per candidate.
+// decoder's (channel, bank), so the cost is the one the tuned
+// addrmap.Map gives. Toggling bank-word bit b in mask j toggles label
+// bit j+log2(C) for exactly the elements whose bank word has bit b set.
+// No Decoder is called and no Map is built per candidate.
 //
 // Summary scoring. A command whose elements all hold bit b at 0 keeps
 // its labels under that toggle, and one whose elements all hold it at 1

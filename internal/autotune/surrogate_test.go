@@ -11,10 +11,10 @@ import (
 )
 
 // refCost is the surrogate cost computed the way the decoder defines
-// it, sharing no scratch with the scorer: one addrmap.Tuned.Decode per
+// it, sharing no scratch with the scorer: one addrmap.Map.Decode per
 // element, SDRAMGeom.Decompose on its bank word, and units labeled
 // channel*banks+bank.
-func refCost(traces []kernels.AddressTrace, geom addr.SDRAMGeom, d *addrmap.Tuned) uint64 {
+func refCost(traces []kernels.AddressTrace, geom addr.SDRAMGeom, d *addrmap.Map) uint64 {
 	var total uint64
 	for _, tr := range traces {
 		lastRow := map[uint32]uint32{}

@@ -172,3 +172,40 @@ func TestLookupsCounted(t *testing.T) {
 		t.Errorf("expected >=3 lookups for a 3-page walk, got %d", tlb.Lookups-before)
 	}
 }
+
+// TestTranslateIndexedTLB: an indexed access translates element by
+// element through the TLB, one lookup each — the traffic the strided
+// SplitVector path avoids — and an unmapped element fails.
+func TestTranslateIndexedTLB(t *testing.T) {
+	tlb := Identity(1<<16, 4096)
+	before := tlb.Lookups
+	idx := []uint32{0, 5000, 9999, 12345}
+	out, err := TranslateIndexed(tlb, 100, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range idx {
+		if out[i] != 100+off {
+			t.Errorf("out[%d] = %d, want %d", i, out[i], 100+off)
+		}
+	}
+	if got := tlb.Lookups - before; got != len(idx) {
+		t.Errorf("TLB lookups = %d, want %d", got, len(idx))
+	}
+	if _, err := TranslateIndexed(tlb, 1<<16, []uint32{0}); err == nil {
+		t.Fatal("unmapped indexed access translated")
+	}
+}
+
+// BenchmarkSplitVector measures the division-free page split of Section
+// 4.3.2 (the front-end fast path).
+func BenchmarkSplitVector(b *testing.B) {
+	b.ReportAllocs()
+	tlb := Identity(1<<24, 4096)
+	v := core.Vector{Base: 12345, Stride: 19, Length: 4096}
+	for i := 0; i < b.N; i++ {
+		if _, err := SplitVector(tlb, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

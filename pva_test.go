@@ -241,15 +241,6 @@ func TestExtensionsAPI(t *testing.T) {
 	if a.Chunks != 8 {
 		t.Errorf("analysis chunks = %d", a.Chunks)
 	}
-	// SplitVector.
-	tlb := IdentityTLB(1<<16, 4096)
-	subs, err := SplitVector(tlb, Vector{Base: 4090, Stride: 3, Length: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) < 2 {
-		t.Errorf("expected page split, got %d subvectors", len(subs))
-	}
 	// Complexity.
 	est, err := Complexity(PaperComplexityParams())
 	if err != nil {
