@@ -16,7 +16,6 @@ func write(base, stride, length uint32, data []uint32) memsys.VectorCmd {
 }
 
 func TestCacheLineSerialLineCounts(t *testing.T) {
-	s := NewCacheLineSerial()
 	cases := []struct {
 		stride uint32
 		lines  uint64
@@ -30,7 +29,7 @@ func TestCacheLineSerialLineCounts(t *testing.T) {
 		{32, 32}, // one element per line
 	}
 	for _, c := range cases {
-		got := s.linesTouched(read(0, c.stride, 32))
+		got := linesTouched(read(0, c.stride, 32))
 		if got != c.lines {
 			t.Errorf("stride %d: linesTouched = %d, want %d", c.stride, got, c.lines)
 		}
@@ -38,7 +37,7 @@ func TestCacheLineSerialLineCounts(t *testing.T) {
 }
 
 func TestCacheLineSerialCycles(t *testing.T) {
-	s := NewCacheLineSerial()
+	s := NewCacheLineSerialChannels(1)
 	res, err := s.Run(memsys.Trace{Cmds: []memsys.VectorCmd{
 		read(0, 1, 32),  // 1 line
 		read(0, 16, 32), // 16 lines
@@ -55,15 +54,14 @@ func TestCacheLineSerialCycles(t *testing.T) {
 }
 
 func TestCacheLineSerialUnalignedBase(t *testing.T) {
-	s := NewCacheLineSerial()
 	// Base offset 31, stride 1, 32 elements straddles two lines.
-	if got := s.linesTouched(read(31, 1, 32)); got != 2 {
+	if got := linesTouched(read(31, 1, 32)); got != 2 {
 		t.Errorf("straddling vector touches %d lines, want 2", got)
 	}
 }
 
 func TestGatheringSerialCycles(t *testing.T) {
-	s := NewGatheringSerial()
+	s := NewGatheringSerialChannels(nil)
 	res, err := s.Run(memsys.Trace{Cmds: []memsys.VectorCmd{
 		read(0, 19, 32),
 		read(4096, 1, 32),
@@ -82,7 +80,7 @@ func TestGatheringSerialStrideInvariant(t *testing.T) {
 	// only requested elements and never crosses pages by assumption).
 	var prev uint64
 	for i, stride := range []uint32{1, 4, 16, 19} {
-		s := NewGatheringSerial()
+		s := NewGatheringSerialChannels(nil)
 		res, err := s.Run(memsys.Trace{Cmds: []memsys.VectorCmd{read(0, stride, 32)}})
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +104,7 @@ func TestBaselinesMoveData(t *testing.T) {
 		write(0, 7, 32, data),
 		read(0, 7, 32),
 	}}
-	for _, sys := range []memsys.System{NewCacheLineSerial(), NewGatheringSerial()} {
+	for _, sys := range []memsys.System{NewCacheLineSerialChannels(1), NewGatheringSerialChannels(nil)} {
 		got, err := sys.Run(trace)
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name(), err)
@@ -148,7 +146,7 @@ func TestBaselineComputeChain(t *testing.T) {
 			},
 		},
 	}}
-	s := NewCacheLineSerial()
+	s := NewCacheLineSerialChannels(1)
 	if _, err := s.Run(trace); err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +159,10 @@ func TestBaselineValidation(t *testing.T) {
 	bad := memsys.Trace{Cmds: []memsys.VectorCmd{
 		{Op: memsys.Read, V: core.Vector{Length: 0}},
 	}}
-	if _, err := NewCacheLineSerial().Run(bad); err == nil {
+	if _, err := NewCacheLineSerialChannels(1).Run(bad); err == nil {
 		t.Error("cacheline: invalid trace accepted")
 	}
-	if _, err := NewGatheringSerial().Run(bad); err == nil {
+	if _, err := NewGatheringSerialChannels(nil).Run(bad); err == nil {
 		t.Error("gathering: invalid trace accepted")
 	}
 }
@@ -173,11 +171,10 @@ func TestBaselineValidation(t *testing.T) {
 // exhaustive enumeration, including stride-zero, sub-line, line-multiple
 // and wrapping vectors.
 func TestLinesTouchedClosedForm(t *testing.T) {
-	s := NewCacheLineSerial()
 	enumerate := func(v core.Vector) uint64 {
 		seen := make(map[uint32]struct{})
 		for i := uint32(0); i < v.Length; i++ {
-			seen[v.Addr(i)/s.LineWords] = struct{}{}
+			seen[v.Addr(i)/lineWords] = struct{}{}
 		}
 		return uint64(len(seen))
 	}
@@ -188,7 +185,7 @@ func TestLinesTouchedClosedForm(t *testing.T) {
 		for _, st := range strides {
 			for _, n := range lengths {
 				v := core.Vector{Base: b, Stride: st, Length: n}
-				got := s.linesTouched(memsys.VectorCmd{Op: memsys.Read, V: v})
+				got := linesTouched(memsys.VectorCmd{Op: memsys.Read, V: v})
 				want := enumerate(v)
 				if got != want {
 					t.Fatalf("linesTouched(%+v) = %d, enumeration says %d", v, got, want)

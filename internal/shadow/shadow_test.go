@@ -120,7 +120,7 @@ func TestShadowBeatsDirectStridedWalk(t *testing.T) {
 			Base: m.Base + off*m.Stride, Stride: m.Stride, Length: 32,
 		}})
 	}
-	base, err := baseline.NewCacheLineSerial().Run(memsys.Trace{Cmds: cmds})
+	base, err := baseline.NewCacheLineSerialChannels(1).Run(memsys.Trace{Cmds: cmds})
 	if err != nil {
 		t.Fatal(err)
 	}

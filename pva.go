@@ -374,11 +374,11 @@ func NewSRAMSystem(c Config) (System, error) {
 
 // NewCacheLineSerial returns the conventional cache-line interleaved
 // serial SDRAM baseline (20-cycle line fills, no gathering).
-func NewCacheLineSerial() System { return baseline.NewCacheLineSerial() }
+func NewCacheLineSerial() System { return baseline.NewCacheLineSerialChannels(1) }
 
 // NewGatheringSerial returns the pipelined serial gathering SDRAM
 // baseline (gathers, but expands vectors one element per cycle).
-func NewGatheringSerial() System { return baseline.NewGatheringSerial() }
+func NewGatheringSerial() System { return baseline.NewGatheringSerialChannels(nil) }
 
 // Reference returns the functional (zero-time) executor used to verify
 // the cycle-level systems.
