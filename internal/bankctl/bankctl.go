@@ -367,11 +367,6 @@ func (bc *BC) Tick() error {
 // and, absent a new broadcast, will never need another cycle.
 const NoEvent = engine.NoEvent
 
-// A bank controller is a clocked component of the shared simulation
-// engine: the front end registers every live BC and lets the engine's
-// lazy ticking and idle skipping drive it.
-var _ engine.Clocked = (*BC)(nil)
-
 // NextEventAt returns the earliest cycle at which this controller must
 // execute a real Tick: the current cycle while any queued or in-flight
 // work exists, the maturity cycle of pending read data, the next refresh

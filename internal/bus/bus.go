@@ -18,14 +18,8 @@ package bus
 import (
 	"fmt"
 
-	"pva/internal/engine"
 	"pva/internal/fault"
 )
-
-// The bus is a passive timed resource on the shared simulation engine:
-// it never ticks, but its tenure end is a decision point the engine's
-// idle skipping must respect.
-var _ engine.EventSource = (*Bus)(nil)
 
 // Command is a vector bus command code (the two-bit command of the
 // request cycle).
@@ -127,13 +121,10 @@ func (b *Bus) Reserve(start, cycles uint64, owner Owner) error {
 	return nil
 }
 
-// BusyUntil returns the exclusive end of the current tenure.
+// BusyUntil returns the exclusive end of the current tenure: the bus's
+// next decision point, the first cycle a new reservation may be
+// considered.
 func (b *Bus) BusyUntil() uint64 { return b.busyUntil }
-
-// NextEventAt implements engine.EventSource: the bus's next decision
-// point is the cycle its current tenure drains — the first cycle a new
-// reservation may be considered.
-func (b *Bus) NextEventAt() uint64 { return b.busyUntil }
 
 // BusyCycles returns total cycles the bus carried traffic.
 func (b *Bus) BusyCycles() uint64 { return b.busyCycles }

@@ -8,41 +8,39 @@ import (
 	"pva/internal/fault"
 )
 
-// fakeComp is a Clocked component that does real work every period
-// cycles and records every cycle at which it was ticked non-idly.
-type fakeComp struct {
-	cycle  uint64
+// fakeGroup is a one-member group whose member does real work every
+// period cycles and records every cycle at which it was ticked non-idly.
+// The member keeps a lazily advanced local clock, as a group's members
+// must.
+type fakeGroup struct {
+	cycle  uint64 // the member's local clock
 	period uint64
 	due    uint64
 	events []uint64 // cycles at which the periodic event fired
-	ticks  uint64   // total Tick calls (no-ops included)
+	ticks  uint64   // total ticks (no-ops included)
 }
 
-func newFakeComp(period, first uint64) *fakeComp {
-	return &fakeComp{period: period, due: first}
+func newFakeGroup(period, first uint64) *fakeGroup {
+	return &fakeGroup{period: period, due: first}
 }
 
-func (c *fakeComp) Tick() error {
-	if c.cycle == c.due {
-		c.events = append(c.events, c.cycle)
-		c.due += c.period
+// Step implements Group: catch the member's clock up to cycle, failing
+// if the skip jumped past its due cycle, then tick it once.
+func (g *fakeGroup) Step(cycle uint64, strict bool) (uint64, error) {
+	if g.cycle < cycle {
+		if cycle > g.due {
+			return 0, fmt.Errorf("fakeGroup: idle jump to %d lands past due cycle %d", cycle, g.due)
+		}
+		g.cycle = cycle
 	}
-	c.cycle++
-	c.ticks++
-	return nil
-}
-
-func (c *fakeComp) CycleNow() uint64 { return c.cycle }
-
-func (c *fakeComp) AdvanceIdle(delta uint64) error {
-	if c.cycle+delta > c.due {
-		return fmt.Errorf("fakeComp: idle jump %d lands past due cycle %d", delta, c.due)
+	if g.cycle == g.due {
+		g.events = append(g.events, g.cycle)
+		g.due += g.period
 	}
-	c.cycle += delta
-	return nil
+	g.cycle++
+	g.ticks++
+	return g.due, nil
 }
-
-func (c *fakeComp) NextEventAt() uint64 { return c.due }
 
 // fakeDriver completes one unit of work every stride cycles, n units
 // total.
@@ -80,14 +78,14 @@ func (d *fakeDriver) Progress() uint64  { return d.progress }
 func (d *fakeDriver) DebugDump() string { return fmt.Sprintf("fakeDriver: %d of %d done", d.done, d.n) }
 
 // TestIdleSkipEquivalence cross-checks the skipping engine against the
-// strict tick-every-cycle loop: identical component event times,
-// identical final clocks.
+// strict tick-every-cycle loop: identical group event times, identical
+// final clocks.
 func TestIdleSkipEquivalence(t *testing.T) {
-	run := func(disable bool) (*fakeComp, *fakeDriver, uint64) {
-		c := newFakeComp(7, 3)
+	run := func(disable bool) (*fakeGroup, *fakeDriver, uint64) {
+		c := newFakeGroup(7, 3)
 		d := &fakeDriver{n: 5, stride: 13}
 		e := New(Config{DisableIdleSkip: disable}, d)
-		e.Register(c)
+		e.RegisterGroup(c)
 		if err := e.Run(); err != nil {
 			t.Fatalf("run(disable=%v): %v", disable, err)
 		}
@@ -96,7 +94,7 @@ func TestIdleSkipEquivalence(t *testing.T) {
 	cs, ds, ends := run(false)
 	cx, dx, endx := run(true)
 	if fmt.Sprint(cs.events) != fmt.Sprint(cx.events) {
-		t.Errorf("component events diverge: skip=%v strict=%v", cs.events, cx.events)
+		t.Errorf("group events diverge: skip=%v strict=%v", cs.events, cx.events)
 	}
 	if ds.done != dx.done || ds.progress != dx.progress {
 		t.Errorf("driver state diverges: skip=%+v strict=%+v", ds, dx)
@@ -147,33 +145,30 @@ func TestMaxCycles(t *testing.T) {
 	}
 }
 
-// TestHandleWake verifies that a driver poking a skipped component's
-// handle forces its tick on the poked cycle.
+// TestHandleWake verifies that a driver waking a skipped group through
+// its handle forces the group's step on the woken cycle.
 func TestHandleWake(t *testing.T) {
-	c := newFakeComp(1000, 1000) // would sleep essentially forever
-	var h *Handle
-	d := &wakeDriver{target: 42}
+	c := newFakeGroup(1000, 1000) // would sleep essentially forever
+	d := &wakeDriver{target: 42, c: c}
 	e := New(Config{}, d)
-	h = e.Register(c)
-	d.h = h
-	d.c = c
+	d.h = e.RegisterGroup(c)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if c.cycle < 43 {
-		t.Errorf("component clock %d; the wake at 42 should have ticked it through 43", c.cycle)
+		t.Errorf("member clock %d; the wake at 42 should have ticked it through 43", c.cycle)
 	}
 	if c.ticks == 0 {
-		t.Error("component never ticked despite the wake")
+		t.Error("member never ticked despite the wake")
 	}
 }
 
-// wakeDriver idles until cycle target, pokes the component's handle
-// there, and finishes once the component has been ticked past target.
+// wakeDriver idles until cycle target, wakes the group's handle there,
+// and finishes once the group's member has been ticked past target.
 type wakeDriver struct {
 	target   uint64
-	h        *Handle
-	c        *fakeComp
+	h        *GroupHandle
+	c        *fakeGroup
 	poked    bool
 	progress uint64
 }
@@ -226,7 +221,7 @@ func TestResumableClock(t *testing.T) {
 }
 
 // contractDriver records every cycle it is stepped on. Its own timers
-// fire at the wakes it lists; a pokeComp ticking beside it raises its
+// fire at the wakes it lists; a pokeGroup stepping beside it raises its
 // poke line, which the next Step clears. It is done once stepped at or
 // past end.
 type contractDriver struct {
@@ -258,31 +253,26 @@ func (d *contractDriver) Done() bool        { return d.done }
 func (d *contractDriver) Progress() uint64  { return 0 }
 func (d *contractDriver) DebugDump() string { return "contractDriver" }
 
-// pokeComp is busy on every cycle, so the engine never skips one, and
-// pokes the driver from its Tick on the listed cycles.
-type pokeComp struct {
-	cycle uint64
-	at    []uint64
-	d     *contractDriver
+// pokeGroup is a one-member group busy on every cycle, so the engine
+// never skips one, whose member pokes the driver from its tick on the
+// listed cycles.
+type pokeGroup struct {
+	at []uint64
+	d  *contractDriver
 }
 
-func (c *pokeComp) Tick() error {
-	for _, p := range c.at {
-		if p == c.cycle {
-			c.d.poked = true
+func (g *pokeGroup) Step(cycle uint64, strict bool) (uint64, error) {
+	for _, p := range g.at {
+		if p == cycle {
+			g.d.poked = true
 		}
 	}
-	c.cycle++
-	return nil
+	return cycle + 1, nil
 }
 
-func (c *pokeComp) CycleNow() uint64               { return c.cycle }
-func (c *pokeComp) AdvanceIdle(delta uint64) error { c.cycle += delta; return nil }
-func (c *pokeComp) NextEventAt() uint64            { return c.cycle }
-
 // TestLazyDriverContract pins the engine's side of the Driver contract
-// while a component keeps every cycle busy: no Step before the wake the
-// engine cached from NextWake, a Step on the cycle after a component
+// while a group keeps every cycle busy: no Step before the wake the
+// engine cached from NextWake, a Step on the cycle after a group member
 // pokes the driver, and a Step on every cycle under DisableIdleSkip.
 func TestLazyDriverContract(t *testing.T) {
 	for _, c := range []struct {
@@ -297,7 +287,7 @@ func TestLazyDriverContract(t *testing.T) {
 	} {
 		d := &contractDriver{wakes: []uint64{10, 25}, end: 40}
 		e := New(Config{DisableIdleSkip: c.disable}, d)
-		e.Register(&pokeComp{at: []uint64{4, 17}, d: d})
+		e.RegisterGroup(&pokeGroup{at: []uint64{4, 17}, d: d})
 		if err := e.Run(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -5,18 +5,15 @@ import (
 	"pva/internal/engine"
 )
 
-// bcGroup batches every live bank controller of a session behind one
+// bcGroup batches one channel's live bank controllers behind one
 // engine.Group registration: the engine makes a single interface call
 // per cycle and the group ticks its members through concrete
-// *bankctl.BC receivers, eliminating the per-controller interface
-// dispatch of registering each BC as its own engine.Clocked. The
-// per-member contract is preserved exactly — members keep lazily
-// advanced local clocks, a member whose cached next event lies beyond
-// the cycle is skipped (unless strict), and members tick in add order
-// (channel-major, bank-minor, the historical batch order).
+// *bankctl.BC receivers. Members keep lazily advanced local clocks, a
+// member whose cached next event lies beyond the cycle is skipped
+// (unless strict), and members tick in add order (bank order within
+// the channel; the session registers the groups in channel order).
 //
-// Hard-faulted (offline) controllers are never added, mirroring the
-// previous never-registered behavior.
+// Hard-faulted (offline) controllers are powered off and never added.
 type bcGroup struct {
 	bcs  []*bankctl.BC
 	wake []uint64 // cached NextEventAt per member
