@@ -216,15 +216,14 @@ func (r Runner) Params(stride uint32, alignment int) kernels.Params {
 }
 
 // RunPoint measures one (kernel, stride, alignment, system) cell on a
-// freshly constructed system. Sweeps use the warm-start path instead
-// (see cellRunner); the two are bit-identical.
+// freshly constructed system under the runner's failure policy, as a
+// sweep runs each cell: a per-cell deadline, bounded retry on fresh
+// systems, and a panic in the kernel builder or the simulator returned
+// as an error naming the cell. The zero policy is one attempt with no
+// deadline.
 func (r Runner) RunPoint(kernel kernels.Kernel, stride uint32, alignment int, kind SystemKind) (Point, error) {
-	sys, err := r.newSystem(kind)
-	if err != nil {
-		return Point{}, err
-	}
-	c := &cellRunner{r: r}
-	return c.measure(sys, job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
+	p, _, err := newGuardedRunner(r, nil).run(job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
+	return p, err
 }
 
 // measure runs cell j's trace on an already-constructed (fresh or

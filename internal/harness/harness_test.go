@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pva/internal/kernels"
+	"pva/internal/memsys"
 )
 
 // quick is a fast sweep configuration: short vectors, verification on.
@@ -24,6 +25,28 @@ func TestRunPointAllSystems(t *testing.T) {
 			t.Errorf("%s: zero cycles", sys)
 		}
 		t.Logf("%s: %d cycles", sys, p.Cycles)
+	}
+}
+
+// TestRunPointPanickingBuild checks that a single point whose kernel
+// builder panics returns an error naming the cell instead of crashing
+// the caller, and that a retry policy reaches the single point too.
+func TestRunPointPanickingBuild(t *testing.T) {
+	bomb := kernels.Kernel{Name: "bomb", Vectors: 1, Build: func(kernels.Params) memsys.Trace {
+		panic("builder exploded")
+	}}
+	for _, sys := range AllSystems() {
+		_, err := quick.RunPoint(bomb, 4, 1, sys)
+		want := fmt.Sprintf("bomb stride 4 align 1 on %s at 1 ch", sys)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "builder exploded") {
+			t.Errorf("%s: got %v, want an error naming %q and the panic", sys, err, want)
+		}
+	}
+	flaky, calls := bombKernel("flaky", 2)
+	r := quick
+	r.Retries = 1
+	if _, err := r.RunPoint(flaky, 4, 1, PVASDRAM); err != nil || calls.Load() != 2 {
+		t.Errorf("a builder that panics once: err %v after %d builds, want success on the retry", err, calls.Load())
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 
 	"pva/internal/addrmap"
 	"pva/internal/ckptio"
-	"pva/internal/kernels"
 	"pva/internal/memsys"
 	"pva/internal/pvaunit"
 )
@@ -190,15 +189,6 @@ func (g *guardedRunner) runOnce(j job) (Point, error) {
 		g.discard()
 		return Point{}, fmt.Errorf("harness: %v: %w (%v)", j, ErrCellTimeout, g.r.CellTimeout)
 	}
-}
-
-// RunPointGuarded is RunPoint under the runner's failure policy:
-// per-cell wall-clock deadline, bounded retry on fresh systems, panic
-// recovery. The single-point CLIs use it when a policy is configured.
-func (r Runner) RunPointGuarded(kernel kernels.Kernel, stride uint32, alignment int, kind SystemKind) (Point, error) {
-	g := newGuardedRunner(r, nil)
-	p, _, err := g.run(job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
-	return p, err
 }
 
 // Journal record kinds (the ckptio record namespace of the sweep
