@@ -243,9 +243,8 @@ var (
 
 // ResumableSweep measures a grid's cells with per-cell failure isolation
 // and, when journalDir is non-empty, crash-safe journaling: every completed
-// cell is appended (checksummed, fsynced) to journalDir/sweep.journal
-// and the post-construction memory checkpoint is persisted to
-// journalDir/base.ckpt, so re-running after a crash with the same
+// cell is appended (checksummed, fsynced) to journalDir/sweep.journal,
+// the directory's only file, so re-running after a crash with the same
 // arguments replays completed cells and re-measures only in-flight ones
 // — the merged outcome is bit-identical to an uninterrupted run. Cells
 // that keep failing after SweepOptions.Retries attempts are quarantined

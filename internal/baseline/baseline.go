@@ -115,12 +115,6 @@ func (sn *snapshot) NewSystem() (memsys.System, error) {
 	return &c, nil
 }
 
-// MemoryImage implements memsys.ImageSnapshotter.
-func (s *Serial) MemoryImage() *memsys.Image { return s.store.Snapshot() }
-
-// RestoreImage implements memsys.ImageSnapshotter.
-func (s *Serial) RestoreImage(img *memsys.Image) { s.store.Restore(img) }
-
 // Run implements memsys.System: in program order, each command adds its
 // cost to the cycle count and then moves its data. The bus is busy for
 // the whole run.

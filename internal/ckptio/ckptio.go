@@ -21,8 +21,8 @@
 // images encode to equal bytes, which is what lets a golden file pin the
 // format and lets tests demand byte identity after a round trip.
 //
-// Decoding is strict and total: corrupted, truncated, version-skewed, or
-// config-mismatched input yields a typed *FormatError wrapping one of
+// Decoding is strict and total: corrupted, truncated or version-skewed
+// input yields a typed *FormatError wrapping one of
 // the sentinel errors below — never a panic — and every allocation is
 // bounded by the input length (a hostile page count cannot force an
 // over-allocation, because the exact input size it implies is checked
@@ -36,8 +36,6 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"os"
-	"path/filepath"
 
 	"pva/internal/memsys"
 )
@@ -55,9 +53,6 @@ var (
 	// ErrCorrupt: a checksum mismatch or structural violation (trailing
 	// garbage, out-of-order pages) — the bytes changed after encoding.
 	ErrCorrupt = errors.New("ckptio: corrupt input")
-	// ErrConfigMismatch: the checkpoint or journal was produced under a
-	// different configuration than the one decoding it.
-	ErrConfigMismatch = errors.New("ckptio: configuration mismatch")
 )
 
 // FormatError reports where and why a decode failed. It wraps one of the
@@ -200,52 +195,4 @@ func Decode(data []byte) (Checkpoint, error) {
 		return Checkpoint{}, err
 	}
 	return Checkpoint{ConfigHash: hash, Image: img}, nil
-}
-
-// DecodeFor decodes a checkpoint and additionally requires it to have
-// been produced under the configuration hashing to wantHash, failing
-// with ErrConfigMismatch otherwise.
-func DecodeFor(data []byte, wantHash uint64) (*memsys.Image, error) {
-	cp, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if cp.ConfigHash != wantHash {
-		return nil, formatErr(10, ErrConfigMismatch,
-			"checkpoint config hash %#x, this sweep hashes to %#x", cp.ConfigHash, wantHash)
-	}
-	return cp.Image, nil
-}
-
-// WriteFile atomically writes a checkpoint to path: encode to a
-// temporary file in the same directory, sync, rename. A crash mid-write
-// leaves either the old file or none — never a torn checkpoint.
-func WriteFile(path string, cp Checkpoint) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Encode(tmp, cp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadFile reads and validates the checkpoint at path against wantHash.
-func ReadFile(path string, wantHash uint64) (*memsys.Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFor(data, wantHash)
 }

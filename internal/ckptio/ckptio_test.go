@@ -194,37 +194,6 @@ func TestCkptDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestCkptDecodeFor pins the config-hash gate.
-func TestCkptDecodeFor(t *testing.T) {
-	cp := goldenCheckpoint(t)
-	data := encodeBytes(t, cp)
-	if _, err := DecodeFor(data, cp.ConfigHash); err != nil {
-		t.Fatalf("matching hash rejected: %v", err)
-	}
-	if _, err := DecodeFor(data, cp.ConfigHash+1); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("mismatched hash: got %v, want ErrConfigMismatch", err)
-	}
-}
-
-// TestCkptFileRoundTrip exercises the atomic WriteFile/ReadFile pair.
-func TestCkptFileRoundTrip(t *testing.T) {
-	cp := goldenCheckpoint(t)
-	path := filepath.Join(t.TempDir(), "base.ckpt")
-	if err := WriteFile(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	img, err := ReadFile(path, cp.ConfigHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameImage(img, cp.Image) {
-		t.Fatal("file round trip diverged")
-	}
-	if _, err := ReadFile(path, 42); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("wrong hash: got %v", err)
-	}
-}
-
 // TestHashConfigBoundaries: part boundaries must not alias (length
 // prefixing), and the hash must be order-sensitive.
 func TestHashConfigBoundaries(t *testing.T) {

@@ -85,12 +85,6 @@ func (k *SystemKind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// NewSystem constructs a fresh instance of a memory system on the
-// paper's machine.
-func NewSystem(k SystemKind) (memsys.System, error) {
-	return Runner{}.newSystem(k)
-}
-
 // PaperStrides are the six strides of Figures 7–10.
 func PaperStrides() []uint32 { return []uint32{1, 2, 4, 8, 16, 19} }
 
@@ -222,7 +216,7 @@ func (r Runner) Params(stride uint32, alignment int) kernels.Params {
 // as an error naming the cell. The zero policy is one attempt with no
 // deadline.
 func (r Runner) RunPoint(kernel kernels.Kernel, stride uint32, alignment int, kind SystemKind) (Point, error) {
-	p, _, err := newGuardedRunner(r, nil).run(job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
+	p, _, err := newGuardedRunner(r).run(job{kernel: kernel, stride: stride, alignment: alignment, machine: r.machine(kind)})
 	return p, err
 }
 

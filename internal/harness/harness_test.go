@@ -276,7 +276,7 @@ func TestHeadlines(t *testing.T) {
 
 func TestSystemNames(t *testing.T) {
 	for _, k := range AllSystems() {
-		sys, err := NewSystem(k)
+		sys, err := Runner{}.newSystem(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestSystemNames(t *testing.T) {
 			t.Errorf("system name %q != kind name %q", sys.Name(), k.String())
 		}
 	}
-	if _, err := NewSystem(SystemKind(99)); err == nil {
+	if _, err := (Runner{}).newSystem(SystemKind(99)); err == nil {
 		t.Error("unknown system kind accepted")
 	}
 }

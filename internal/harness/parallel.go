@@ -37,11 +37,6 @@ import (
 type cellRunner struct {
 	r    Runner
 	warm map[machine]warmSystem
-	// baseImg, when non-nil, seeds each machine's first construction: the
-	// memory rewinds to this durable (decoded-from-disk) image before
-	// the warm-start checkpoint is taken, so a resumed sweep provably
-	// runs on the image the journal's base checkpoint recorded.
-	baseImg *memsys.Image
 
 	// The current trace group: its key and trace (once built), and —
 	// once a cell has been verified — the reference run of the trace on
@@ -99,11 +94,6 @@ func (c *cellRunner) runPoint(j job) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	if c.baseImg != nil {
-		if is, ok := sys.(memsys.ImageSnapshotter); ok {
-			is.RestoreImage(c.baseImg)
-		}
-	}
 	if sn, ok := sys.(memsys.Snapshotter); ok {
 		if c.warm == nil {
 			c.warm = make(map[machine]warmSystem)
@@ -136,9 +126,6 @@ type runConfig struct {
 	// replayed maps plan indices to journal-replayed Points; those cells
 	// are not re-run.
 	replayed map[int]Point
-	// baseImg seeds every worker's first-construction memory image (see
-	// cellRunner.baseImg).
-	baseImg *memsys.Image
 	// sink, when non-nil, durably records each cell outcome as it lands.
 	sink *journalSink
 }
@@ -249,7 +236,7 @@ func (r Runner) runJobs(jobs []job, workers int, rc runConfig) (*Outcome, error)
 	}
 
 	if workers <= 1 {
-		work(newGuardedRunner(r, rc.baseImg))
+		work(newGuardedRunner(r))
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -257,7 +244,7 @@ func (r Runner) runJobs(jobs []job, workers int, rc runConfig) (*Outcome, error)
 			go func() {
 				defer wg.Done()
 				// Warm systems are per-worker, never shared.
-				work(newGuardedRunner(r, rc.baseImg))
+				work(newGuardedRunner(r))
 			}()
 		}
 		wg.Wait()

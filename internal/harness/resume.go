@@ -4,18 +4,16 @@
 // resumable sweep built on internal/ckptio's durable checkpoints and
 // append-only result journal.
 //
-// The resume protocol: a journaled sweep directory holds base.ckpt (the
-// durable post-construction memory checkpoint, config-hash-stamped) and
-// sweep.journal (a header binding the journal to the sweep's exact
-// configuration and grid, followed by one checksummed record per cell
-// outcome). Every completed cell is appended and fsynced before it
-// counts, so a SIGKILL can lose at most in-flight cells. On restart with
-// the same flags the journal header's config hash must match, completed
-// cells are replayed from their records, in-flight cells re-run, and the
-// merged output is bit-identical to an uninterrupted run: replay is
-// byte-exact JSON of the Point, and re-runs warm-start from the decoded
-// base checkpoint, whose image equals the in-memory one by the ckptio
-// round-trip guarantee.
+// The resume protocol: a journaled sweep directory holds sweep.journal
+// (a header binding the journal to the sweep's exact configuration and
+// grid, followed by one checksummed record per cell outcome). Every
+// completed cell is appended and fsynced before it counts, so a SIGKILL
+// can lose at most in-flight cells. On restart with the same flags the
+// journal header's config hash must match, completed cells are replayed
+// from their records, in-flight cells re-run, and the merged output is
+// bit-identical to an uninterrupted run: replay is byte-exact JSON of
+// the Point, and re-runs start from freshly built systems, as every
+// cell of an uninterrupted sweep does.
 
 package harness
 
@@ -33,7 +31,6 @@ import (
 
 	"pva/internal/addrmap"
 	"pva/internal/ckptio"
-	"pva/internal/memsys"
 	"pva/internal/pvaunit"
 )
 
@@ -126,19 +123,18 @@ func sortFailures(fs []CellFailure) {
 // watchdog, and bounded retry with exponential backoff, each retry on
 // freshly constructed systems (a failure may have poisoned warm state).
 type guardedRunner struct {
-	r       Runner
-	baseImg *memsys.Image
-	cells   *cellRunner
+	r     Runner
+	cells *cellRunner
 }
 
-func newGuardedRunner(r Runner, baseImg *memsys.Image) *guardedRunner {
-	return &guardedRunner{r: r, baseImg: baseImg, cells: &cellRunner{r: r, baseImg: baseImg}}
+func newGuardedRunner(r Runner) *guardedRunner {
+	return &guardedRunner{r: r, cells: &cellRunner{r: r}}
 }
 
 // discard drops the warm systems; the next cell reconstructs from
 // scratch. Called after any failure, and after a timeout (when the
 // abandoned goroutine may still be ticking the old systems).
-func (g *guardedRunner) discard() { g.cells = &cellRunner{r: g.r, baseImg: g.baseImg} }
+func (g *guardedRunner) discard() { g.cells = &cellRunner{r: g.r} }
 
 // run measures one cell under the failure policy and reports how many
 // attempts it consumed.
@@ -255,11 +251,6 @@ type JournalConfig struct {
 	abortAfter int
 }
 
-// journalFiles names the two files inside a journal directory.
-func journalFiles(dir string) (journal, ckpt string) {
-	return filepath.Join(dir, "sweep.journal"), filepath.Join(dir, "base.ckpt")
-}
-
 // configKey is the canonical description of everything that determines a
 // sweep's results: the result-affecting runner fields and the exact
 // planned grid, each cell with its machine and decoder. Worker counts,
@@ -303,8 +294,7 @@ func (r Runner) ResumableSweep(kernelNames []string, strides []uint32, systems [
 // are retried per the runner's policy and then quarantined into the
 // Outcome's manifest; the rest of the grid still completes. A journal
 // written under different flags or a different grid is refused with
-// ErrJournalMismatch; a corrupt journal header or base checkpoint is a
-// typed ckptio error.
+// ErrJournalMismatch; a corrupt journal header is a typed ckptio error.
 func (r Runner) ResumableGrid(g Grid, workers int, jc JournalConfig) (*Outcome, error) {
 	jobs, err := r.plan(g)
 	if err != nil {
@@ -318,7 +308,7 @@ func (r Runner) ResumableGrid(g Grid, workers int, jc JournalConfig) (*Outcome, 
 		return nil, err
 	}
 	hash := ckptio.HashConfig(r.configKey(jobs)...)
-	jPath, cPath := journalFiles(jc.Dir)
+	jPath := filepath.Join(jc.Dir, "sweep.journal")
 
 	var (
 		w    *ckptio.Journal
@@ -335,23 +325,7 @@ func (r Runner) ResumableGrid(g Grid, workers int, jc JournalConfig) (*Outcome, 
 			return nil, fmt.Errorf("%w: %s records hash %#x over %d cells; these flags plan hash %#x over %d cells",
 				ErrJournalMismatch, jPath, info.ConfigHash, info.CellCount, hash, len(jobs))
 		}
-		img, err := ckptio.ReadFile(cPath, hash)
-		switch {
-		case err == nil:
-			rc.baseImg = img
-		case os.IsNotExist(err):
-			// Crash between journal creation and checkpoint write:
-			// regenerate — the base image is reproducible from the flags.
-			if err := writeBaseCheckpoint(cPath, hash); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, err
-		}
 	} else {
-		if err := writeBaseCheckpoint(cPath, hash); err != nil {
-			return nil, err
-		}
 		if w, err = ckptio.CreateJournal(jPath, hash, uint32(len(jobs))); err != nil {
 			return nil, err
 		}
@@ -374,21 +348,4 @@ func (r Runner) ResumableGrid(g Grid, workers int, jc JournalConfig) (*Outcome, 
 	w.NoSync = jc.NoSync
 	rc.sink = &journalSink{j: w, abortAfter: jc.abortAfter}
 	return r.runJobs(jobs, workers, rc)
-}
-
-// writeBaseCheckpoint builds the paper's PVA prototype and durably
-// writes its post-construction (cold) memory image, stamped with the
-// sweep's config hash — the base checkpoint every resumed worker
-// warm-starts from. Construction writes no memory, so the image is the
-// same on every machine of a grid.
-func writeBaseCheckpoint(path string, hash uint64) error {
-	sys, err := NewSystem(PVASDRAM)
-	if err != nil {
-		return err
-	}
-	is, ok := sys.(memsys.ImageSnapshotter)
-	if !ok {
-		return fmt.Errorf("harness: %s does not support durable checkpoints", sys.Name())
-	}
-	return ckptio.WriteFile(path, ckptio.Checkpoint{ConfigHash: hash, Image: is.MemoryImage()})
 }

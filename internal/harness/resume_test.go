@@ -71,7 +71,7 @@ func resumeAtRandomBoundaries(t *testing.T, g Grid) {
 			if tear {
 				// A crash mid-append: chop bytes off the last record. The
 				// resume must drop exactly that record and re-run its cell.
-				jPath, _ := journalFiles(dir)
+				jPath := filepath.Join(dir, "sweep.journal")
 				data, err := os.ReadFile(jPath)
 				if err != nil {
 					t.Fatal(err)
@@ -294,9 +294,9 @@ func TestRetrySucceedsAfterTransient(t *testing.T) {
 	}
 }
 
-// TestResumedWarmStartMatchesDirect pins the durable warm-start chain:
-// a sweep whose workers seed from the decoded base checkpoint must be
-// bit-identical to the plain in-memory sweep.
+// TestResumedWarmStartMatchesDirect pins the resume chain: a sweep whose
+// cells all re-run after a crash must be bit-identical to the plain
+// in-memory sweep.
 func TestResumedWarmStartMatchesDirect(t *testing.T) {
 	r := Runner{Elements: 128, Channels: 2}
 	ks, strides, systems := resumeGrid()
@@ -305,8 +305,8 @@ func TestResumedWarmStartMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	// Abort immediately so every cell re-runs on resume, from the decoded
-	// checkpoint image rather than replaying journal records.
+	// Abort immediately so every cell but the first re-runs on resume
+	// rather than replaying a journal record.
 	if _, err := r.ResumableSweep(ks, strides, systems, 2, JournalConfig{Dir: dir, NoSync: true, abortAfter: 1}); !errors.Is(err, errAborted) {
 		t.Fatal(err)
 	}
@@ -318,6 +318,6 @@ func TestResumedWarmStartMatchesDirect(t *testing.T) {
 		t.Fatalf("resumed %d cells, want 1", out.Resumed)
 	}
 	if !reflect.DeepEqual(out.Points, direct) {
-		t.Fatal("checkpoint-seeded sweep diverged from the in-memory sweep")
+		t.Fatal("resumed sweep diverged from the in-memory sweep")
 	}
 }

@@ -305,22 +305,6 @@ type Snapshotter interface {
 	Restore(Checkpoint) error
 }
 
-// ImageSnapshotter is implemented by Systems whose checkpoints reduce to
-// a raw memory Image. It is the bridge to durable (cross-process)
-// checkpointing: internal/ckptio serializes the Image a MemoryImage call
-// captures, and a decoded Image fed to RestoreImage on a freshly
-// constructed system of the same configuration warm-starts it
-// bit-identically to the in-memory Snapshot/Restore path.
-type ImageSnapshotter interface {
-	Snapshotter
-	// MemoryImage captures the current memory contents as an immutable
-	// Image. Like Snapshot, call it between runs, never mid-cycle.
-	MemoryImage() *Image
-	// RestoreImage rewinds memory to a previously captured image (nil:
-	// cold) in O(1); the image stays immutable under copy-on-write.
-	RestoreImage(img *Image)
-}
-
 // Fill is the deterministic initial content of every word of every
 // memory system and of the reference memory: systems lazily materialize
 // Fill(addr) for never-written words, so all models agree on cold

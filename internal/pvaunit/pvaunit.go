@@ -313,15 +313,9 @@ func (s *System) Restore(cp memsys.Checkpoint) error {
 	return nil
 }
 
-// MemoryImage implements memsys.ImageSnapshotter: the raw memory image
-// behind Snapshot, for durable serialization via internal/ckptio.
+// MemoryImage returns the raw memory image behind Snapshot, for
+// serialization via internal/ckptio.
 func (s *System) MemoryImage() *memsys.Image { return s.store.Snapshot() }
-
-// RestoreImage implements memsys.ImageSnapshotter: rewind the memory to
-// a raw image (nil: cold). The caller vouches that the image was
-// captured under this system's configuration — the durable checkpoint
-// codec enforces that with a config hash.
-func (s *System) RestoreImage(img *memsys.Image) { s.store.Restore(img) }
 
 // chanState tracks one command's progress on one memory channel.
 type chanState struct {

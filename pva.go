@@ -67,13 +67,6 @@ type (
 	// Checkpoint is the opaque immutable image Snapshot captures;
 	// NewSystem clones from it, Restore rewinds to it.
 	Checkpoint = memsys.Checkpoint
-	// ImageSnapshotter extends Snapshotter with access to the raw memory
-	// image, the bridge to durable (on-disk) checkpoints: see
-	// internal/ckptio and the resumable sweep in ResumableSweep.
-	ImageSnapshotter = memsys.ImageSnapshotter
-	// MemoryImage is the immutable page-granular memory image an
-	// ImageSnapshotter captures and restores.
-	MemoryImage = memsys.Image
 	// Op distinguishes reads from writes.
 	Op = memsys.Op
 )

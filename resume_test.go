@@ -1,142 +1,14 @@
-// Durable-checkpoint equivalence suite: a memory image serialized with
-// internal/ckptio, decoded from its own bytes, and restored into a fresh
-// system must warm-start bit-identically to the in-memory checkpoint
-// path — pinned against the pre-refactor full-sweep seed golden. Plus
-// the public surface of the crash-safe sweep: SweepOptions.Validate and
+// The public surface of the crash-safe sweep: SweepOptions.Validate and
 // ResumableSweep.
 package pva
 
 import (
-	"bytes"
 	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
-
-	"pva/internal/ckptio"
-	"pva/internal/memsys"
 )
-
-// durableFns maps each sweep system kind to a constructor producing a
-// fresh system whose memory has been round-tripped through the durable
-// checkpoint encoding: capture the prototype's image, Encode, Decode,
-// RestoreImage into a newly built instance.
-func durableFns(t *testing.T) map[string]func() memsys.System {
-	t.Helper()
-	build := map[string]func() memsys.System{
-		"cacheline-serial": func() memsys.System { return NewCacheLineSerial() },
-		"gathering-serial": func() memsys.System { return NewGatheringSerial() },
-	}
-	for _, static := range []bool{false, true} {
-		static := static
-		name := map[bool]string{false: "pva-sdram", true: "pva-sram"}[static]
-		build[name] = func() memsys.System {
-			var s System
-			var err error
-			if static {
-				s, err = NewSRAMSystem(DefaultConfig())
-			} else {
-				s, err = NewSystem(DefaultConfig())
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-	}
-	out := map[string]func() memsys.System{}
-	for name, mk := range build {
-		mk := mk
-		proto, ok := mk().(ImageSnapshotter)
-		if !ok {
-			t.Fatalf("%s does not implement pva.ImageSnapshotter", name)
-		}
-		var buf bytes.Buffer
-		if err := ckptio.Encode(&buf, ckptio.Checkpoint{ConfigHash: 1, Image: proto.MemoryImage()}); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := ckptio.Decode(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = func() memsys.System {
-			s := mk()
-			s.(ImageSnapshotter).RestoreImage(cp.Image)
-			return s
-		}
-	}
-	return out
-}
-
-// TestCkptSeedCycleEquivalence replays the full 960-point seed golden,
-// every cell on a fresh system warm-started from a decoded durable
-// checkpoint, and demands the pre-refactor cycle counts bit for bit:
-// the on-disk encoding must be a lossless transport for the in-memory
-// copy-on-write image.
-func TestCkptSeedCycleEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 1024-element sweep")
-	}
-	want := loadSeedGolden(t)
-	durable := durableFns(t)
-	for _, w := range want {
-		mk, ok := durable[w.System]
-		if !ok {
-			t.Fatalf("golden row names unknown system %q", w.System)
-		}
-		k, err := KernelByName(w.Kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mk().Run(k.Build(PaperParams(w.Stride, w.Align)))
-		if err != nil {
-			t.Fatalf("%s stride %d align %d on %s: %v", w.Kernel, w.Stride, w.Align, w.System, err)
-		}
-		if res.Cycles != w.Cycles {
-			t.Errorf("%s stride %d align %d on decoded checkpoint of %s: %d cycles, seed had %d",
-				w.Kernel, w.Stride, w.Align, w.System, res.Cycles, w.Cycles)
-		}
-	}
-}
-
-// TestCkptQuickEquivalence is the -short variant: one representative
-// cell per system kind, decoded-checkpoint warm start versus a fresh
-// build.
-func TestCkptQuickEquivalence(t *testing.T) {
-	durable := durableFns(t)
-	k, err := KernelByName("tridiag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := PaperParams(8, 1)
-	p.Elements = 128
-	tr := k.Build(p)
-	fresh := map[string]func() (System, error){
-		"pva-sdram":        func() (System, error) { return NewSystem(DefaultConfig()) },
-		"pva-sram":         func() (System, error) { return NewSRAMSystem(DefaultConfig()) },
-		"cacheline-serial": func() (System, error) { return NewCacheLineSerial(), nil },
-		"gathering-serial": func() (System, error) { return NewGatheringSerial(), nil },
-	}
-	for name, mk := range durable {
-		f, err := fresh[name]()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := f.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mk().Run(tr)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Cycles != want.Cycles || got.Stats != want.Stats {
-			t.Errorf("%s: decoded checkpoint run (%d cycles) diverged from fresh (%d cycles)",
-				name, got.Cycles, want.Cycles)
-		}
-	}
-}
 
 // TestSweepOptionsValidate pins the option validation the CLIs rely on
 // (pvasim calls Validate alone) and the grid-axis checks ValidateGrid
