@@ -53,14 +53,15 @@ import (
 	"math/bits"
 
 	"pva/internal/addr"
+	"pva/internal/dramtech"
 	"pva/internal/kernels"
 )
 
 // rowSwitchWeight is the surrogate's charge for an access that misses
-// the open row of its internal bank, in column-access units. With the
-// paper's 2-2-2 timing a conflict costs precharge + activate on top of
-// the column access; 4 keeps the two effects on comparable scales.
-const rowSwitchWeight = 4
+// the open row of its internal bank, in column-access units: the
+// precharge + activate a conflict costs on the paper's device on top of
+// the column access, which keeps the two effects on comparable scales.
+var rowSwitchWeight = dramtech.PaperTiming().RowSwitch()
 
 // maxUnits bounds Channels*Banks: unit labels are uint16.
 const maxUnits = 1 << 16

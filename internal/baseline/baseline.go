@@ -65,8 +65,7 @@ func NewCacheLineSerialChannels(channels uint32) *Serial {
 // + CAS plus its busiest channel's element count. A nil or
 // single-channel decoder is the paper's system.
 func NewGatheringSerialChannels(dec addrmap.Decoder) *Serial {
-	t := dramtech.PaperTiming()
-	startup := t.TRP + t.TRCD + t.CL
+	startup := dramtech.PaperTiming().ClosedAccess()
 	return &Serial{name: "gathering-serial", store: memsys.NewStore(),
 		cost: func(c memsys.VectorCmd, st *memsys.Stats) uint64 {
 			st.Precharges++

@@ -33,16 +33,26 @@ type Timing struct {
 	TRFC uint64
 }
 
+// ClosedAccess is the cost of one word from a closed row when the row is
+// closed again after it: open the row, read the word out, precharge.
+func (t Timing) ClosedAccess() uint64 { return t.TRCD + t.CL + t.TRP }
+
+// RowSwitch is the cost of leaving an open row for another row of the
+// same unit: precharge, then activate.
+func (t Timing) RowSwitch() uint64 { return t.TRP + t.TRCD }
+
 // MaxPostponedRefreshes is how many refresh obligations a controller may
 // defer before the strict checker treats the device as starved (JEDEC
 // SDRAM allows postponing a bounded burst; eight is the customary bound).
 const MaxPostponedRefreshes = 8
 
-// timingOf is a preset's core timing in device terms.
-func timingOf(k Kind) Timing {
-	t := presets[k]
+// timing is a preset's core timing in device terms.
+func (t Tech) timing() Timing {
 	return Timing{TRCD: t.RowOpen, CL: t.FirstWord, TRP: t.Precharge}
 }
+
+// timingOf is one preset's core timing.
+func timingOf(k Kind) Timing { return presets[k].timing() }
 
 // PaperTiming is the prototype's timing: RAS and CAS latencies of two
 // cycles, precharge of two cycles. Derived from the SDRAM preset so the
@@ -242,14 +252,10 @@ func (d *Device) pushRead(a uint32, tag uint64) {
 // owns word addresses a with a mod M == bank, stored at per-bank index
 // a / M. The spec selects the back end: the zero Spec is plain SDRAM,
 // BackendSALP adds per-subarray row state, BackendPCM per-partition row
-// state and write occupancy, and BackendSRAM drops rows altogether and
-// runs on the SRAM preset's timing whatever t says: "this system incurs
-// no precharge or RAS latencies: all memory accesses take a single
-// cycle" (Section 6.1).
+// state and write occupancy, and BackendSRAM drops rows altogether. The
+// device runs on spec.Timing(t).
 func NewDevice(geom addr.SDRAMGeom, t Timing, spec Spec, store *memsys.Store, bank, banks uint32) *Device {
-	if spec.Backend == BackendSRAM {
-		t = timingOf(SRAM)
-	}
+	t = spec.Timing(t)
 	d := &Device{
 		geom:        geom,
 		timing:      t,
@@ -287,6 +293,9 @@ func (d *Device) RefreshDebt() int64 { return d.refreshDebt }
 
 // Stats returns a copy of the activity counters.
 func (d *Device) Stats() Stats { return d.stats }
+
+// Timing returns the timing the device runs on (see Spec.Timing).
+func (d *Device) Timing() Timing { return d.timing }
 
 // Model exposes the device's row-state machine. Bank controllers read
 // unit state through it; Issue stays the one command boundary and

@@ -94,9 +94,9 @@ type Tech struct {
 // Kind order, normalized to the evaluation's 100 MHz controller clock
 // (SDRAM matches the paper's 2/2/2 prototype device exactly). Both the
 // Chapter-2 comparison tables and the executable device back ends
-// (PaperTiming, PCMTiming, the SRAM device's timing and the PCM write
-// occupancy in SpecFor) derive from this table, so the background
-// numbers cannot drift from the simulated model.
+// (PaperTiming, and through Spec.Timing the PCM and SRAM devices' timing,
+// and the PCM write occupancy in SpecFor) derive from this table, so the
+// background numbers cannot drift from the simulated model.
 var presets = [...]Tech{
 	{Kind: FPM, RowOpen: 2, FirstWord: 3, PerWordNum: 3, PerWordDen: 1, Precharge: 3},
 	{Kind: EDO, RowOpen: 2, FirstWord: 3, PerWordNum: 2, PerWordDen: 1, Precharge: 3},
@@ -137,9 +137,7 @@ func (t Tech) LineFill(n uint64) uint64 {
 // RandomWord returns the cycles for an isolated single-word access to a
 // closed row including the eventual precharge — the uniform-access
 // number SRAM wins on.
-func (t Tech) RandomWord() uint64 {
-	return t.RowOpen + t.FirstWord + t.Precharge
-}
+func (t Tech) RandomWord() uint64 { return t.timing().ClosedAccess() }
 
 // Comparison is one row of the background table.
 type Comparison struct {

@@ -1,6 +1,11 @@
 package dramtech
 
-import "testing"
+import (
+	"testing"
+
+	"pva/internal/addr"
+	"pva/internal/memsys"
+)
 
 func TestSDRAMMatchesEvaluationDevice(t *testing.T) {
 	s, err := ByKind(SDRAM)
@@ -75,6 +80,54 @@ func TestStrings(t *testing.T) {
 	for _, tech := range All() {
 		if tech.Kind.String() == "" {
 			t.Error("empty name")
+		}
+	}
+}
+
+// TestSpecTiming pins the timing each back end runs on and the two
+// costs every consumer outside the device reads from it: the rowless
+// SRAM and PCM run on their presets whatever is configured, SDRAM and
+// SALP on the configured timing, and the device reports what it runs
+// on. A preset's RandomWord is its timing's closed access.
+func TestSpecTiming(t *testing.T) {
+	configured := Timing{TRCD: 3, CL: 4, TRP: 5, RefreshInterval: 100, TRFC: 6}
+	pcm, err := SpecFor("pcm", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name                 string
+		spec                 Spec
+		in, want             Timing
+		closed, switchCycles uint64
+		randomWord           Kind // the preset whose RandomWord is closed; -1: none
+	}{
+		{"sdram", Spec{}, configured, configured, 12, 8, -1},
+		{"salp-4", Spec{Backend: BackendSALP, Units: 4}, configured, configured, 12, 8, -1},
+		{"pcm-4p", pcm, configured, Timing{TRCD: 4, CL: 2, TRP: 1}, 7, 5, PCM},
+		{"sram", Spec{Backend: BackendSRAM}, configured, Timing{CL: 1}, 1, 0, SRAM},
+		{"paper", Spec{}, PaperTiming(), PaperTiming(), 6, 4, SDRAM},
+	} {
+		got := c.spec.Timing(c.in)
+		if got != c.want {
+			t.Errorf("%s: Timing = %+v, want %+v", c.name, got, c.want)
+		}
+		if got.ClosedAccess() != c.closed || got.RowSwitch() != c.switchCycles {
+			t.Errorf("%s: ClosedAccess %d RowSwitch %d, want %d and %d",
+				c.name, got.ClosedAccess(), got.RowSwitch(), c.closed, c.switchCycles)
+		}
+		d := NewDevice(addr.MustSDRAMGeom(4, 512, 8192), c.in, c.spec, memsys.NewStore(), 0, 16)
+		if d.Timing() != got {
+			t.Errorf("%s: device runs on %+v, Spec.Timing says %+v", c.name, d.Timing(), got)
+		}
+		if c.randomWord >= 0 {
+			tech, err := ByKind(c.randomWord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tech.RandomWord() != c.closed {
+				t.Errorf("%s: RandomWord %d, closed access %d", c.name, tech.RandomWord(), c.closed)
+			}
 		}
 	}
 }

@@ -75,6 +75,22 @@ type Spec struct {
 	WriteBusy uint64
 }
 
+// Timing returns the timing a device of this back end runs on, given the
+// configured timing. The rowless SRAM runs on the SRAM preset: "this
+// system incurs no precharge or RAS latencies: all memory accesses take
+// a single cycle" (Section 6.1). PCM runs on PCMTiming. Every other back
+// end runs on the configured timing.
+func (s Spec) Timing(configured Timing) Timing {
+	switch s.Backend {
+	case BackendSRAM:
+		return timingOf(SRAM)
+	case BackendPCM:
+		return PCMTiming()
+	default:
+		return configured
+	}
+}
+
 // ValidateSelection checks a user-facing (tech, subarrays, partitions)
 // selection before any hardware is built. tech "" means "sdram".
 func ValidateSelection(tech string, subarrays, partitions uint32) error {

@@ -65,7 +65,7 @@ type Config struct {
 	Channels  uint32          // memory channels, power of two (prototype: 1); 0 = 1
 	LineWords uint32          // words per cache line / max vector length (32)
 	SGeom     addr.SDRAMGeom  // per-bank device geometry
-	Timing    dramtech.Timing // device timing
+	Timing    dramtech.Timing // configured device timing; Tech.Timing decides what the devices run on
 	Tech      dramtech.Spec   // device back end (zero value: plain SDRAM)
 	VCWindow  int             // vector contexts per bank controller (4)
 	Policy    bankctl.Policy  // SPU and row policy (zero value: the paper's)
@@ -116,7 +116,7 @@ func PaperConfig() Config {
 
 // SRAMConfig returns the idealized PVA-SRAM comparison system of Section
 // 6.1: the same parallel access scheme over single-cycle static memory,
-// the rowless SRAM back end. The controllers keep the paper's timing.
+// the rowless SRAM back end, which runs on the SRAM preset's timing.
 func SRAMConfig() Config {
 	c := PaperConfig()
 	c.Tech = dramtech.Spec{Backend: dramtech.BackendSRAM}
@@ -124,20 +124,16 @@ func SRAMConfig() Config {
 }
 
 // ApplyTech resolves a user-facing technology selection onto cfg: the
-// executable Spec replaces cfg.Tech, and for PCM the preset core timing
-// (slower row open, cheap precharge, refresh off — the cells are
-// non-volatile) replaces cfg.Timing wholesale. tech "" or "sdram" with
-// <=1 subarrays and partitions selects the zero Spec, so the zero-value
-// selection is provably the paper's device.
+// executable Spec replaces cfg.Tech, and with it the timing the devices
+// run on (dramtech.Spec.Timing). tech "" or "sdram" with <=1 subarrays
+// and partitions selects the zero Spec, so the zero-value selection is
+// provably the paper's device.
 func ApplyTech(cfg *Config, tech string, subarrays, partitions uint32) error {
 	spec, err := dramtech.SpecFor(tech, subarrays, partitions)
 	if err != nil {
 		return err
 	}
 	cfg.Tech = spec
-	if spec.Backend == dramtech.BackendPCM {
-		cfg.Timing = dramtech.PCMTiming()
-	}
 	return nil
 }
 
@@ -189,7 +185,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.VCWindow == 0 {
 		cfg.VCWindow = 4
 	}
-	if err := ValidateLimits(cfg.VCWindow, cfg.Timing); err != nil {
+	if err := ValidateLimits(cfg.VCWindow, cfg.Tech.Timing(cfg.Timing)); err != nil {
 		return nil, fmt.Errorf("pvaunit: %w", err)
 	}
 	return &System{cfg: cfg, store: memsys.NewStore()}, nil

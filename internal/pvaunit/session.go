@@ -173,12 +173,12 @@ func (s *System) Open() (*Session, error) {
 	}
 	// Serial-fallback per-element cost: a degraded bank's elements are
 	// serviced one at a time over a dedicated maintenance path — each
-	// element pays a full closed-page SDRAM access (ACT + CAS + PRE)
-	// plus the transfer cycle; on the SRAM back end only the transfer
-	// cycle.
+	// element pays a full closed-page access (ACT + CAS + PRE) on the
+	// device's timing plus the transfer cycle; on the SRAM back end only
+	// the transfer cycle.
 	fbCost := uint64(1)
 	if s.cfg.Tech.Backend != dramtech.BackendSRAM {
-		fbCost += s.cfg.Timing.TRCD + s.cfg.Timing.CL + s.cfg.Timing.TRP
+		fbCost += s.cfg.Tech.Timing(s.cfg.Timing).ClosedAccess()
 	}
 	fe := &frontEnd{
 		cfg:        s.cfg,
