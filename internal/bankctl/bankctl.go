@@ -72,7 +72,7 @@ type Config struct {
 	Geom     core.Geometry   // word-interleave hit math for M banks
 	View     AddrView        // non-nil: address the device via this view; commands arrive pre-claimed
 	SGeom    addr.SDRAMGeom  // device geometry
-	Timing   dramtech.Timing // device timing as the restimers assume it (see dramtech.NewDevice)
+	Timing   dramtech.Timing // configured device timing; the device runs on Tech.Timing(Timing)
 	Tech     dramtech.Spec   // device back end (zero value: plain SDRAM)
 	VCWindow int             // number of Vector Contexts (prototype: 4)
 	FHCDelay int             // FirstHit-Calculate latency in cycles (prototype: 2)

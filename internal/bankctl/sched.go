@@ -171,6 +171,7 @@ type scheduler struct {
 	polarity  memsys.Op // current SDRAM data-bus direction
 	lastRead  int64     // cycle of the most recent READ command
 	lastWrite int64     // cycle of the most recent WRITE command
+	readTurn  int64     // least READ-to-WRITE gap on the device's pins (Timing.ReadToWrite)
 
 	// The row predictors (the one-bit autoprecharge predictor and the
 	// hot-row history) are kept per row-state unit — the internal bank
@@ -190,11 +191,12 @@ type scheduler struct {
 func newScheduler(bc *BC) *scheduler {
 	w := bc.cfg.VCWindow
 	s := &scheduler{
-		bc:    bc,
-		model: bc.model,
-		hist:  make([]rowHistory, bc.model.Units()),
-		vcs:   make([]vcontext, 0, w),
-		needs: make([]dramtech.Need, w),
+		bc:       bc,
+		model:    bc.model,
+		readTurn: int64(bc.dev.Timing().ReadToWrite()),
+		hist:     make([]rowHistory, bc.model.Units()),
+		vcs:      make([]vcontext, 0, w),
+		needs:    make([]dramtech.Need, w),
 	}
 	s.reset()
 	return s
@@ -363,7 +365,7 @@ func (s *scheduler) step(cycle uint64) error {
 func (s *scheduler) reversalOK(to memsys.Op, cycle uint64) bool {
 	c := int64(cycle)
 	if to == memsys.Write {
-		return c >= s.lastRead+int64(s.bc.cfg.Timing.CL)+1
+		return c >= s.lastRead+s.readTurn
 	}
 	return c >= s.lastWrite+2
 }

@@ -41,6 +41,11 @@ func (t Timing) ClosedAccess() uint64 { return t.TRCD + t.CL + t.TRP }
 // same unit: precharge, then activate.
 func (t Timing) RowSwitch() uint64 { return t.TRP + t.TRCD }
 
+// ReadToWrite is the least gap from a READ command to a WRITE command on
+// one device's data pins: the read data leaves the pins CL cycles after
+// the READ, and the bus takes one more cycle to turn around.
+func (t Timing) ReadToWrite() uint64 { return t.CL + 1 }
+
 // MaxPostponedRefreshes is how many refresh obligations a controller may
 // defer before the strict checker treats the device as starved (JEDEC
 // SDRAM allows postponing a bounded burst; eight is the customary bound).

@@ -84,8 +84,8 @@ func TestStrings(t *testing.T) {
 	}
 }
 
-// TestSpecTiming pins the timing each back end runs on and the two
-// costs every consumer outside the device reads from it: the rowless
+// TestSpecTiming pins the timing each back end runs on and the costs
+// every consumer outside the device reads from it: the rowless
 // SRAM and PCM run on their presets whatever is configured, SDRAM and
 // SALP on the configured timing, and the device reports what it runs
 // on. A preset's RandomWord is its timing's closed access.
@@ -112,9 +112,9 @@ func TestSpecTiming(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: Timing = %+v, want %+v", c.name, got, c.want)
 		}
-		if got.ClosedAccess() != c.closed || got.RowSwitch() != c.switchCycles {
-			t.Errorf("%s: ClosedAccess %d RowSwitch %d, want %d and %d",
-				c.name, got.ClosedAccess(), got.RowSwitch(), c.closed, c.switchCycles)
+		if got.ClosedAccess() != c.closed || got.RowSwitch() != c.switchCycles || got.ReadToWrite() != c.want.CL+1 {
+			t.Errorf("%s: ClosedAccess %d RowSwitch %d ReadToWrite %d, want %d, %d and %d",
+				c.name, got.ClosedAccess(), got.RowSwitch(), got.ReadToWrite(), c.closed, c.switchCycles, c.want.CL+1)
 		}
 		d := NewDevice(addr.MustSDRAMGeom(4, 512, 8192), c.in, c.spec, memsys.NewStore(), 0, 16)
 		if d.Timing() != got {

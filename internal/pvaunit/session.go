@@ -173,13 +173,9 @@ func (s *System) Open() (*Session, error) {
 	}
 	// Serial-fallback per-element cost: a degraded bank's elements are
 	// serviced one at a time over a dedicated maintenance path — each
-	// element pays a full closed-page access (ACT + CAS + PRE) on the
-	// device's timing plus the transfer cycle; on the SRAM back end only
-	// the transfer cycle.
-	fbCost := uint64(1)
-	if s.cfg.Tech.Backend != dramtech.BackendSRAM {
-		fbCost += s.cfg.Tech.Timing(s.cfg.Timing).ClosedAccess()
-	}
+	// element pays one closed-row access on the device's timing plus the
+	// transfer cycle (DESIGN §11).
+	fbCost := s.cfg.Tech.Timing(s.cfg.Timing).ClosedAccess() + 1
 	fe := &frontEnd{
 		cfg:        s.cfg,
 		boards:     boards,

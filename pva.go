@@ -263,8 +263,8 @@ func (c Config) Validate() error {
 // system running its own device timing would silently drop. PCM runs
 // on its preset timing: it drops a TRCD, CL or TRP other than the
 // paper's and any refresh setting. The rowless PVA-SRAM system (sram)
-// drops those too, except CL, which its controllers' bus turnaround
-// reads, and any device selection.
+// runs on the SRAM preset, so it drops those too, and any device
+// selection.
 func (c Config) droppedBy(sram bool) []string {
 	d := DefaultConfig()
 	var dropped []string
@@ -277,7 +277,7 @@ func (c Config) droppedBy(sram bool) []string {
 	add(sram && c.SubarraysPerBank > 1, "SubarraysPerBank=%d", c.SubarraysPerBank)
 	add(sram && c.Partitions > 1, "Partitions=%d", c.Partitions)
 	add(c.TRCD != d.TRCD, "TRCD=%d", c.TRCD)
-	add(!sram && c.CL != d.CL, "CL=%d", c.CL)
+	add(c.CL != d.CL, "CL=%d", c.CL)
 	add(c.TRP != d.TRP, "TRP=%d", c.TRP)
 	add(c.RefreshInterval != 0, "RefreshInterval=%d", c.RefreshInterval)
 	add(c.TRFC != 0, "TRFC=%d", c.TRFC)

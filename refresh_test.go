@@ -110,11 +110,13 @@ func TestConfigLimits(t *testing.T) {
 		{Config{Tech: "pcm", Partitions: 4, RefreshInterval: 100, TRFC: 10}, "RefreshInterval=100, TRFC=10", false},
 		{Config{Tech: "pcm", Partitions: 4, RefreshInterval: 15, TRFC: 10}, "RefreshInterval=15, TRFC=10", false},
 		{Config{Tech: "pcm", CL: 3}, "CL=3", false},
-		// The PVA-SRAM system has no rows, back ends or refresh.
+		// The PVA-SRAM system has no rows, back ends or refresh, and
+		// runs on the SRAM preset's read latency.
 		{Config{Tech: "pcm", Partitions: 4}, `Tech="pcm", Partitions=4`, true},
 		{Config{Tech: "salp", SubarraysPerBank: 4}, `Tech="salp", SubarraysPerBank=4`, true},
 		{Config{SubarraysPerBank: 2}, "SubarraysPerBank=2", true},
-		{Config{TRCD: 6, CL: 6, TRP: 1}, "TRCD=6, TRP=1", true},
+		{Config{TRCD: 6, CL: 6, TRP: 1}, "TRCD=6, CL=6, TRP=1", true},
+		{Config{CL: 6}, "CL=6", true},
 		{Config{RefreshInterval: 100, TRFC: 10}, "RefreshInterval=100, TRFC=10", true},
 		{Config{TRFC: 10}, "TRFC=10", true},
 	} {
@@ -137,15 +139,14 @@ func TestConfigLimits(t *testing.T) {
 		}
 	}
 	// What each system does read stays accepted: PCM at the paper's
-	// timing spelled out, and the SRAM system's CL (the controllers'
-	// turnaround) and the explicit single-unit SDRAM selection.
+	// timing spelled out, and the SRAM system at the paper's timing with
+	// the explicit single-unit SDRAM selection.
 	if err := (Config{Tech: "pcm", Partitions: 4, TRCD: 2, CL: 2, TRP: 2}).Validate(); err != nil {
 		t.Errorf("PCM at the paper's timing: %v", err)
 	}
-	for _, cfg := range []Config{{CL: 6}, {Tech: "sdram", SubarraysPerBank: 1, Partitions: 1, TRCD: 2, TRP: 2}} {
-		if _, err := NewSRAMSystem(cfg); err != nil {
-			t.Errorf("%+v: NewSRAMSystem = %v", cfg, err)
-		}
+	cfg := Config{Tech: "sdram", SubarraysPerBank: 1, Partitions: 1, TRCD: 2, CL: 2, TRP: 2}
+	if _, err := NewSRAMSystem(cfg); err != nil {
+		t.Errorf("%+v: NewSRAMSystem = %v", cfg, err)
 	}
 	d := DefaultConfig()
 	for _, trfc := range []uint64{1, 4, 10} {

@@ -1,7 +1,6 @@
 // PVA-SRAM pins: behaviour of the idealized comparison system that the
-// seed golden does not cover — the controller's bus turnaround, the
-// degraded-mode fallback cost, and the rowless command stream under
-// every row policy.
+// seed golden does not cover — the degraded-mode fallback cost and the
+// rowless command stream under every row policy.
 package pva
 
 import (
@@ -26,35 +25,21 @@ func runKernelOn(t *testing.T, sys System, kernel string, stride uint32, align i
 	return res
 }
 
-// TestSRAMTurnaroundReadsConfiguredCL: the SRAM device delivers read
-// data one cycle after the command, but the bank controller's
-// write-after-read turnaround still waits for the configured CAS
-// latency, so CL moves PVA-SRAM cycle counts.
-func TestSRAMTurnaroundReadsConfiguredCL(t *testing.T) {
-	for _, c := range []struct{ cl, cycles uint64 }{{1, 2056}, {2, 2060}, {6, 2076}} {
-		cfg := DefaultConfig()
-		cfg.CL = c.cl
-		sys, err := NewSRAMSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := runKernelOn(t, sys, "copy", 16, 0).Cycles; got != c.cycles {
-			t.Errorf("pva-sram copy stride 16 at CL %d: %d cycles, want %d", c.cl, got, c.cycles)
-		}
-	}
-}
-
 // TestSRAMDegradedFallbackCost: the degraded-mode serial fallback
-// charges PVA-SRAM one cycle per element, so losing two banks makes it
-// faster than the healthy system, while PVA-SDRAM pays a full
-// closed-page access per element.
+// charges each element one closed-row access on the device's timing
+// plus the transfer cycle: 2 cycles on PVA-SRAM, 7 on PVA-SDRAM. Losing
+// banks 3 and 9 still leaves PVA-SRAM faster than the healthy system,
+// and the per-element cost is not why: read staging bursts carry only
+// the live banks' words, so the bus is busy 1,088 cycles instead of
+// 1,152 on both systems.
 func TestSRAMDegradedFallbackCost(t *testing.T) {
+	const healthyBus, brokenBus = 1152, 1088
 	for _, c := range []struct {
 		name            string
 		build           func(Config) (System, error)
 		healthy, broken uint64
 	}{
-		{"pva-sram", NewSRAMSystem, 1219, 1157},
+		{"pva-sram", NewSRAMSystem, 1219, 1161},
 		{"pva-sdram", NewSystem, 1233, 1793},
 	} {
 		cfg := DefaultConfig()
@@ -63,15 +48,19 @@ func TestSRAMDegradedFallbackCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := runKernelOn(t, sys, "copy", 19, 0); got.Cycles != c.healthy || got.Stats.DegradedElements != 0 {
-			t.Errorf("%s healthy: %d cycles, %d degraded; want %d, 0", c.name, got.Cycles, got.Stats.DegradedElements, c.healthy)
+		got := runKernelOn(t, sys, "copy", 19, 0)
+		if got.Cycles != c.healthy || got.Stats.DegradedElements != 0 || got.Stats.BusBusyCycles != healthyBus {
+			t.Errorf("%s healthy: %d cycles, %d degraded, bus busy %d; want %d, 0, %d",
+				c.name, got.Cycles, got.Stats.DegradedElements, got.Stats.BusBusyCycles, c.healthy, healthyBus)
 		}
 		cfg.FaultPlan = FaultPlan{DeadBanks: []uint32{3, 9}}
 		if sys, err = c.build(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if got := runKernelOn(t, sys, "copy", 19, 0); got.Cycles != c.broken || got.Stats.DegradedElements != 256 {
-			t.Errorf("%s dead banks 3,9: %d cycles, %d degraded; want %d, 256", c.name, got.Cycles, got.Stats.DegradedElements, c.broken)
+		got = runKernelOn(t, sys, "copy", 19, 0)
+		if got.Cycles != c.broken || got.Stats.DegradedElements != 256 || got.Stats.BusBusyCycles != brokenBus {
+			t.Errorf("%s dead banks 3,9: %d cycles, %d degraded, bus busy %d; want %d, 256, %d",
+				c.name, got.Cycles, got.Stats.DegradedElements, got.Stats.BusBusyCycles, c.broken, brokenBus)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pva/internal/pvaunit"
 	"pva/internal/trace"
 )
 
@@ -61,24 +62,76 @@ func TestInvariantSubvectorOrder(t *testing.T) {
 }
 
 // TestInvariantPolarityGap: on each bank's data bus, a write command
-// never follows a read within CL+1 cycles, and a read never follows a
-// write within 2 cycles (the turnaround restimers of Section 5.2.5).
+// never follows a read before the read's data has left the device's
+// pins plus one turnaround cycle, and a read never follows a write
+// within 2 cycles (the turnaround restimers of Section 5.2.5), on every
+// back end. On swap at stride 16, alignment 0, the tightest READ→WRITE
+// gap is exactly the device's read latency + 1: the controller waits for
+// its own device, whatever timing is configured.
 func TestInvariantPolarityGap(t *testing.T) {
-	log, _ := tracedRun(t, mixedTrace())
-	for b := 0; b < 16; b++ {
-		lastRead, lastWrite := int64(-1000), int64(-1000)
-		for _, e := range log.ByBank(b) {
-			switch e.Kind {
-			case trace.ReadCmd:
-				if int64(e.Cycle) < lastWrite+2 {
-					t.Fatalf("bank %d: read at %d too soon after write at %d", b, e.Cycle, lastWrite)
+	withTech := func(tech string, subarrays, partitions uint32) func() pvaunit.Config {
+		return func() pvaunit.Config {
+			c := pvaunit.PaperConfig()
+			if err := pvaunit.ApplyTech(&c, tech, subarrays, partitions); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+	}
+	swap, err := KernelByName("swap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		cfg  func() pvaunit.Config
+	}{
+		{"sdram", pvaunit.PaperConfig},
+		{"salp-4", withTech("salp", 4, 0)},
+		{"pcm-4p", withTech("pcm", 0, 4)},
+		{"pva-sram", pvaunit.SRAMConfig},
+	} {
+		for _, tr := range []struct {
+			name  string
+			trace Trace
+			tight bool // the smallest READ→WRITE gap must equal the minimum
+		}{
+			{"mixed", Trace{Cmds: mixedTrace()}, false},
+			{"swap/16/0", swap.Build(PaperParams(16, 0)), true},
+		} {
+			cfg := m.cfg()
+			var log TraceLog
+			cfg.Observer = log.Record
+			sys, err := pvaunit.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(tr.trace); err != nil {
+				t.Fatalf("%s %s: %v", m.name, tr.name, err)
+			}
+			readTurn := int64(cfg.Tech.Timing(cfg.Timing).CL) + 1
+			minGap := int64(1 << 40)
+			for b := 0; b < int(cfg.Banks); b++ {
+				lastRead, lastWrite := int64(-1000), int64(-1000)
+				for _, e := range log.ByBank(b) {
+					switch e.Kind {
+					case trace.ReadCmd:
+						if int64(e.Cycle) < lastWrite+2 {
+							t.Fatalf("%s %s bank %d: read at %d too soon after write at %d", m.name, tr.name, b, e.Cycle, lastWrite)
+						}
+						lastRead = int64(e.Cycle)
+					case trace.WriteCmd:
+						gap := int64(e.Cycle) - lastRead
+						if gap < readTurn {
+							t.Fatalf("%s %s bank %d: write at %d too soon after read at %d", m.name, tr.name, b, e.Cycle, lastRead)
+						}
+						minGap = min(minGap, gap)
+						lastWrite = int64(e.Cycle)
+					}
 				}
-				lastRead = int64(e.Cycle)
-			case trace.WriteCmd:
-				if int64(e.Cycle) < lastRead+2+1 {
-					t.Fatalf("bank %d: write at %d too soon after read at %d", b, e.Cycle, lastRead)
-				}
-				lastWrite = int64(e.Cycle)
+			}
+			if tr.tight && minGap != readTurn {
+				t.Errorf("%s %s: smallest READ→WRITE gap %d, want read latency + 1 = %d", m.name, tr.name, minGap, readTurn)
 			}
 		}
 	}
