@@ -56,20 +56,17 @@ func (t Tech) timing() Timing {
 	return Timing{TRCD: t.RowOpen, CL: t.FirstWord, TRP: t.Precharge}
 }
 
-// timingOf is one preset's core timing.
-func timingOf(k Kind) Timing { return presets[k].timing() }
-
 // PaperTiming is the prototype's timing: RAS and CAS latencies of two
 // cycles, precharge of two cycles. Derived from the SDRAM preset so the
 // Chapter-2 table and the executable device cannot drift.
-func PaperTiming() Timing { return timingOf(SDRAM) }
+func PaperTiming() Timing { return presets[SDRAM].timing() }
 
 // PCMTiming is the phase-change back end's core timing from the PCM
 // preset: slower row opens, cheap precharge (the row buffer is just a
 // latch), and no refresh obligation — PCM cells are non-volatile. The
 // write-side asymmetry lives in Spec.WriteBusy, not here, because it
 // occupies only the written partition.
-func PCMTiming() Timing { return timingOf(PCM) }
+func PCMTiming() Timing { return presets[PCM].timing() }
 
 // Cmd is an SDRAM command.
 type Cmd uint8

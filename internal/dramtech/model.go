@@ -83,7 +83,7 @@ type Spec struct {
 func (s Spec) Timing(configured Timing) Timing {
 	switch s.Backend {
 	case BackendSRAM:
-		return timingOf(SRAM)
+		return presets[SRAM].timing()
 	case BackendPCM:
 		return PCMTiming()
 	default:

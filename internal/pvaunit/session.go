@@ -174,7 +174,7 @@ func (s *System) Open() (*Session, error) {
 	// Serial-fallback per-element cost: a degraded bank's elements are
 	// serviced one at a time over a dedicated maintenance path — each
 	// element pays one closed-row access on the device's timing plus the
-	// transfer cycle (DESIGN §11).
+	// transfer cycle (DESIGN.md §11).
 	fbCost := s.cfg.Tech.Timing(s.cfg.Timing).ClosedAccess() + 1
 	fe := &frontEnd{
 		cfg:        s.cfg,
