@@ -12,8 +12,8 @@
 // journal header's config hash must match, completed cells are replayed
 // from their records, in-flight cells re-run, and the merged output is
 // bit-identical to an uninterrupted run: replay is byte-exact JSON of
-// the Point, and re-runs start from freshly built systems, as every
-// cell of an uninterrupted sweep does.
+// the Point, and re-run cells run on cold systems, built or rewound
+// to their post-construction checkpoint, as in an uninterrupted sweep.
 
 package harness
 
