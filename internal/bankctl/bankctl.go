@@ -15,10 +15,11 @@
 //     a decoder without closed-form hit math) arrives pre-claimed: the
 //     channel dispatcher decodes each element once when the command
 //     claims its transaction ID, sorts the element indices by (channel,
-//     bank), and hands each controller its own ascending list. The
-//     timing is that of the snoop it replaces: indexed claims and
-//     power-of-two strides resolve in the broadcast cycle, other strides
-//     pay the FHC multiply-add.
+//     bank), and hands each owning controller its own ascending list; a
+//     controller that owns nothing never sees the broadcast. The timing
+//     is that of the snoop it replaces: indexed claims and power-of-two
+//     strides resolve in the broadcast cycle, other strides pay the FHC
+//     multiply-add.
 //   - Request FIFO (RQF) + Register File (RF): one register-file slot
 //     per bus transaction ID, written in place at the broadcast, and a
 //     ring of the IDs waiting for a Vector Context, oldest first.
@@ -162,7 +163,7 @@ type BC struct {
 // the dramtech.Device).
 type Stats struct {
 	Requests        uint64 // vector commands with at least one hit here
-	NoHitCommands   uint64 // broadcasts that missed this bank entirely
+	NoHitCommands   uint64 // closed-form broadcasts that missed this bank entirely
 	FHPPow2         uint64 // first-hit addresses resolved in the broadcast cycle
 	FHCCalcs        uint64 // first-hit addresses resolved by the multiply-add
 	PolarityStalls  uint64 // cycles an access waited on data-bus turnaround
@@ -239,9 +240,10 @@ func (bc *BC) Busy() bool {
 // offsets (element i lives at v.Base + idx[i]; nil for strided
 // commands). owned selects the predictor: nil runs the stride PLA,
 // which only strided commands under word interleaving may use;
-// otherwise it is this bank's pre-claimed element list, ascending, and
-// empty when the bank owns nothing. The controller keeps owned, read
-// only, until txn is released.
+// otherwise it is this bank's pre-claimed element list, ascending (the
+// channel dispatcher sends a pre-claimed command only to the banks that
+// own elements of it). The controller keeps owned, read only, until txn
+// is released.
 //
 // A bank owning nothing deasserts the transaction line at once and
 // leaves its clock alone: it reports false and needs no tick. A bank
@@ -256,7 +258,9 @@ func (bc *BC) ObserveCommand(now uint64, op memsys.Op, v core.Vector, idx, owned
 	if r.held {
 		// The front end reuses an ID only after every line of its last
 		// transaction deasserted, which this bank does only once the
-		// slot's vector context has issued its last element.
+		// slot's vector context has issued its last element: a held
+		// slot implies a pending line, and bus.Board.Release refuses a
+		// pending line. That holds for the banks a broadcast skips too.
 		fault.Invariantf("bankctl", "bank %d: register file slot %d still in use", bc.cfg.Bank, txn)
 	}
 	var hit core.Hit

@@ -48,7 +48,7 @@ func (r *rig) startRead(v core.Vector) int {
 	if !ok {
 		panic("no txn")
 	}
-	r.board.Open(txn)
+	r.board.Open(txn, r.board.AllBanks())
 	// The other 15 banks would deassert on their own; emulate them.
 	for b := uint32(0); b < 16; b++ {
 		if b != r.bc.cfg.Bank {
@@ -101,7 +101,7 @@ func TestObserveCatchesUpOnlyOnHit(t *testing.T) {
 		took bool
 	}{{5, 1, false}, {9, 0, true}} {
 		txn, _ := r.board.Alloc()
-		r.board.Open(txn)
+		r.board.Open(txn, r.board.AllBanks())
 		took, err := r.bc.ObserveCommand(c.now, memsys.Read, core.Vector{Base: c.base, Stride: 16, Length: 32}, nil, nil, txn)
 		if err != nil || took != c.took {
 			t.Fatalf("broadcast at %d: took %v, %v; want %v", c.now, took, err, c.took)
@@ -208,7 +208,7 @@ func TestFHCHandlesNonPow2Address(t *testing.T) {
 func TestWriteCommitsAndDeasserts(t *testing.T) {
 	r := newRig(t, 0)
 	txn, _ := r.board.Alloc()
-	r.board.Open(txn)
+	r.board.Open(txn, r.board.AllBanks())
 	for b := uint32(1); b < 16; b++ {
 		r.board.Done(b, txn)
 	}
@@ -230,7 +230,7 @@ func TestWriteCommitsAndDeasserts(t *testing.T) {
 func TestWriteWithoutStagedDataErrors(t *testing.T) {
 	r := newRig(t, 0)
 	txn, _ := r.board.Alloc()
-	r.board.Open(txn)
+	r.board.Open(txn, r.board.AllBanks())
 	r.observe(memsys.Write, core.Vector{Base: 0, Stride: 16, Length: 4}, txn)
 	var err error
 	for i := 0; i < 20 && err == nil; i++ {
@@ -303,7 +303,7 @@ func TestPolarityStallsCounted(t *testing.T) {
 	// read's data bus tenure plus a turnaround.
 	txnR := r.startRead(core.Vector{Base: 0, Stride: 16, Length: 32})
 	txnW, _ := r.board.Alloc()
-	r.board.Open(txnW)
+	r.board.Open(txnW, r.board.AllBanks())
 	for b := uint32(1); b < 16; b++ {
 		r.board.Done(b, txnW)
 	}
@@ -559,7 +559,7 @@ func TestSRAMBackendNoRowOps(t *testing.T) {
 	cfg.Tech = dramtech.Spec{Backend: dramtech.BackendSRAM}
 	bc := New(cfg, store, board)
 	txn, _ := board.Alloc()
-	board.Open(txn)
+	board.Open(txn, board.AllBanks())
 	for b := uint32(1); b < 16; b++ {
 		board.Done(b, txn)
 	}

@@ -44,7 +44,7 @@ func BenchmarkSchedulerStep(b *testing.B) {
 			line := make([]uint32, v.Length)
 			stream := func(op memsys.Op) {
 				txn, _ := board.Alloc()
-				board.Open(txn)
+				board.Open(txn, board.AllBanks())
 				for bank := uint32(1); bank < cfg.Banks; bank++ {
 					board.Done(bank, txn)
 				}
@@ -114,7 +114,7 @@ func BenchmarkBroadcast(b *testing.B) {
 		for lo := 0; lo < len(stream); lo += bus.MaxTransactions {
 			for _, c := range stream[lo:min(lo+bus.MaxTransactions, len(stream))] {
 				txn, _ := board.Alloc()
-				board.Open(txn)
+				board.Open(txn, board.AllBanks())
 				for bank := uint32(1); bank < cfg.Banks; bank++ {
 					board.Done(bank, txn)
 				}

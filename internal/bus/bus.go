@@ -142,18 +142,21 @@ const MaxTransactions = 8
 // of bank controllers that have not yet finished their share. The line
 // "deasserts" (AllDone) when the set empties.
 //
-// The board also latches every deassertion in a settle flag, the edge
-// the front end wakes on (Section 5.2.1: it acts when a line
-// deasserts). Done sets the flag only on a line's non-zero to zero
-// transition and nothing but ClearSettled clears it, so a partial Done
-// never hides an earlier settlement. Only the board's own channel
-// writes it.
+// The board also latches every deassertion in a settle mask, one bit
+// per transaction: the edges the front end wakes on (Section 5.2.1: it
+// acts when a line deasserts), and the transactions it then looks at.
+// Done sets a line's bit only on its non-zero to zero transition and
+// nothing but ClearSettled clears it, so a partial Done never hides an
+// earlier settlement. Only the board's own channel writes it.
 type Board struct {
 	banks   uint32
 	pending []uint64 // bitmask of banks still busy, per txn
 	inUse   []bool
-	settled bool // some line deasserted since the last ClearSettled
+	settled uint32 // bit t: txn t's line deasserted since the last ClearSettled
 }
+
+// The settle mask holds one bit per transaction ID.
+var _ [32 - MaxTransactions]struct{}
 
 // NewBoard returns a board for the given bank count (<= 64).
 func NewBoard(banks uint32) *Board {
@@ -174,7 +177,7 @@ func (b *Board) Reset() {
 		b.inUse[t] = false
 		b.pending[t] = 0
 	}
-	b.settled = false
+	b.settled = 0
 }
 
 // Alloc claims a free transaction ID, or returns false when all eight
@@ -205,35 +208,42 @@ func (b *Board) Claim(txn int) {
 	b.pending[txn] = 0
 }
 
-// Open asserts the completion line for txn: every bank is now busy with
-// it (they all observed the broadcast and will each deassert once done).
-func (b *Board) Open(txn int) {
-	b.check(txn)
-	b.pending[txn] = uint64(1)<<b.banks - 1
+// AllBanks returns the owner mask naming every bank on the board.
+func (b *Board) AllBanks() uint64 {
 	if b.banks == 64 {
-		b.pending[txn] = ^uint64(0)
+		return ^uint64(0)
 	}
+	return uint64(1)<<b.banks - 1
+}
+
+// Open asserts the completion line for txn on the banks in owners (bit
+// b: bank b), the controllers that took the broadcast and will each
+// deassert once done. The other banks' shares stay deasserted; with no
+// owner the line never asserts, and no settle edge is latched.
+func (b *Board) Open(txn int, owners uint64) {
+	b.check(txn)
+	b.pending[txn] = owners & b.AllBanks()
 }
 
 // Done deasserts bank's share of txn's completion line. Idempotent, as a
-// wired-OR is. The share that empties the line latches the settle flag.
+// wired-OR is. The share that empties the line latches txn's settle bit.
 func (b *Board) Done(bank uint32, txn int) {
 	b.check(txn)
 	if p := b.pending[txn]; p != 0 {
 		b.pending[txn] = p &^ (uint64(1) << bank)
 		if b.pending[txn] == 0 {
-			b.settled = true
+			b.settled |= 1 << txn
 		}
 	}
 }
 
-// Settled reports whether some transaction's line has deasserted since
-// the last ClearSettled.
-func (b *Board) Settled() bool { return b.settled }
+// Settled returns the settle mask: bit t is set when txn t's line has
+// deasserted since the last ClearSettled.
+func (b *Board) Settled() uint32 { return b.settled }
 
-// ClearSettled drops the settle flag; the line's observer calls it once
-// it has looked at every line.
-func (b *Board) ClearSettled() { b.settled = false }
+// ClearSettled empties the settle mask; the line's observer calls it
+// once it has taken every settled transaction.
+func (b *Board) ClearSettled() { b.settled = 0 }
 
 // AllDone reports whether every bank has deasserted txn's line.
 func (b *Board) AllDone(txn int) bool {

@@ -64,7 +64,7 @@ func TestBoardLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("alloc failed on empty board")
 	}
-	bd.Open(txn)
+	bd.Open(txn, bd.AllBanks())
 	if bd.AllDone(txn) {
 		t.Fatal("AllDone immediately after Open")
 	}
@@ -83,7 +83,7 @@ func TestBoardLifecycle(t *testing.T) {
 func TestBoardDoneIdempotent(t *testing.T) {
 	bd := NewBoard(4)
 	txn, _ := bd.Alloc()
-	bd.Open(txn)
+	bd.Open(txn, bd.AllBanks())
 	bd.Done(2, txn)
 	bd.Done(2, txn) // wired-OR: driving low twice is fine
 	bd.Done(0, txn)
@@ -94,6 +94,41 @@ func TestBoardDoneIdempotent(t *testing.T) {
 	bd.Done(3, txn)
 	if !bd.AllDone(txn) {
 		t.Fatal("AllDone expected")
+	}
+}
+
+// TestBoardOwnerMaskAndSettle: Open asserts only the owners' shares,
+// the share that empties a line latches that transaction's settle bit
+// (a partial Done latches nothing, and a line opened with no owner
+// never asserts), and only ClearSettled clears the mask.
+func TestBoardOwnerMaskAndSettle(t *testing.T) {
+	bd := NewBoard(16)
+	a, _ := bd.Alloc()
+	b, _ := bd.Alloc()
+	c, _ := bd.Alloc()
+	bd.Open(a, 1<<3|1<<9)
+	bd.Open(b, 1<<5)
+	bd.Open(c, 0)
+	if !bd.AllDone(c) || bd.Settled() != 0 {
+		t.Fatalf("ownerless line: AllDone=%v settled=%#x", bd.AllDone(c), bd.Settled())
+	}
+	bd.Done(0, a) // not an owner: the line stays asserted
+	bd.Done(3, a)
+	if bd.AllDone(a) || bd.Settled() != 0 {
+		t.Fatalf("bank 9 still owns txn %d: AllDone=%v settled=%#x", a, bd.AllDone(a), bd.Settled())
+	}
+	bd.Done(5, b)
+	bd.Done(9, a)
+	if want := uint32(1)<<a | 1<<b; bd.Settled() != want {
+		t.Fatalf("settled %#x, want %#x", bd.Settled(), want)
+	}
+	bd.Done(9, a) // idempotent: no second edge to latch
+	bd.ClearSettled()
+	if bd.Settled() != 0 {
+		t.Fatalf("settled %#x after ClearSettled", bd.Settled())
+	}
+	for _, txn := range []int{a, b, c} {
+		bd.Release(txn)
 	}
 }
 
@@ -112,7 +147,7 @@ func TestBoardExhaustion(t *testing.T) {
 func TestBoardReleasePendingPanics(t *testing.T) {
 	bd := NewBoard(8)
 	txn, _ := bd.Alloc()
-	bd.Open(txn)
+	bd.Open(txn, bd.AllBanks())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Release with pending banks did not panic")

@@ -14,15 +14,22 @@ import (
 // ascending, in one slice, and no controller decodes an address to
 // decide ownership.
 //
+// build also records, per channel, which banks own elements (the owner
+// mask the broadcast opens the channel's transaction-complete line
+// with, and the controllers it is delivered to) and the largest single
+// claim.
+//
 // The front end keeps one claimList per transaction ID, not per
 // command, so the storage is bounded by bus.MaxTransactions and reused
 // across commands. A list is built when its command claims the ID and
 // stays valid until the ID is released; the front-end step is the only
 // writer, and the bank controllers only read it.
 type claimList struct {
-	elems []uint32 // element indices grouped by key, ascending within a key
-	end   []uint32 // per key: one past the key's last entry in elems
-	keys  []uint32 // build scratch: each element's key
+	elems    []uint32 // element indices grouped by key, ascending within a key
+	end      []uint32 // per key: one past the key's last entry in elems
+	keys     []uint32 // build scratch: each element's key
+	owners   []uint64 // per channel: bit b set when bank b owns an element
+	maxClaim []uint32 // per channel: the largest single-bank claim
 }
 
 // preClaimed reports whether command c reaches the bank controllers as
@@ -39,6 +46,8 @@ func (cl *claimList) build(dec addrmap.Decoder, c *memsys.VectorCmd) {
 	M := dec.Banks()
 	if nk := int(dec.Channels() * M); len(cl.end) != nk {
 		cl.end = make([]uint32, nk)
+		cl.owners = make([]uint64, dec.Channels())
+		cl.maxClaim = make([]uint32, dec.Channels())
 	}
 	if cap(cl.elems) < n {
 		cl.elems = make([]uint32, n)
@@ -53,8 +62,15 @@ func (cl *claimList) build(dec addrmap.Decoder, c *memsys.VectorCmd) {
 		cl.keys[e] = k
 		end[k]++
 	}
+	clear(cl.owners)
+	clear(cl.maxClaim)
 	var sum uint32
 	for k, cnt := range end {
+		if cnt > 0 {
+			ch := uint32(k) / M
+			cl.owners[ch] |= 1 << (uint32(k) % M)
+			cl.maxClaim[ch] = max(cl.maxClaim[ch], cnt)
+		}
 		end[k] = sum // the key's first slot; placement advances it to its end
 		sum += cnt
 	}

@@ -59,8 +59,9 @@ func claimDecoders(t *testing.T, rng *rand.Rand, C, M uint32) []addrmap.Decoder 
 // TestClaimListMatchesBruteForce checks the dispatcher's pre-claimed
 // lists: for every decoder and (channel, bank), the slice a controller
 // receives must equal the ascending set of element indices whose address
-// decodes to it, computed here element by element. One list is reused
-// across all commands, as one transaction ID is.
+// decodes to it, computed here element by element, and each channel's
+// owner mask and largest claim must match those slices. One list is
+// reused across all commands, as one transaction ID is.
 func TestClaimListMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 34))
 	cmds := claimCmds()
@@ -75,6 +76,8 @@ func TestClaimListMatchesBruteForce(t *testing.T) {
 					}
 					cl.build(dec, c)
 					for ch := uint32(0); ch < C; ch++ {
+						var owners uint64
+						var maxClaim uint32
 						for b := uint32(0); b < M; b++ {
 							want := []uint32{}
 							for e := uint32(0); e < c.V.Length; e++ {
@@ -87,6 +90,14 @@ func TestClaimListMatchesBruteForce(t *testing.T) {
 								t.Fatalf("%s C=%d M=%d cmd %d (ch %d, bank %d): got %v, want %v",
 									dec.Name(), C, M, ci, ch, b, got, want)
 							}
+							if len(want) > 0 {
+								owners |= 1 << b
+								maxClaim = max(maxClaim, uint32(len(want)))
+							}
+						}
+						if cl.owners[ch] != owners || cl.maxClaim[ch] != maxClaim {
+							t.Fatalf("%s C=%d M=%d cmd %d ch %d: owners %#x max claim %d, want %#x and %d",
+								dec.Name(), C, M, ci, ch, cl.owners[ch], cl.maxClaim[ch], owners, maxClaim)
 						}
 					}
 				}

@@ -34,6 +34,22 @@
 // With Channels=1 and the default word-interleave decoder, every loop
 // below collapses to the single-channel prototype, cycle for cycle.
 //
+// The dispatcher is event-driven, as the bus is: each channel holds its
+// one outstanding bus tenure (a broadcast, or the end of a STAGE_READ
+// burst) with the cycle it is due, ticket-ordered lists of the shares
+// waiting for its bus and of the reads gathered but not yet staged, and
+// its serial-fallback queue (channel.go); each board reports which
+// transactions' lines settled since the last step. A step therefore
+// touches only the channels and transactions with an event due, and
+// NextWake reads each channel once. Within a cycle the order is fixed:
+// schedule every channel, deliver the broadcasts landing this cycle in
+// ticket order, then retire in ticket order. A broadcast under
+// closed-form hit math reaches every live bank, each controller's
+// FirstHit predictor deciding; a pre-claimed one opens its channel's
+// line only for the live banks its claim list names and is delivered
+// to those alone, and a retiring command releases staging only in the
+// banks that took it.
+//
 // Since the streaming refactor the front end is an engine.Driver: the
 // shared clocked engine (internal/engine) owns the cycle loop, the lazy
 // per-controller ticking, the idle-cycle skipping, and the watchdog and
@@ -45,6 +61,7 @@ package pvaunit
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"pva/internal/addr"
@@ -313,13 +330,15 @@ func (s *System) Restore(cp memsys.Checkpoint) error {
 // serialization via internal/ckptio.
 func (s *System) MemoryImage() *memsys.Image { return s.store.Snapshot() }
 
-// chanState tracks one command's progress on one memory channel.
+// chanState tracks one command's progress on one memory channel: its
+// share. Which channel list holds the share (waiting for the bus, its
+// tenure outstanding, gathered and waiting to stage, queued on the
+// fallback) is the channel's state; see channel.
 type chanState struct {
 	active         bool   // this channel owns at least one element
 	count          uint32 // elements this channel owns
-	reserved       bool   // this channel's broadcast bus tenure is reserved
 	broadcastDone  bool   // this channel's BCs observed the VEC_* command
-	broadcastAt    uint64 // the VEC_* cycle, the last of a write's STAGE_WRITE tenure
+	took           uint64 // banks that took the broadcast (bit b: bank b)
 	gathered       bool   // read: this channel's transaction-complete line deasserted
 	stagingStarted bool   // read: STAGE_READ reserved on this channel
 	stageReadEnd   uint64
@@ -347,6 +366,7 @@ type cmdState struct {
 	txn         int
 	issued      bool // transaction ID claimed (on every channel's board)
 	completed   bool
+	open        int    // active channel shares not yet done
 	acceptedAt  uint64 // engine cycle the command entered the session
 	issuedAt    uint64 // engine cycle the transaction ID was claimed
 	completedAt uint64
@@ -438,22 +458,21 @@ type frontEnd struct {
 	// command must wait for the older one's broadcast to actually land.
 	dropGuard bool
 
-	// offline marks hard-faulted bank controllers (flat channel*M+bank):
-	// never registered on the engine, never observed, their board lines
-	// deasserted at broadcast.
-	offline    []bool
+	// chans is the per-channel dispatch state: each channel's bus
+	// tenure, its waiting, staging and fallback lists, and its counters.
+	// anyOffline reports a hard-faulted bank on some channel.
+	chans      []channel
 	anyOffline bool
-	fbCost     uint64   // serial-fallback cost per element, in cycles
-	fbBusy     []uint64 // per channel: cycle the fallback engine frees up
-	nacks      []uint64 // per channel: broadcasts NACKed
-	retries    []uint64 // per channel: broadcasts delivered on a retransmission
-	fallbk     []uint64 // per channel: elements serviced by the fallback
+	fbCost     uint64 // serial-fallback cost per element, in cycles
 
-	// Indexed-command accounting, per channel, charged at successful
-	// broadcast delivery (retransmissions never double-count).
-	idxBus      []uint64 // bus data cycles carrying index lists
-	idxElems    []uint64 // elements moved by indexed commands
-	idxMaxClaim []uint64 // summed per-broadcast max per-bank claims
+	// txnCmd maps each transaction ID to the ticket holding it, for the
+	// lines a board reports settled.
+	txnCmd [bus.MaxTransactions]int
+
+	// due and landing are Step's scratch: the shares with a retire event
+	// this cycle and the broadcasts landing this cycle, each ordered by
+	// ticket and then channel.
+	due, landing []share
 
 	// wakeSeen is NextWake's per-channel scratch: which channels an
 	// unissued command has already given a wake.
@@ -484,19 +503,14 @@ type frontEnd struct {
 	// finished its fallback, or retired.
 	lastProgress uint64
 
-	// first is the completed-prefix frontier: every command before it has
-	// retired, so the scans over admitted commands start there.
-	first int
-	// inflight lists the issued, unretired commands in ticket order: at
-	// most bus.MaxTransactions of them. Per-channel tenures (reserved and
-	// staging state) exist only on these commands, so Step's broadcast
-	// and retire loops and the STAGE_READ drain walk this list alone.
-	// While every transaction ID is out no unissued command can be
-	// picked, or wake the engine before a retirement frees an ID, so the
-	// broadcast scan (pick) and NextWake walk only this list too.
-	// In batch mode the whole trace is admitted up front; this list is
-	// what keeps those loops O(in-flight) per cycle.
-	inflight []int
+	// issued is the issued-prefix frontier: every command before it has
+	// claimed a transaction ID, so the scans for unissued commands start
+	// there.
+	issued int
+
+	// steps counts Step calls since the session opened: the front end's
+	// share of host work, per command in BenchmarkDispatch.
+	steps uint64
 
 	// Free-list pools. Line buffers and per-channel state slices are
 	// recycled instead of reallocated per command: chanState slices
@@ -580,19 +594,13 @@ func (fe *frontEnd) reset() {
 	fe.pending = false
 	fe.poked = false
 	fe.lastProgress = 0
-	fe.first = 0
-	fe.inflight = fe.inflight[:0]
+	fe.issued = 0
+	fe.steps = 0
 	for _, g := range fe.groups {
 		g.reset()
 	}
-	for ch := range fe.fbBusy {
-		fe.fbBusy[ch] = 0
-		fe.nacks[ch] = 0
-		fe.retries[ch] = 0
-		fe.fallbk[ch] = 0
-		fe.idxBus[ch] = 0
-		fe.idxElems[ch] = 0
-		fe.idxMaxClaim[ch] = 0
+	for ch := range fe.chans {
+		fe.chans[ch].reset()
 	}
 }
 
@@ -600,17 +608,18 @@ func (fe *frontEnd) reset() {
 func (fe *frontEnd) Done() bool { return fe.remaining == 0 }
 
 // Poked implements engine.Driver. Between two Steps only two things
-// change what NextWake reads: a transaction-complete line deasserting
-// during a bank-controller tick (each channel's board latches it), and
-// Session.Issue admitting a command or starting to wait at the
-// admission gate. Bus tenures, timers, retry back-off and dependences
-// all belong to the front end.
+// change what the front end acts on: a transaction-complete line
+// deasserting during a bank-controller tick (each channel's board
+// latches the transaction in its settle mask), and Session.Issue
+// admitting a command or starting to wait at the admission gate. Bus
+// tenures, timers, retry back-off and dependences all belong to the
+// front end.
 func (fe *frontEnd) Poked() bool {
 	if fe.poked {
 		return true
 	}
 	for _, b := range fe.boards {
-		if b.Settled() {
+		if b.Settled() != 0 {
 			return true
 		}
 	}
@@ -631,7 +640,6 @@ func (fe *frontEnd) DebugDump() string { return fe.debugString() }
 func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 	i := len(fe.cmds)
 	C := int(fe.cfg.Channels)
-	M := int(fe.cfg.Banks)
 	st := cmdState{acceptedAt: now, ch: fe.getChans(C)}
 	if c.Indexed() {
 		// Indexed commands have no closed-form channel split: decode
@@ -650,10 +658,6 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 			st.ch[fe.cfg.Decoder.Decode(a).Channel].count++
 		}
 		st.lo, st.hi = lo, hi
-		for ch := 0; ch < C; ch++ {
-			st.ch[ch].active = st.ch[ch].count > 0
-			st.ch[ch].fbDone = true // until fallback elements are found below
-		}
 	} else {
 		fe.hitScratch = addrmap.AppendSplit(fe.hitScratch[:0], fe.cfg.Decoder, c.V)
 		hits := fe.hitScratch
@@ -661,8 +665,14 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 		st.hi = uint64(c.V.Base) + uint64(c.V.Stride)*uint64(c.V.Length-1)
 		for ch := 0; ch < C; ch++ {
 			st.ch[ch].count = hits[ch].Count
-			st.ch[ch].active = hits[ch].Count > 0
-			st.ch[ch].fbDone = true // until fallback elements are found below
+		}
+	}
+	for ch := 0; ch < C; ch++ {
+		cs := &st.ch[ch]
+		cs.active = cs.count > 0
+		cs.fbDone = true // until fallback elements are found below
+		if cs.active {
+			st.open++
 		}
 	}
 	if fe.anyOffline {
@@ -671,7 +681,7 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 		// engine and never reach a live bank.
 		for e := uint32(0); e < c.V.Length; e++ {
 			co := fe.cfg.Decoder.Decode(c.Addr(e))
-			if fe.offline[int(co.Channel)*M+int(co.Bank)] {
+			if fe.chans[co.Channel].offline&(1<<co.Bank) != 0 {
 				cs := &st.ch[co.Channel]
 				cs.fbIdxs = append(cs.fbIdxs, e)
 				cs.fbDone = false
@@ -688,13 +698,15 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 }
 
 // NextWake implements engine.Driver: the earliest cycle >= now at which
-// any front-end timer may fire — a command becoming broadcastable at a
-// channel's bus decision point, a broadcast or staging burst ending, a
-// fallback completing, or a transaction-complete line already observed
-// deasserted. Bank-controller events are tracked by the engine itself.
-// It is a lower bound — waking early merely costs a no-op iteration —
-// but never an overestimate, which is what makes skipped cycles provably
-// inert and cycle counts identical to the strict loop.
+// any front-end timer may fire — a channel's tenure landing (a
+// broadcast, or the end of a STAGE_READ burst), its bus decision point
+// arriving with a share waiting for the bus or a gathered read waiting
+// to stage, its fallback head finishing, or an unissued command
+// becoming broadcastable. Transaction-complete lines deasserting are
+// outside events (Poked); bank-controller events are tracked by the
+// engine itself. It is a lower bound — waking early merely costs a
+// no-op step — but never an overestimate, which is what makes skipped
+// cycles provably inert and cycle counts identical to the strict loop.
 func (fe *frontEnd) NextWake(now uint64) uint64 {
 	if fe.pending && fe.issuedLive < bus.MaxTransactions {
 		// A command is waiting at the admission gate and a transaction
@@ -704,60 +716,22 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 		return now
 	}
 	next := uint64(engine.NoEvent)
-	upd := func(c uint64) {
-		if c < next {
-			next = c
+	for ch := range fe.chans {
+		q := &fe.chans[ch]
+		if q.ten.kind != noTenure {
+			next = min(next, q.ten.at)
+		}
+		if len(q.stage) > 0 {
+			next = min(next, max(now, fe.buses[ch].BusyUntil()))
+		} else if len(q.wait) > 0 {
+			next = min(next, max(now, fe.buses[ch].BusyUntil(), q.retryAt))
+		}
+		if len(q.fb) > 0 {
+			next = min(next, fe.state[q.fb[0]].ch[ch].fbDoneAt)
 		}
 	}
-	for _, i := range fe.inflight {
-		st := &fe.state[i]
-		c := &fe.cmds[i]
-		for ch := range st.ch {
-			cs := &st.ch[ch]
-			if !cs.active || cs.done {
-				continue
-			}
-			if !cs.reserved {
-				at := max(now, fe.buses[ch].BusyUntil())
-				if cs.retryAt > at {
-					at = cs.retryAt // backing off after a NACK
-				}
-				upd(at)
-				continue
-			}
-			if !cs.broadcastDone {
-				upd(cs.broadcastAt)
-				continue
-			}
-			if !cs.fbDone {
-				upd(cs.fbDoneAt)
-			}
-			switch c.Op {
-			case memsys.Read:
-				switch {
-				case cs.live() == 0:
-					// Fallback-only share: fbDoneAt above is the timer.
-				case !cs.gathered:
-					// The transaction-complete line deasserts during a
-					// bank controller Tick; once it has, the front end
-					// must observe it on its very next step.
-					if fe.boards[ch].AllDone(st.txn) {
-						upd(now)
-					}
-				case !cs.stagingStarted:
-					upd(max(now, fe.buses[ch].BusyUntil()))
-				case !cs.collected:
-					upd(cs.stageReadEnd)
-				}
-			case memsys.Write:
-				if cs.fbDone && fe.boards[ch].AllDone(st.txn) {
-					upd(now)
-				}
-			}
-		}
-		if next <= now {
-			return now
-		}
+	if next <= now {
+		return now
 	}
 	if fe.issuedLive >= bus.MaxTransactions {
 		return next // no unissued command can act before a retirement
@@ -770,7 +744,7 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 	seen := fe.wakeSeen
 	clear(seen)
 	left := len(seen)
-	for i := fe.first; i < len(fe.state) && left > 0; i++ {
+	for i := fe.issued; i < len(fe.state) && left > 0; i++ {
 		st := &fe.state[i]
 		if st.issued || !fe.depsDone(i) {
 			continue
@@ -779,7 +753,7 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 			if st.ch[ch].active && !seen[ch] {
 				seen[ch] = true
 				left--
-				upd(max(now, fe.buses[ch].BusyUntil()))
+				next = min(next, max(now, fe.buses[ch].BusyUntil()))
 			}
 		}
 		if next <= now {
@@ -802,7 +776,15 @@ func (fe *frontEnd) debugString() string {
 	s := fmt.Sprintf("stalled tickets (%d of %d accepted): %v\n",
 		len(stalled), len(fe.cmds), stalled)
 	for ch, b := range fe.buses {
-		s += fmt.Sprintf("ch%d bus busyUntil=%d\n", ch, b.BusyUntil())
+		q := &fe.chans[ch]
+		s += fmt.Sprintf("ch%d bus busyUntil=%d", ch, b.BusyUntil())
+		switch q.ten.kind {
+		case broadcastTenure:
+			s += fmt.Sprintf(" broadcast=ticket %d at %d", q.ten.cmd, q.ten.at)
+		case stageTenure:
+			s += fmt.Sprintf(" stage-read=ticket %d until %d", q.ten.cmd, q.ten.at)
+		}
+		s += fmt.Sprintf(" waiting=%v staging=%v fallback=%v\n", q.wait, q.stage, q.fb)
 	}
 	for _, i := range stalled {
 		st := &fe.state[i]
@@ -813,8 +795,8 @@ func (fe *frontEnd) debugString() string {
 			if !cs.active {
 				continue
 			}
-			s += fmt.Sprintf(" ch%d{n=%d rsv=%v bcast=%v gathered=%v staging=%v done=%v",
-				ch, cs.count, cs.reserved, cs.broadcastDone, cs.gathered, cs.stagingStarted, cs.done)
+			s += fmt.Sprintf(" ch%d{n=%d bcast=%v gathered=%v staging=%v done=%v",
+				ch, cs.count, cs.broadcastDone, cs.gathered, cs.stagingStarted, cs.done)
 			if cs.attempts > 0 {
 				s += fmt.Sprintf(" nacks=%d retryAt=%d", cs.attempts, cs.retryAt)
 			}
@@ -837,176 +819,224 @@ func (fe *frontEnd) debugString() string {
 
 // Step implements engine.Driver: the front end's work for one cycle —
 // schedule the next bus tenure on every channel (which may begin this
-// very cycle), then deliver due events and observe completion lines.
+// very cycle), then deliver the broadcasts landing this cycle in ticket
+// order, then retire in ticket order. It touches only the channels and
+// transactions with an event due: a tenure ending, a line the board
+// reports settled, a fallback share finishing.
 func (fe *frontEnd) Step(now uint64) error {
-	for ch := range fe.buses {
+	fe.steps++
+	fe.due = fe.due[:0]
+	for ch := range fe.chans {
+		q := &fe.chans[ch]
+		if q.ten.kind == stageTenure && q.ten.at == now {
+			// The STAGE_READ data burst ends: the share collects below,
+			// and the freed bus may start its next tenure right away.
+			fe.due = addShare(fe.due, share{q.ten.cmd, ch})
+			q.ten.kind = noTenure
+		}
 		if err := fe.scheduleChannel(ch, now); err != nil {
 			return err
 		}
 	}
-	// Deliver the broadcasts due this cycle. Tenures only exist on
-	// in-flight commands.
-	for _, i := range fe.inflight {
-		st := &fe.state[i]
-		c := &fe.cmds[i]
-		for ch := range st.ch {
-			cs := &st.ch[ch]
-			if !cs.reserved || cs.broadcastDone {
-				continue
-			}
-			if cs.broadcastAt == now {
-				// The vector bus may NACK the broadcast (a dropped or
-				// corrupted command cycle): the front end releases its
-				// claim on the cycle, backs off exponentially, and
-				// retransmits — up to the plan's retry budget.
-				if fe.inj != nil && fe.inj.DropBroadcast(uint32(ch), i, cs.attempts) {
-					cs.attempts++
-					fe.nacks[ch]++
-					if max := fe.inj.MaxRetries(); max >= 0 && cs.attempts > max {
-						return &fault.BusFaultError{Channel: ch, Cmd: i, Attempts: cs.attempts}
-					}
-					cs.reserved = false
-					cs.retryAt = now + fe.inj.BackoffDelay(cs.attempts)
-					continue
-				}
-				if cs.attempts > 0 {
-					fe.retries[ch]++
-				}
-				fe.boards[ch].Open(st.txn)
-				M := len(fe.bcs[ch])
-				claimed := fe.preClaimed(c)
-				var maxClaim uint32 // the broadcast's serialization floor
-				for b, bc := range fe.bcs[ch] {
-					var owned []uint32
-					if claimed {
-						owned = fe.claims[st.txn].bank(ch*M + b)
-						maxClaim = max(maxClaim, uint32(len(owned)))
-					}
-					if fe.offline[ch*M+b] {
-						// Hard-faulted controller: its wired-OR line would
-						// never deassert, so the dispatcher deasserts it at
-						// broadcast and re-routes the elements through the
-						// serial fallback below.
-						fe.boards[ch].Done(uint32(b), st.txn)
-						continue
-					}
-					// A controller that owns elements has caught its clock
-					// up and queued the request; a write's line, which the
-					// STAGE_WRITE burst ending this cycle carried, lands in
-					// its staging unit. Tick it this cycle so the new work
-					// is scheduled on time. The others stay asleep.
-					took, err := bc.ObserveCommand(now, c.Op, c.V, c.Idx, owned, st.txn)
-					if err != nil {
-						return err
-					}
-					if took {
-						if c.Op == memsys.Write {
-							bc.StageWriteData(st.txn, st.line)
-						}
-						fe.groups[ch].Wake(fe.gidx[ch][b], now)
-					}
-				}
-				cs.broadcastDone = true
-				if c.Indexed() {
-					fe.idxBus[ch] += uint64(dataCycles(cs.count))
-					fe.idxElems[ch] += uint64(cs.count)
-					fe.idxMaxClaim[ch] += uint64(maxClaim)
-				}
-				fe.progress(now)
-				if !cs.fbDone {
-					// Queue the degraded share on the channel's serial
-					// fallback engine (one element at a time, FIFO across
-					// commands).
-					start := now + 1
-					if fe.fbBusy[ch] > start {
-						start = fe.fbBusy[ch]
-					}
-					cs.fbDoneAt = start + fe.fbCost*uint64(len(cs.fbIdxs))
-					fe.fbBusy[ch] = cs.fbDoneAt
-				}
-				fe.observe(trace.Event{Cycle: now, Bank: -1, Kind: trace.Broadcast, Txn: st.txn})
-			}
+	fe.landing = fe.landing[:0]
+	for ch := range fe.chans {
+		if t := &fe.chans[ch].ten; t.kind == broadcastTenure && t.at == now {
+			fe.landing = addShare(fe.landing, share{t.cmd, ch})
+			t.kind = noTenure
 		}
 	}
-
-	// Observe transaction-complete lines and finished STAGE_READ bursts,
-	// per channel; a command retires when every participating channel is
-	// done. Only in-flight commands can retire; the loop drops retired
-	// ones from the list as it goes, keeping ticket order.
-	kept := fe.inflight[:0]
-	for _, i := range fe.inflight {
-		st := &fe.state[i]
-		c := &fe.cmds[i]
-		allDone := true
-		for ch := range st.ch {
-			cs := &st.ch[ch]
-			if !cs.active {
-				continue
-			}
-			if !cs.broadcastDone {
-				allDone = false
-				continue
-			}
-			if !cs.fbDone && now >= cs.fbDoneAt {
-				// The serial fallback finished this command's degraded
-				// share: move the data directly between the line buffer
-				// and the store (the maintenance path bypasses the dead
-				// bank's device — and its ECC pipeline).
-				fe.runFallback(i, st, ch)
-				cs.fbDone = true
-				fe.progress(now)
-			}
-			switch c.Op {
-			case memsys.Read:
-				if !cs.gathered && fe.boards[ch].AllDone(st.txn) {
-					cs.gathered = true
-					fe.progress(now)
-				}
-				if cs.stagingStarted && !cs.collected && cs.stageReadEnd == now {
-					if st.line == nil {
-						st.line = fe.getLine(c.V.Length)
-					}
-					got := 0
-					M := len(fe.bcs[ch])
-					for b, bc := range fe.bcs[ch] {
-						if fe.offline[ch*M+b] {
-							continue
-						}
-						got += bc.CollectRead(st.txn, st.line)
-					}
-					if got != int(cs.live()) {
-						return fmt.Errorf("pvaunit: cmd %d channel %d staged %d of %d words", i, ch, got, cs.live())
-					}
-					cs.collected = true
-					fe.progress(now)
-				}
-				if cs.gathered && cs.fbDone && (cs.live() == 0 || cs.collected) {
-					cs.done = true
-				}
-			case memsys.Write:
-				if !cs.done && cs.fbDone && fe.boards[ch].AllDone(st.txn) {
-					cs.done = true
-				}
-			}
-			if !cs.done {
-				allDone = false
-			}
-		}
-		if allDone {
-			fe.finish(i, st, now)
-		} else {
-			kept = append(kept, i)
+	for _, sh := range fe.landing {
+		if err := fe.deliver(sh.cmd, sh.ch, now); err != nil {
+			return err
 		}
 	}
-	fe.inflight = kept
-	// Every line has been looked at: a deassertion from here on is news
-	// for the next Step. (The front end's own Done calls above are
-	// covered by the NextWake the engine takes after this Step.)
-	fe.poked = false
-	for _, b := range fe.boards {
+	// Transaction-complete lines that deasserted since the last step —
+	// in bank-controller ticks, or at the broadcasts above — and the
+	// fallback shares finishing this cycle.
+	for ch := range fe.chans {
+		q := &fe.chans[ch]
+		b := fe.boards[ch]
+		for m := b.Settled(); m != 0; m &= m - 1 {
+			fe.due = addShare(fe.due, share{fe.txnCmd[bits.TrailingZeros32(m)], ch})
+		}
 		b.ClearSettled()
+		for len(q.fb) > 0 && fe.state[q.fb[0]].ch[ch].fbDoneAt <= now {
+			fe.due = addShare(fe.due, share{q.fb[0], ch})
+			q.fb = slices.Delete(q.fb, 0, 1)
+		}
+	}
+	for _, sh := range fe.due {
+		if err := fe.retire(sh.cmd, sh.ch, now); err != nil {
+			return err
+		}
+	}
+	fe.poked = false
+	return nil
+}
+
+// deliver lands command i's broadcast on channel ch at cycle now. The
+// vector bus may NACK it (a dropped or corrupted command cycle): the
+// front end then releases its claim on the cycle, backs off
+// exponentially and retransmits, up to the plan's retry budget.
+// Otherwise the channel's transaction-complete line asserts for the
+// banks that take the command: under closed-form hit math every live
+// bank snoops the broadcast, its FirstHit predictor deciding; a
+// pre-claimed command reaches only the live banks its claim list names.
+func (fe *frontEnd) deliver(i, ch int, now uint64) error {
+	st := &fe.state[i]
+	cs := &st.ch[ch]
+	c := &fe.cmds[i]
+	q := &fe.chans[ch]
+	if fe.inj != nil && fe.inj.DropBroadcast(uint32(ch), i, cs.attempts) {
+		cs.attempts++
+		q.nacks++
+		if max := fe.inj.MaxRetries(); max >= 0 && cs.attempts > max {
+			return &fault.BusFaultError{Channel: ch, Cmd: i, Attempts: cs.attempts}
+		}
+		cs.retryAt = now + fe.inj.BackoffDelay(cs.attempts)
+		fe.enqueue(ch, i)
+		return nil
+	}
+	if cs.attempts > 0 {
+		q.retries++
+	}
+	board := fe.boards[ch]
+	owners := board.AllBanks()
+	var cl *claimList
+	if fe.preClaimed(c) {
+		cl = &fe.claims[st.txn]
+		owners = cl.owners[ch]
+	}
+	owners &^= q.offline
+	board.Open(st.txn, owners)
+	M := len(fe.bcs[ch])
+	for m := owners; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		var owned []uint32
+		if cl != nil {
+			owned = cl.bank(ch*M + b)
+		}
+		// A controller that owns elements has caught its clock up and
+		// queued the request; a write's line, which the STAGE_WRITE
+		// burst ending this cycle carried, lands in its staging unit.
+		// Tick it this cycle so the new work is scheduled on time. The
+		// others stay asleep.
+		took, err := fe.bcs[ch][b].ObserveCommand(now, c.Op, c.V, c.Idx, owned, st.txn)
+		if err != nil {
+			return err
+		}
+		if took {
+			cs.took |= 1 << b
+			if c.Op == memsys.Write {
+				fe.bcs[ch][b].StageWriteData(st.txn, st.line)
+			}
+			fe.groups[ch].Wake(fe.gidx[ch][b], now)
+		}
+	}
+	cs.broadcastDone = true
+	if c.Indexed() {
+		q.idxBus += uint64(dataCycles(cs.count))
+		q.idxElems += uint64(cs.count)
+		q.idxMaxClaim += uint64(cl.maxClaim[ch])
+	}
+	fe.progress(now)
+	if !cs.fbDone {
+		// Queue the degraded share on the channel's serial fallback
+		// engine (one element at a time, FIFO across commands).
+		start := max(now+1, q.fbBusy)
+		cs.fbDoneAt = start + fe.fbCost*uint64(len(cs.fbIdxs))
+		q.fbBusy = cs.fbDoneAt
+		q.fb = append(q.fb, i)
+	}
+	fe.observe(trace.Event{Cycle: now, Bank: -1, Kind: trace.Broadcast, Txn: st.txn})
+	// The line may already be down: no live bank took the command.
+	fe.due = addShare(fe.due, share{i, ch})
+	return nil
+}
+
+// retire advances command i's share on channel ch at cycle now, for an
+// event due on it — its broadcast landed, its line deasserted, its
+// STAGE_READ burst or its fallback finished — and retires the command
+// once every participating channel is done.
+func (fe *frontEnd) retire(i, ch int, now uint64) error {
+	st := &fe.state[i]
+	cs := &st.ch[ch]
+	c := &fe.cmds[i]
+	if cs.done {
+		return nil
+	}
+	if !cs.fbDone && now >= cs.fbDoneAt {
+		// The serial fallback finished this command's degraded share:
+		// move the data directly between the line buffer and the store
+		// (the maintenance path bypasses the dead bank's device — and
+		// its ECC pipeline).
+		fe.runFallback(i, st, ch)
+		cs.fbDone = true
+		fe.progress(now)
+	}
+	switch c.Op {
+	case memsys.Read:
+		if !cs.gathered && fe.boards[ch].AllDone(st.txn) {
+			cs.gathered = true
+			fe.progress(now)
+			if cs.live() > 0 {
+				q := &fe.chans[ch]
+				q.stage = addTicket(q.stage, i)
+			}
+		}
+		if cs.stagingStarted && !cs.collected && cs.stageReadEnd == now {
+			if st.line == nil {
+				st.line = fe.getLine(c.V.Length)
+			}
+			got := 0
+			for m := cs.took; m != 0; m &= m - 1 {
+				got += fe.bcs[ch][bits.TrailingZeros64(m)].CollectRead(st.txn, st.line)
+			}
+			if got != int(cs.live()) {
+				return fmt.Errorf("pvaunit: cmd %d channel %d staged %d of %d words", i, ch, got, cs.live())
+			}
+			cs.collected = true
+			fe.progress(now)
+		}
+		cs.done = cs.gathered && cs.fbDone && (cs.live() == 0 || cs.collected)
+	case memsys.Write:
+		cs.done = cs.fbDone && fe.boards[ch].AllDone(st.txn)
+	}
+	if cs.done {
+		if st.open--; st.open == 0 {
+			fe.finish(i, st, now)
+		}
 	}
 	return nil
+}
+
+// enqueue puts command i's share on channel ch on the channel's list of
+// shares waiting for the bus; dequeue takes it off when its broadcast
+// tenure is reserved.
+func (fe *frontEnd) enqueue(ch, i int) {
+	q := &fe.chans[ch]
+	q.wait = addTicket(q.wait, i)
+	fe.backoff(ch)
+}
+
+func (fe *frontEnd) dequeue(ch, i int) {
+	q := &fe.chans[ch]
+	q.wait = dropTicket(q.wait, i)
+	fe.backoff(ch)
+}
+
+// backoff recomputes channel ch's retryAt, the earliest cycle any of its
+// waiting shares may reserve the bus. Only a bus that can NACK backs a
+// share off; on any other every retryAt stays 0.
+func (fe *frontEnd) backoff(ch int) {
+	if !fe.dropGuard {
+		return
+	}
+	q := &fe.chans[ch]
+	q.retryAt = engine.NoEvent
+	for _, i := range q.wait {
+		q.retryAt = min(q.retryAt, fe.state[i].ch[ch].retryAt)
+	}
 }
 
 // scheduleChannel reserves at most one new bus tenure on channel ch per
@@ -1022,9 +1052,11 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 	if i < 0 {
 		return nil
 	}
+	q := &fe.chans[ch]
 	st := &fe.state[i]
 	cs := &st.ch[ch]
 	if stage {
+		q.stage = dropTicket(q.stage, i)
 		cmdAt := chBus.Free(now, bus.Controller)
 		if err := chBus.Reserve(cmdAt, 1, bus.Controller); err != nil {
 			return err
@@ -1035,6 +1067,7 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		}
 		cs.stagingStarted = true
 		cs.stageReadEnd = dataAt + uint64(dataCycles(cs.live()))
+		q.ten = tenure{kind: stageTenure, cmd: i, at: cs.stageReadEnd}
 		fe.observe(trace.Event{Cycle: cmdAt, Bank: -1, Kind: trace.StageRead, Txn: st.txn})
 		return nil
 	}
@@ -1056,7 +1089,17 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		if fe.preClaimed(c) {
 			fe.claims[txn].build(fe.cfg.Decoder, c)
 		}
-		fe.insertInflight(i)
+		fe.txnCmd[txn] = i
+		for fe.issued < len(fe.state) && fe.state[fe.issued].issued {
+			fe.issued++
+		}
+		// The command's shares on the other channels wait for their own
+		// buses; this one reserves its tenure below.
+		for other := range st.ch {
+			if other != ch && st.ch[other].active {
+				fe.enqueue(other, i)
+			}
+		}
 		fe.issuedLive++
 		fe.progress(now)
 		if c.Op == memsys.Write {
@@ -1072,6 +1115,8 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 			st.line = buf
 			fe.lines[i] = buf
 		}
+	} else {
+		fe.dequeue(ch, i)
 	}
 	// An indexed command's tenure additionally streams the index list
 	// over the bus — two 32-bit indices per cycle, the Section 7
@@ -1091,8 +1136,7 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 	if err := chBus.Reserve(at, burst, bus.Controller); err != nil {
 		return err
 	}
-	cs.reserved = true
-	cs.broadcastAt = at + burst - 1
+	q.ten = tenure{kind: broadcastTenure, cmd: i, at: at + burst - 1}
 	if c.Op == memsys.Write {
 		fe.observe(trace.Event{Cycle: at, Bank: -1, Kind: trace.StageWrite, Txn: st.txn})
 	}
@@ -1105,43 +1149,49 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 // a gathered read (STAGE_READ) rather than broadcasting; -1 when no
 // admitted command can take it.
 func (fe *frontEnd) pick(ch int, now uint64) (int, bool) {
-	// Priority 1: drain a gathered read — it frees a transaction and
-	// unblocks dependents. Gathered reads are in flight; a
-	// fallback-only share has nothing staged in live banks.
-	for _, i := range fe.inflight {
-		cs := &fe.state[i].ch[ch]
-		if fe.cmds[i].Op == memsys.Read && cs.active && cs.gathered && !cs.stagingStarted && cs.live() > 0 {
-			return i, true
-		}
+	q := &fe.chans[ch]
+	// Priority 1: drain the oldest gathered read — it frees a
+	// transaction and unblocks dependents.
+	if len(q.stage) > 0 {
+		return q.stage[0], true
 	}
 	// Priority 2: broadcast the oldest command with work for this
 	// channel. A younger issued command may still need this channel's
 	// broadcast before any transaction can retire, so the scan passes
-	// over commands it cannot pick.
-	for k, n := 0, fe.scanLen(); k < n; k++ {
-		i := fe.scanAt(k)
-		st := &fe.state[i]
-		if st.completed {
+	// over waiting shares it cannot pick: those backing off after a NACK
+	// and those behind an older conflicting broadcast.
+	pick := -1
+	for _, i := range q.wait {
+		if fe.state[i].ch[ch].retryAt > now {
 			continue
-		}
-		cs := &st.ch[ch]
-		if !cs.active || cs.reserved {
-			continue
-		}
-		if cs.retryAt > now {
-			continue // backing off after a NACKed broadcast
 		}
 		if fe.dropGuard && fe.olderConflictPending(i, ch) {
-			continue // an older conflicting broadcast has not landed yet
-		}
-		// Only reached with a transaction ID free: a full pool scans the
-		// in-flight list alone.
-		if !st.issued && !fe.eligible(i) {
 			continue
 		}
-		return i, false
+		pick = i
+		break
 	}
-	return -1, false
+	if fe.issuedLive >= bus.MaxTransactions {
+		return pick, false // no unissued command can take an ID
+	}
+	// An older unissued command that may issue now goes first.
+	end := len(fe.state)
+	if pick >= 0 {
+		end = pick
+	}
+	for i := fe.issued; i < end; i++ {
+		st := &fe.state[i]
+		if st.issued || !st.ch[ch].active {
+			continue
+		}
+		if fe.dropGuard && fe.olderConflictPending(i, ch) {
+			continue
+		}
+		if fe.eligible(i) {
+			return i, false
+		}
+	}
+	return pick, false
 }
 
 // sealed reports whether stepping cycle now cannot possibly issue or
@@ -1198,7 +1248,7 @@ func (fe *frontEnd) runFallback(i int, st *cmdState, ch int) {
 			fe.store.Write(c.Addr(e), st.line[e])
 		}
 	}
-	fe.fallbk[ch] += uint64(len(cs.fbIdxs))
+	fe.chans[ch].fallbk += uint64(len(cs.fbIdxs))
 }
 
 // observe forwards a bus-level event to the configured sink.
@@ -1208,39 +1258,9 @@ func (fe *frontEnd) observe(e trace.Event) {
 	}
 }
 
-// scanLen and scanAt enumerate, in ticket order, the commands a
-// selection scan over admitted commands visits: every one from the
-// completed-prefix frontier on, or only the in-flight list while the
-// transaction pool is empty and no unissued command can act. Neither
-// scan changes the pool before it returns.
-func (fe *frontEnd) scanLen() int {
-	if fe.issuedLive >= bus.MaxTransactions {
-		return len(fe.inflight)
-	}
-	return len(fe.state) - fe.first
-}
-
-func (fe *frontEnd) scanAt(k int) int {
-	if fe.issuedLive >= bus.MaxTransactions {
-		return fe.inflight[k]
-	}
-	return fe.first + k
-}
-
-// insertInflight adds newly issued command i to the in-flight list at
-// its ticket-order position (commands may issue out of order).
-func (fe *frontEnd) insertInflight(i int) {
-	k := len(fe.inflight)
-	fe.inflight = append(fe.inflight, i)
-	for ; k > 0 && fe.inflight[k-1] > i; k-- {
-		fe.inflight[k] = fe.inflight[k-1]
-	}
-	fe.inflight[k] = i
-}
-
 // finish retires a command: records data and completion time, releases
-// the transaction on every channel and all staging state. Step's retire
-// loop, its only caller, drops the command from the in-flight list.
+// the transaction on every channel's board and the staging state of the
+// banks that took it.
 func (fe *frontEnd) finish(i int, st *cmdState, now uint64) {
 	st.completed = true
 	st.completedAt = now
@@ -1251,13 +1271,9 @@ func (fe *frontEnd) finish(i int, st *cmdState, now uint64) {
 	for _, board := range fe.boards {
 		board.Release(st.txn)
 	}
-	M := int(fe.cfg.Banks)
-	for ch, row := range fe.bcs {
-		for b, bc := range row {
-			if fe.offline[ch*M+b] {
-				continue
-			}
-			bc.Release(st.txn)
+	for ch := range st.ch {
+		for m := st.ch[ch].took; m != 0; m &= m - 1 {
+			fe.bcs[ch][bits.TrailingZeros64(m)].Release(st.txn)
 		}
 	}
 	fe.remaining--
@@ -1271,9 +1287,6 @@ func (fe *frontEnd) finish(i int, st *cmdState, now uint64) {
 	// recycled only at session reset.
 	fe.chPool = append(fe.chPool, st.ch)
 	st.ch = nil
-	for fe.first < len(fe.state) && fe.state[fe.first].completed {
-		fe.first++
-	}
 }
 
 // eligible reports whether command i may be broadcast: dependences
@@ -1287,7 +1300,7 @@ func (fe *frontEnd) eligible(i int) bool {
 		return false
 	}
 	c := &fe.cmds[i]
-	for e := fe.first; e < i; e++ {
+	for e := fe.issued; e < i; e++ {
 		if fe.state[e].issued {
 			continue
 		}
@@ -1309,32 +1322,24 @@ func (fe *frontEnd) depsDone(i int) bool {
 	return true
 }
 
-// olderConflictPending reports whether an earlier incomplete command
-// that may touch the same words as command i has yet to deliver its
-// broadcast on this channel. The banks order conflicting accesses by
-// broadcast arrival, and the serial fallback chains in broadcast order,
-// so on a lossy bus (where even a reserved tenure can be NACKed at
-// delivery) a younger conflicting command must hold its reservation
-// until every older conflicting broadcast has actually landed. On a
-// reliable bus reservation order alone implies arrival order, so this
-// guard is never consulted there and fault-free timing is unchanged.
-// It walks the commands the calling scan walks: a command in flight
-// passed eligible, so every older command it conflicts with had issued
-// by then, and only in-flight ones can still be pending.
+// olderConflictPending reports whether an earlier command that may
+// touch the same words as command i has yet to deliver its broadcast on
+// this channel. The banks order conflicting accesses by broadcast
+// arrival, and the serial fallback chains in broadcast order, so on a
+// lossy bus (where even a reserved tenure can be NACKed at delivery) a
+// younger conflicting command must hold its reservation until every
+// older conflicting broadcast has actually landed. On a reliable bus
+// reservation order alone implies arrival order, so this guard is never
+// consulted there and fault-free timing is unchanged. Only the
+// channel's waiting shares can be pending when its bus is free: a
+// command in flight passed eligible, so every older command it
+// conflicts with had issued by then, and an older unissued conflicting
+// command already fails eligible.
 func (fe *frontEnd) olderConflictPending(i, ch int) bool {
 	c := &fe.cmds[i]
-	for k, n := 0, fe.scanLen(); k < n; k++ {
-		e := fe.scanAt(k)
+	for _, e := range fe.chans[ch].wait {
 		if e >= i {
 			break
-		}
-		est := &fe.state[e]
-		if est.completed {
-			continue
-		}
-		ecs := &est.ch[ch]
-		if !ecs.active || ecs.broadcastDone {
-			continue
 		}
 		ec := &fe.cmds[e]
 		if (ec.Op == memsys.Write || c.Op == memsys.Write) && fe.overlaps(e, i) {

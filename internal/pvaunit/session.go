@@ -132,10 +132,10 @@ func (s *System) Open() (*Session, error) {
 		geom = hm.HitGeometry()
 	}
 	inj := fault.NewInjector(s.cfg.Fault)
-	offline := make([]bool, C*M)
+	chans := make([]channel, C)
 	anyOffline := false
 	for _, db := range s.cfg.Fault.DeadSet() {
-		offline[db] = true
+		chans[db/M].offline |= 1 << (db % M)
 		anyOffline = true
 	}
 	boards := make([]*bus.Board, C)
@@ -184,20 +184,11 @@ func (s *System) Open() (*Session, error) {
 		store:      s.store,
 		inj:        inj,
 		dropGuard:  inj != nil && s.cfg.Fault.DropRate > 0,
-		offline:    offline,
+		chans:      chans,
 		anyOffline: anyOffline,
 		fbCost:     fbCost,
-		inflight:   make([]int, 0, bus.MaxTransactions),
 		wakeSeen:   make([]bool, C),
-		fbBusy:     make([]uint64, C),
-		nacks:      make([]uint64, C),
-		retries:    make([]uint64, C),
-		fallbk:     make([]uint64, C),
-
-		idxBus:      make([]uint64, C),
-		idxElems:    make([]uint64, C),
-		idxMaxClaim: make([]uint64, C),
-		closedForm:  closedForm,
+		closedForm: closedForm,
 	}
 	eng := engine.New(engine.Config{
 		MaxCycles:       s.cfg.MaxCycles,
@@ -218,7 +209,7 @@ func (s *System) Open() (*Session, error) {
 		fe.groups[ch] = g
 		fe.gidx[ch] = make([]int, M)
 		for b := uint32(0); b < M; b++ {
-			if offline[ch*M+b] {
+			if chans[ch].offline&(1<<b) != 0 {
 				fe.gidx[ch][b] = -1
 				continue
 			}
@@ -376,12 +367,13 @@ func (s *Session) Result() (memsys.Result, error) {
 		}
 		cs.BusBusyCycles = s.fe.buses[ch].BusyCycles()
 		cs.TurnaroundCycles = s.fe.buses[ch].TurnaroundCycles()
-		cs.BusNACKs = s.fe.nacks[ch]
-		cs.BusRetries = s.fe.retries[ch]
-		cs.DegradedElements = s.fe.fallbk[ch]
-		cs.IndexBusCycles = s.fe.idxBus[ch]
-		cs.IndexedElements = s.fe.idxElems[ch]
-		cs.IndexedMaxBankClaim = s.fe.idxMaxClaim[ch]
+		q := &s.fe.chans[ch]
+		cs.BusNACKs = q.nacks
+		cs.BusRetries = q.retries
+		cs.DegradedElements = q.fallbk
+		cs.IndexBusCycles = q.idxBus
+		cs.IndexedElements = q.idxElems
+		cs.IndexedMaxBankClaim = q.idxMaxClaim
 		res.Stats.Merge(*cs)
 	}
 	return res, nil
