@@ -275,7 +275,7 @@ func BenchmarkStrictTickLoop(b *testing.B) {
 }
 
 // BenchmarkSkippingTickLoop is BenchmarkStrictTickLoop with the default
-// event-driven engine.
+// event-driven idle skip.
 func BenchmarkSkippingTickLoop(b *testing.B) {
 	b.ReportAllocs()
 	k, err := KernelByName("vaxpy")
@@ -364,7 +364,7 @@ func benchGather(b *testing.B, cfg Config) {
 	b.ReportMetric(float64(cycles), "cycles")
 }
 
-// BenchmarkFourChannelTickLoop measures the engine's tick loop on a
+// BenchmarkFourChannelTickLoop measures the session's cycle loop on a
 // four-channel machine (vaxpy, stride 19), one reused System so the
 // steady-state path (and its zero-allocation guarantee) is what's
 // timed.
@@ -409,11 +409,12 @@ func BenchmarkSweepVerified(b *testing.B) {
 
 // BenchmarkAutotuneSearch is the decoder-search ladder. ladder/pooled
 // is the default two-rung search on one small fixed budget, with
-// survivor evaluations fanned out over the engine pool; ladder/serial
-// is the same search on one goroutine (the candidate-evaluation
-// scaling); fullsim is the identical budget with the surrogate rung
-// disabled, every greedy step a full simulation — the cost the
-// surrogate prune saves. Full simulations dominate all three.
+// survivor evaluations fanned out over GOMAXPROCS goroutines;
+// ladder/serial is the same search on one goroutine (the
+// candidate-evaluation scaling); fullsim is the identical budget with
+// the surrogate rung disabled, every greedy step a full simulation —
+// the cost the surrogate prune saves. Full simulations dominate all
+// three.
 // paper-swap is the default-budget search for swap at the paper
 // strides on 1024-element vectors, where the surrogate climbs dominate.
 // The benchstat gate tracks ladder/pooled and paper-swap.

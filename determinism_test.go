@@ -109,7 +109,8 @@ func shapeTraces(t *testing.T) []Trace {
 // System replaying the same trace prefix (the store legitimately carries
 // memory contents across runs, so the fresh System replays the prefix to
 // reach the same memory state). Any divergence means the pooled buffers,
-// hardware resets, or engine rewind leaked state between runs.
+// hardware resets, or the session clock's rewind leaked state between
+// runs.
 func TestInterleavedShapesReuseBitIdentical(t *testing.T) {
 	hot := DefaultConfig()
 	hot.RowPolicy = "hotrow"

@@ -50,7 +50,7 @@ func TestAutotuneSearchDeterministic(t *testing.T) {
 			t.Fatalf("%+v: same seed, different results:\n%+v\n%+v", opts, a, b)
 		}
 
-		pooled := opts // Workers 0: fan out over the engine pool
+		pooled := opts // Workers 0: fan out over GOMAXPROCS goroutines
 		c, err := Search(w, pooled)
 		if err != nil {
 			t.Fatal(err)

@@ -48,7 +48,6 @@ import (
 	"pva/internal/bus"
 	"pva/internal/core"
 	"pva/internal/dramtech"
-	"pva/internal/engine"
 	"pva/internal/fault"
 	"pva/internal/memsys"
 	"pva/internal/trace"
@@ -369,7 +368,7 @@ func (bc *BC) Tick() error {
 
 // NoEvent is returned by NextEventAt when the controller is fully idle
 // and, absent a new broadcast, will never need another cycle.
-const NoEvent = engine.NoEvent
+const NoEvent = ^uint64(0)
 
 // NextEventAt returns the earliest cycle at which this controller must
 // execute a real Tick: the current cycle while any queued or in-flight

@@ -35,7 +35,7 @@ type channel struct {
 	fbBusy uint64
 
 	// offline marks the channel's hard-faulted banks (bit b: bank b):
-	// never registered on the engine, never broadcast to, their
+	// never added to a controller group, never broadcast to, their
 	// elements re-routed through the fallback.
 	offline uint64
 

@@ -121,7 +121,7 @@ func TestSessionBackpressure(t *testing.T) {
 	if ses.Now() != 0 {
 		t.Fatalf("fresh session clock %d", ses.Now())
 	}
-	// Saturate: eight transactions issue only once the engine steps, so
+	// Saturate: eight transactions issue only once the loop steps, so
 	// drive the session to the point where all eight are claimed by
 	// waiting on the first ticket's issue via a queue-full pump.
 	var admitted []Ticket

@@ -98,6 +98,43 @@ func TestIdleSkipFaultsMultiChannel(t *testing.T) {
 	}
 }
 
+// TestIdleSkipFrontEndSteps pins how often the loop steps the front end.
+// Skipping, it steps only on cycles its cached wake reaches or after an
+// outside event; strict, on every cycle through the last, so the strict
+// count is the cycle count plus one. The traces are the dispatcher
+// benchmark's (four xor-decoded PCM-4p channels) and the fault tests'
+// (the paper machine).
+func TestIdleSkipFrontEndSteps(t *testing.T) {
+	for _, c := range []struct {
+		name                   string
+		cfg                    Config
+		tr                     memsys.Trace
+		cycles                 uint64
+		skipSteps, strictSteps uint64
+	}{
+		{"dispatch", machineConfig(t, 4, "xor", "pcm", 4), dispatchTrace(t), 1896, 1373, 1897},
+		{"fault", PaperConfig(), faultTrace(), 62, 11, 63},
+	} {
+		for _, strict := range []bool{false, true} {
+			cfg := c.cfg
+			cfg.DisableIdleSkip = strict
+			sys := MustNew(cfg)
+			res, err := sys.Run(c.tr)
+			if err != nil {
+				t.Fatalf("%s strict=%v: %v", c.name, strict, err)
+			}
+			want := c.skipSteps
+			if strict {
+				want = c.strictSteps
+			}
+			if res.Cycles != c.cycles || sys.ses.fe.steps != want {
+				t.Errorf("%s strict=%v: %d cycles, %d front-end steps; want %d and %d",
+					c.name, strict, res.Cycles, sys.ses.fe.steps, c.cycles, want)
+			}
+		}
+	}
+}
+
 // sameRun fails the test unless two runs of one trace agree on cycles,
 // statistics, gathered data and event stream.
 func sameRun(t *testing.T, name string, fast, slow memsys.Result, fastLog, slowLog []trace.Event) {
