@@ -64,9 +64,10 @@ type Decoder interface {
 // selection is plain word interleaving across Channels()*Banks() units.
 // For those, the paper's closed-form FirstHit/NextHit theorems apply
 // directly: a bank controller for (channel c, bank b) computes its
-// subvector with HitGeometry() and unit index b<<log2(C) | c.
+// subvector with HitGeometry() and unit index HitUnit(c, b).
 type HitMath interface {
 	HitGeometry() core.Geometry
+	HitUnit(channel, bank uint32) uint32
 }
 
 // WordInterleave round-robins consecutive words across channels, then
@@ -124,8 +125,9 @@ func (d *WordInterleave) HitGeometry() core.Geometry {
 	return core.MustGeometry(d.C * d.M)
 }
 
-// HitUnit returns the word-interleave unit index of (channel, bank) in
-// HitGeometry's C*M-unit space: bank<<log2(C) | channel.
+// HitUnit implements HitMath: the word-interleave unit index of
+// (channel, bank) in HitGeometry's C*M-unit space, bank<<log2(C) |
+// channel.
 func (d *WordInterleave) HitUnit(channel, bank uint32) uint32 {
 	return bank<<d.c | channel
 }

@@ -75,7 +75,6 @@ type Config struct {
 	Timing   dramtech.Timing // configured device timing; the device runs on Tech.Timing(Timing)
 	Tech     dramtech.Spec   // device back end (zero value: plain SDRAM)
 	VCWindow int             // number of Vector Contexts (prototype: 4)
-	FHCDelay int             // FirstHit-Calculate latency in cycles (prototype: 2)
 	Policy   Policy          // SPU and row policy (zero value: the paper's)
 	Observer trace.Observer  // optional event sink (nil: tracing off)
 
@@ -94,9 +93,12 @@ func PaperConfig(bank uint32) Config {
 		SGeom:    addr.MustSDRAMGeom(4, 512, 8192),
 		Timing:   dramtech.PaperTiming(),
 		VCWindow: 4,
-		FHCDelay: 2,
 	}
 }
+
+// fhcDelay is the FirstHit Calculate latency in cycles: the Section 5.1
+// two-cycle multiply-add.
+const fhcDelay = 2
 
 // request is one Register File entry: the slot of one transaction ID.
 type request struct {
@@ -190,7 +192,7 @@ func New(cfg Config, store *memsys.Store, board *bus.Board) *BC {
 		boardBank: cfg.Bank,
 	}
 	bc.sched = newScheduler(bc)
-	bc.su = newStaging(cfg.Banks)
+	bc.su = newStaging()
 	return bc
 }
 
@@ -305,7 +307,7 @@ func (bc *BC) ObserveCommand(now uint64, op memsys.Op, v core.Vector, idx, owned
 		r.acc = true
 		bc.stats.FHPPow2++
 	default:
-		r.fhcCycles = bc.cfg.FHCDelay
+		r.fhcCycles = fhcDelay
 	}
 	if op == memsys.Read {
 		bc.su.openRead(txn, hit.Count)
@@ -366,14 +368,11 @@ func (bc *BC) Tick() error {
 	return nil
 }
 
-// NoEvent is returned by NextEventAt when the controller is fully idle
-// and, absent a new broadcast, will never need another cycle.
-const NoEvent = ^uint64(0)
-
 // NextEventAt returns the earliest cycle at which this controller must
 // execute a real Tick: the current cycle while any queued or in-flight
 // work exists, the maturity cycle of pending read data, the next refresh
-// obligation, or NoEvent when fully idle. The front end uses this to
+// obligation, or dramtech.NoEvent when fully idle and, absent a new
+// broadcast, never needing another cycle. The front end uses this to
 // skip runs of provably no-op cycles; the returned cycle is a lower
 // bound on the next state change, never an overestimate.
 func (bc *BC) NextEventAt() uint64 {
@@ -383,7 +382,7 @@ func (bc *BC) NextEventAt() uint64 {
 	if bc.rqfLen > 0 || bc.sched.busy() {
 		return bc.cycle
 	}
-	next := uint64(NoEvent)
+	next := dramtech.NoEvent
 	if at := bc.dev.NextDataAt(); at < next {
 		next = at
 	}
@@ -446,7 +445,7 @@ func (bc *BC) stepRefresh() (bool, error) {
 
 // stepFHC is the FirstHit Calculate block: it works on the oldest
 // register-file entry whose address calculation is incomplete, spending
-// FHCDelay cycles on the multiply-add, then writes the address back with
+// fhcDelay cycles on the multiply-add, then writes the address back with
 // the ACC flag set (the bypass path to the VC window is modeled by
 // dispatch accepting entries the cycle ACC is set).
 func (bc *BC) stepFHC() {

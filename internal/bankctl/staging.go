@@ -34,7 +34,7 @@ type staging struct {
 	writes [bus.MaxTransactions]writeStage
 }
 
-func newStaging(banks uint32) *staging { return &staging{} }
+func newStaging() *staging { return &staging{} }
 
 // reset clears every transaction's staging state, keeping buffer
 // capacity for the next session.

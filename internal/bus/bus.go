@@ -21,38 +21,6 @@ import (
 	"pva/internal/fault"
 )
 
-// Command is a vector bus command code (the two-bit command of the
-// request cycle).
-type Command uint8
-
-const (
-	// VecRead broadcasts a gather request.
-	VecRead Command = iota
-	// VecWrite broadcasts a scatter request (data staged beforehand).
-	VecWrite
-	// StageRead asks the staging units to burst a completed read line
-	// back to the controller.
-	StageRead
-	// StageWrite announces 16 data cycles of write data to be buffered.
-	StageWrite
-)
-
-// String implements fmt.Stringer.
-func (c Command) String() string {
-	switch c {
-	case VecRead:
-		return "VEC_READ"
-	case VecWrite:
-		return "VEC_WRITE"
-	case StageRead:
-		return "STAGE_READ"
-	case StageWrite:
-		return "STAGE_WRITE"
-	default:
-		return fmt.Sprintf("CMD(%d)", uint8(c))
-	}
-}
-
 // Owner identifies who drives the bus during a cycle.
 type Owner uint8
 
@@ -258,12 +226,6 @@ func (b *Board) Release(txn int) {
 		fault.Invariantf("bus", "releasing txn %d with banks pending", txn)
 	}
 	b.inUse[txn] = false
-}
-
-// InUse reports whether txn is outstanding.
-func (b *Board) InUse(txn int) bool {
-	b.check(txn)
-	return b.inUse[txn]
 }
 
 func (b *Board) check(txn int) {

@@ -165,14 +165,3 @@ func TestBoardUnallocatedPanics(t *testing.T) {
 	}()
 	bd.AllDone(3)
 }
-
-func TestCommandStrings(t *testing.T) {
-	for c, want := range map[Command]string{
-		VecRead: "VEC_READ", VecWrite: "VEC_WRITE",
-		StageRead: "STAGE_READ", StageWrite: "STAGE_WRITE",
-	} {
-		if c.String() != want {
-			t.Errorf("%d.String() = %q", c, c.String())
-		}
-	}
-}

@@ -384,7 +384,9 @@ func (d *Device) Issue(r Request) error {
 }
 
 // NoEvent is returned by next-event queries when the device has no
-// pending obligation of that kind.
+// pending obligation of that kind. It is the one "never" of every wake
+// in the simulator: the bank controllers and the PVA session's cycle
+// loop use it too.
 const NoEvent = ^uint64(0)
 
 // NextDataAt returns the earliest cycle at which a read-pipeline entry

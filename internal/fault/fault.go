@@ -170,9 +170,6 @@ func NewInjector(p Plan) *Injector {
 	return &Injector{plan: p}
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Site kinds salt the hash so distinct decision classes at the same
 // coordinates stay independent.
 const (

@@ -34,12 +34,14 @@
 // With Channels=1 and the default word-interleave decoder, every loop
 // below collapses to the single-channel prototype, cycle for cycle.
 //
-// The dispatcher is event-driven, as the bus is: each channel holds its
-// one outstanding bus tenure (a broadcast, or the end of a STAGE_READ
-// burst) with the cycle it is due, ticket-ordered lists of the shares
-// waiting for its bus and of the reads gathered but not yet staged, and
-// its serial-fallback queue (channel.go); each board reports which
-// transactions' lines settled since the last step. A step therefore
+// Each channel is one record (channel.go): its board, its bus, its bank
+// controllers with their cached wakes, and its dispatch state. The
+// dispatcher is event-driven, as the bus is: each channel holds its one
+// outstanding bus tenure (a broadcast, or the end of a STAGE_READ burst)
+// with the cycle it is due, ticket-ordered lists of the shares waiting
+// for its bus and of the reads gathered but not yet staged, and its
+// serial-fallback queue; each board reports which transactions' lines
+// settled since the last step. A step therefore
 // touches only the channels and transactions with an event due, and
 // NextWake reads each channel once. Within a cycle the order is fixed:
 // schedule every channel, deliver the broadcasts landing this cycle in
@@ -52,14 +54,14 @@
 //
 // The session's cycle loop (Session.step in session.go) runs the whole
 // machine on one clock: the watchdog and MaxCycles backstops, the front
-// end's Step, each channel's bank-controller group (bcGroup, ticking
-// only its due controllers), and the idle skip to the next event. The
-// front end is stepped lazily: the loop caches its NextWake after each
-// Step and steps it again only once that cycle arrives or an outside
-// event pokes it (Poked). Commands enter through a Session —
-// Issue/Poll/Wait/Drain — and the batch Run(Trace) below is a thin
-// wrapper (issue everything at cycle zero, drain) that is bit-identical
-// to the historical batch engine.
+// end's Step, each due channel's bank controllers (channel.tick, which
+// ticks only the controllers whose wake is due), and the idle skip to
+// the next event. The front end is stepped lazily: the loop caches its
+// NextWake after each Step and steps it again only once that cycle
+// arrives or an outside event pokes it (Poked). Commands enter through
+// a Session — Issue/Poll/Wait/Drain — and the batch Run(Trace) below is
+// a thin wrapper (issue everything at cycle zero, drain) that is
+// bit-identical to the historical batch engine.
 package pvaunit
 
 import (
@@ -256,11 +258,6 @@ func (s *System) Name() string {
 // Peek implements memsys.System.
 func (s *System) Peek(a uint32) uint32 { return s.store.Read(a) }
 
-// Store exposes the system's backing word store. Callers may seed or
-// audit memory contents between runs; touching it while a session is
-// pumping races with the devices.
-func (s *System) Store() *memsys.Store { return s.store }
-
 // DeviceStats returns every bank controller's device counters in flat
 // channel*Banks+bank order, for the current session's hardware — nil
 // before the first Open/Run. The counters are the last run's alone:
@@ -270,8 +267,8 @@ func (s *System) DeviceStats() []dramtech.Stats {
 		return nil
 	}
 	out := make([]dramtech.Stats, 0, int(s.cfg.Channels)*int(s.cfg.Banks))
-	for _, row := range s.ses.fe.bcs {
-		for _, bc := range row {
+	for _, q := range s.ses.fe.chans {
+		for _, bc := range q.bcs {
 			out = append(out, bc.Device().Stats())
 		}
 	}
@@ -337,8 +334,7 @@ func (s *System) MemoryImage() *memsys.Image { return s.store.Snapshot() }
 // tenure outstanding, gathered and waiting to stage, queued on the
 // fallback) is the channel's state; see channel.
 type chanState struct {
-	active         bool   // this channel owns at least one element
-	count          uint32 // elements this channel owns
+	count          uint32 // elements this channel owns; 0: no share here
 	broadcastDone  bool   // this channel's BCs observed the VEC_* command
 	took           uint64 // banks that took the broadcast (bit b: bank b)
 	gathered       bool   // read: this channel's transaction-complete line deasserted
@@ -368,11 +364,10 @@ type cmdState struct {
 	txn         int
 	issued      bool // transaction ID claimed (on every channel's board)
 	completed   bool
-	open        int    // active channel shares not yet done
+	open        int    // channel shares not yet done
 	acceptedAt  uint64 // cycle the command entered the session
 	issuedAt    uint64 // cycle the transaction ID was claimed
 	completedAt uint64
-	line        []uint32    // read: gathered data; write: staged data
 	ch          []chanState // per channel
 
 	// lo and hi bound the command's word addresses, computed once at
@@ -428,25 +423,17 @@ func (s *System) Run(t memsys.Trace) (res memsys.Result, err error) {
 // Unit plus the channel dispatcher, stepped lazily by the session's
 // cycle loop.
 type frontEnd struct {
-	cfg    Config
-	cmds   []memsys.VectorCmd // accepted commands, ticket order
-	state  []cmdState
-	boards []*bus.Board // per channel
-	buses  []*bus.Bus   // per channel
-	bcs    [][]*bankctl.BC
+	cfg   Config
+	cmds  []memsys.VectorCmd // accepted commands, ticket order
+	state []cmdState
 
-	// groups holds each channel's live bank controllers, one group per
-	// channel in channel order, so the loop ticks them exactly as the
-	// historical single all-channel group did; gidx maps [channel][bank]
-	// to the member index within its channel's group (-1 for hard-faulted
-	// banks). The front end uses it to force the tick of a controller a
-	// broadcast feeds in the broadcast cycle.
-	groups []*bcGroup
-	gidx   [][]int
+	// lines is each command's one line: a write's computed line from its
+	// issue on, a read's gathered line from its first word collected or
+	// fetched by the fallback; nil before.
+	lines [][]uint32
 
-	lines      [][]uint32 // per command: gathered line (reads) or computed line (writes)
-	remaining  int        // accepted commands not yet retired
-	issuedLive int        // commands currently holding a transaction ID
+	remaining  int // accepted commands not yet retired
+	issuedLive int // commands currently holding a transaction ID
 	lastDone   uint64
 
 	store *memsys.Store   // backing store (serial fallback bypasses the devices)
@@ -459,12 +446,18 @@ type frontEnd struct {
 	// command must wait for the older one's broadcast to actually land.
 	dropGuard bool
 
-	// chans is the per-channel dispatch state: each channel's bus
-	// tenure, its waiting, staging and fallback lists, and its counters.
-	// anyOffline reports a hard-faulted bank on some channel.
+	// chans holds the channels, in channel order: each one's board, bus
+	// and bank controllers, its bus tenure, its waiting, staging and
+	// fallback lists, and its counters. anyOffline reports a hard-faulted
+	// bank on some channel.
 	chans      []channel
 	anyOffline bool
-	fbCost     uint64 // serial-fallback cost per element, in cycles
+
+	// fbCost is the serial fallback's cost per element: a degraded bank's
+	// elements are serviced one at a time over a dedicated maintenance
+	// path, each paying one closed-row access on the device's timing plus
+	// the transfer cycle (DESIGN.md §11).
+	fbCost uint64
 
 	// txnCmd maps each transaction ID to the ticket holding it, for the
 	// lines a board reports settled.
@@ -474,10 +467,6 @@ type frontEnd struct {
 	// this cycle and the broadcasts landing this cycle, each ordered by
 	// ticket and then channel.
 	due, landing []share
-
-	// wakeSeen is NextWake's per-channel scratch: which channels an
-	// unissued command has already given a wake.
-	wakeSeen []bool
 
 	// closedForm marks a decoder with closed-form hit math (HitMath).
 	// claims holds the pre-claimed element lists, one per transaction
@@ -518,10 +507,11 @@ type frontEnd struct {
 	// return to chPool the moment their command retires (nothing reads
 	// them afterwards), while line buffers — exposed to callers through
 	// Result and TicketInfo — return to linePool only when the session
-	// is reset for reuse. Every buffer in fe.lines is pool-owned: preset
-	// write data is copied in, never retained, so recycling can never
-	// capture caller memory. hitScratch backs the channel dispatcher's
-	// AppendSplit call; its contents are consumed within accept.
+	// is reset for reuse, whether their command retired or not. Every
+	// buffer in fe.lines is pool-owned: preset write data is copied in,
+	// never retained, so recycling can never capture caller memory.
+	// hitScratch backs the channel dispatcher's AppendSplit call; its
+	// contents are consumed within accept.
 	linePool   [][]uint32
 	chPool     [][]chanState
 	hitScratch []core.Hit
@@ -562,27 +552,18 @@ func (fe *frontEnd) getChans(C int) []chanState {
 	return make([]chanState, C)
 }
 
-// reset rewinds the front end to the accepting-at-cycle-zero state,
-// recycling every command's buffers into the pools and keeping all
-// slice capacity. The session's reuse path calls it after resetting the
-// hardware (boards, buses, bank controllers).
+// reset rewinds the front end and its channels' hardware to the
+// accepting-at-cycle-zero state, recycling every command's buffers into
+// the pools (an unfinished command's too, after a failed run) and
+// keeping all slice capacity.
 func (fe *frontEnd) reset() {
 	for i := range fe.state {
-		st := &fe.state[i]
-		if st.ch != nil {
+		if st := &fe.state[i]; st.ch != nil {
 			fe.chPool = append(fe.chPool, st.ch)
 			st.ch = nil
 		}
-		// A completed command's line is aliased by fe.lines[i] and is
-		// recycled below; an in-flight read's line exists only here.
-		if st.line != nil && fe.lines[i] == nil {
-			fe.linePool = append(fe.linePool, st.line)
-		}
-		st.line = nil
-	}
-	for i, ln := range fe.lines {
-		if ln != nil {
-			fe.linePool = append(fe.linePool, ln)
+		if fe.lines[i] != nil {
+			fe.linePool = append(fe.linePool, fe.lines[i])
 			fe.lines[i] = nil
 		}
 	}
@@ -597,9 +578,6 @@ func (fe *frontEnd) reset() {
 	fe.lastProgress = 0
 	fe.issued = 0
 	fe.steps = 0
-	for _, g := range fe.groups {
-		g.reset()
-	}
 	for ch := range fe.chans {
 		fe.chans[ch].reset()
 	}
@@ -618,8 +596,8 @@ func (fe *frontEnd) Poked() bool {
 	if fe.poked {
 		return true
 	}
-	for _, b := range fe.boards {
-		if b.Settled() != 0 {
+	for ch := range fe.chans {
+		if fe.chans[ch].board.Settled() != 0 {
 			return true
 		}
 	}
@@ -663,9 +641,8 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 	}
 	for ch := 0; ch < C; ch++ {
 		cs := &st.ch[ch]
-		cs.active = cs.count > 0
 		cs.fbDone = true // until fallback elements are found below
-		if cs.active {
+		if cs.count > 0 {
 			st.open++
 		}
 	}
@@ -698,9 +675,10 @@ func (fe *frontEnd) accept(c memsys.VectorCmd, now uint64) int {
 // to stage, its fallback head finishing, or an unissued command
 // becoming broadcastable. Transaction-complete lines deasserting are
 // outside events (Poked); bank-controller events are tracked by the
-// controller groups. It is a lower bound — waking early merely costs a
-// no-op step — but never an overestimate, which is what makes skipped
-// cycles provably inert and cycle counts identical to the strict loop.
+// channels' controller wakes. It is a lower bound — waking early merely
+// costs a no-op step — but never an overestimate, which is what makes
+// skipped cycles provably inert and cycle counts identical to the
+// strict loop.
 func (fe *frontEnd) NextWake(now uint64) uint64 {
 	if fe.pending && fe.issuedLive < bus.MaxTransactions {
 		// A command is waiting at the admission gate and a transaction
@@ -709,16 +687,20 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 		// batch engine could have issued it.
 		return now
 	}
-	next := uint64(bankctl.NoEvent)
+	// floor is the earliest bus decision point of any channel: no
+	// unissued command can wake the front end before it.
+	next, floor := dramtech.NoEvent, dramtech.NoEvent
 	for ch := range fe.chans {
 		q := &fe.chans[ch]
+		busFree := max(now, q.bus.BusyUntil())
+		floor = min(floor, busFree)
 		if q.ten.kind != noTenure {
 			next = min(next, q.ten.at)
 		}
 		if len(q.stage) > 0 {
-			next = min(next, max(now, fe.buses[ch].BusyUntil()))
+			next = min(next, busFree)
 		} else if len(q.wait) > 0 {
-			next = min(next, max(now, fe.buses[ch].BusyUntil(), q.retryAt))
+			next = min(next, max(busFree, q.retryAt))
 		}
 		if len(q.fb) > 0 {
 			next = min(next, fe.state[q.fb[0]].ch[ch].fbDoneAt)
@@ -734,32 +716,25 @@ func (fe *frontEnd) NextWake(now uint64) uint64 {
 	// bus decision point once its dependences are complete. (Conflict and
 	// transaction-ID availability can defer it further; waking at the
 	// bus point and finding nothing to do is harmless.) That wake depends
-	// on the channel alone, so the scan stops once every channel has one.
-	seen := fe.wakeSeen
-	clear(seen)
-	left := len(seen)
-	for i := fe.issued; i < len(fe.state) && left > 0; i++ {
+	// on the channel alone, so the scan stops once no channel can lower
+	// the wake further.
+	for i := fe.issued; i < len(fe.state) && next > floor; i++ {
 		st := &fe.state[i]
 		if st.issued || !fe.depsDone(i) {
 			continue
 		}
 		for ch := range st.ch {
-			if st.ch[ch].active && !seen[ch] {
-				seen[ch] = true
-				left--
-				next = min(next, max(now, fe.buses[ch].BusyUntil()))
+			if st.ch[ch].count > 0 {
+				next = min(next, max(now, fe.chans[ch].bus.BusyUntil()))
 			}
-		}
-		if next <= now {
-			return now
 		}
 	}
 	return next
 }
 
 // debugString summarizes stuck state for the deadlock error: the stalled
-// tickets by number, then per-ticket protocol state, per-channel bus
-// state, and every bank controller's queues.
+// tickets by number, then per-ticket protocol state, then per channel
+// its bus state and every bank controller's queues.
 func (fe *frontEnd) debugString() string {
 	var stalled []int
 	for i := range fe.state {
@@ -769,24 +744,13 @@ func (fe *frontEnd) debugString() string {
 	}
 	s := fmt.Sprintf("stalled tickets (%d of %d accepted): %v\n",
 		len(stalled), len(fe.cmds), stalled)
-	for ch, b := range fe.buses {
-		q := &fe.chans[ch]
-		s += fmt.Sprintf("ch%d bus busyUntil=%d", ch, b.BusyUntil())
-		switch q.ten.kind {
-		case broadcastTenure:
-			s += fmt.Sprintf(" broadcast=ticket %d at %d", q.ten.cmd, q.ten.at)
-		case stageTenure:
-			s += fmt.Sprintf(" stage-read=ticket %d until %d", q.ten.cmd, q.ten.at)
-		}
-		s += fmt.Sprintf(" waiting=%v staging=%v fallback=%v\n", q.wait, q.stage, q.fb)
-	}
 	for _, i := range stalled {
 		st := &fe.state[i]
 		c := &fe.cmds[i]
 		s += fmt.Sprintf("ticket %d %v V=%+v txn=%d issued=%v", i, c.Op, c.V, st.txn, st.issued)
 		for ch := range st.ch {
 			cs := &st.ch[ch]
-			if !cs.active {
+			if cs.count == 0 {
 				continue
 			}
 			s += fmt.Sprintf(" ch%d{n=%d bcast=%v gathered=%v staging=%v done=%v",
@@ -801,8 +765,17 @@ func (fe *frontEnd) debugString() string {
 		}
 		s += "\n"
 	}
-	for _, row := range fe.bcs {
-		for _, bc := range row {
+	for ch := range fe.chans {
+		q := &fe.chans[ch]
+		s += fmt.Sprintf("ch%d bus busyUntil=%d", ch, q.bus.BusyUntil())
+		switch q.ten.kind {
+		case broadcastTenure:
+			s += fmt.Sprintf(" broadcast=ticket %d at %d", q.ten.cmd, q.ten.at)
+		case stageTenure:
+			s += fmt.Sprintf(" stage-read=ticket %d until %d", q.ten.cmd, q.ten.at)
+		}
+		s += fmt.Sprintf(" waiting=%v staging=%v fallback=%v\n", q.wait, q.stage, q.fb)
+		for _, bc := range q.bcs {
 			if d := bc.DebugString(); d != "" {
 				s += d + "\n"
 			}
@@ -849,11 +822,10 @@ func (fe *frontEnd) Step(now uint64) error {
 	// fallback shares finishing this cycle.
 	for ch := range fe.chans {
 		q := &fe.chans[ch]
-		b := fe.boards[ch]
-		for m := b.Settled(); m != 0; m &= m - 1 {
+		for m := q.board.Settled(); m != 0; m &= m - 1 {
 			fe.due = addShare(fe.due, share{fe.txnCmd[bits.TrailingZeros32(m)], ch})
 		}
-		b.ClearSettled()
+		q.board.ClearSettled()
 		for len(q.fb) > 0 && fe.state[q.fb[0]].ch[ch].fbDoneAt <= now {
 			fe.due = addShare(fe.due, share{q.fb[0], ch})
 			q.fb = slices.Delete(q.fb, 0, 1)
@@ -883,7 +855,7 @@ func (fe *frontEnd) deliver(i, ch int, now uint64) error {
 	q := &fe.chans[ch]
 	if fe.inj != nil && fe.inj.DropBroadcast(uint32(ch), i, cs.attempts) {
 		cs.attempts++
-		q.nacks++
+		q.stats.BusNACKs++
 		if max := fe.inj.MaxRetries(); max >= 0 && cs.attempts > max {
 			return &fault.BusFaultError{Channel: ch, Cmd: i, Attempts: cs.attempts}
 		}
@@ -892,18 +864,17 @@ func (fe *frontEnd) deliver(i, ch int, now uint64) error {
 		return nil
 	}
 	if cs.attempts > 0 {
-		q.retries++
+		q.stats.BusRetries++
 	}
-	board := fe.boards[ch]
-	owners := board.AllBanks()
+	owners := q.board.AllBanks()
 	var cl *claimList
 	if fe.preClaimed(c) {
 		cl = &fe.claims[st.txn]
 		owners = cl.owners[ch]
 	}
 	owners &^= q.offline
-	board.Open(st.txn, owners)
-	M := len(fe.bcs[ch])
+	q.board.Open(st.txn, owners)
+	M := len(q.bcs)
 	for m := owners; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
 		var owned []uint32
@@ -915,23 +886,23 @@ func (fe *frontEnd) deliver(i, ch int, now uint64) error {
 		// burst ending this cycle carried, lands in its staging unit.
 		// Tick it this cycle so the new work is scheduled on time. The
 		// others stay asleep.
-		took, err := fe.bcs[ch][b].ObserveCommand(now, c.Op, c.V, c.Idx, owned, st.txn)
+		took, err := q.bcs[b].ObserveCommand(now, c.Op, c.V, c.Idx, owned, st.txn)
 		if err != nil {
 			return err
 		}
 		if took {
 			cs.took |= 1 << b
 			if c.Op == memsys.Write {
-				fe.bcs[ch][b].StageWriteData(st.txn, st.line)
+				q.bcs[b].StageWriteData(st.txn, fe.lines[i])
 			}
-			fe.groups[ch].Wake(fe.gidx[ch][b], now)
+			q.wakeBank(b, now)
 		}
 	}
 	cs.broadcastDone = true
 	if c.Indexed() {
-		q.idxBus += uint64(dataCycles(cs.count))
-		q.idxElems += uint64(cs.count)
-		q.idxMaxClaim += uint64(cl.maxClaim[ch])
+		q.stats.IndexBusCycles += uint64(dataCycles(cs.count))
+		q.stats.IndexedElements += uint64(cs.count)
+		q.stats.IndexedMaxBankClaim += uint64(cl.maxClaim[ch])
 	}
 	fe.progress(now)
 	if !cs.fbDone {
@@ -968,23 +939,21 @@ func (fe *frontEnd) retire(i, ch int, now uint64) error {
 		cs.fbDone = true
 		fe.progress(now)
 	}
+	q := &fe.chans[ch]
 	switch c.Op {
 	case memsys.Read:
-		if !cs.gathered && fe.boards[ch].AllDone(st.txn) {
+		if !cs.gathered && q.board.AllDone(st.txn) {
 			cs.gathered = true
 			fe.progress(now)
 			if cs.live() > 0 {
-				q := &fe.chans[ch]
 				q.stage = addTicket(q.stage, i)
 			}
 		}
 		if cs.stagingStarted && !cs.collected && cs.stageReadEnd == now {
-			if st.line == nil {
-				st.line = fe.getLine(c.V.Length)
-			}
+			line := fe.readLine(i)
 			got := 0
 			for m := cs.took; m != 0; m &= m - 1 {
-				got += fe.bcs[ch][bits.TrailingZeros64(m)].CollectRead(st.txn, st.line)
+				got += q.bcs[bits.TrailingZeros64(m)].CollectRead(st.txn, line)
 			}
 			if got != int(cs.live()) {
 				return fmt.Errorf("pvaunit: cmd %d channel %d staged %d of %d words", i, ch, got, cs.live())
@@ -994,11 +963,11 @@ func (fe *frontEnd) retire(i, ch int, now uint64) error {
 		}
 		cs.done = cs.gathered && cs.fbDone && (cs.live() == 0 || cs.collected)
 	case memsys.Write:
-		cs.done = cs.fbDone && fe.boards[ch].AllDone(st.txn)
+		cs.done = cs.fbDone && q.board.AllDone(st.txn)
 	}
 	if cs.done {
 		if st.open--; st.open == 0 {
-			fe.finish(i, st, now)
+			fe.finish(st, now)
 		}
 	}
 	return nil
@@ -1027,7 +996,7 @@ func (fe *frontEnd) backoff(ch int) {
 		return
 	}
 	q := &fe.chans[ch]
-	q.retryAt = bankctl.NoEvent
+	q.retryAt = dramtech.NoEvent
 	for _, i := range q.wait {
 		q.retryAt = min(q.retryAt, fe.state[i].ch[ch].retryAt)
 	}
@@ -1038,25 +1007,24 @@ func (fe *frontEnd) backoff(ch int) {
 // has drained): the one pick selects, after issuing its command if the
 // command has no transaction ID yet.
 func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
-	chBus := fe.buses[ch]
-	if chBus.BusyUntil() > now {
+	q := &fe.chans[ch]
+	if q.bus.BusyUntil() > now {
 		return nil
 	}
 	i, stage := fe.pick(ch, now)
 	if i < 0 {
 		return nil
 	}
-	q := &fe.chans[ch]
 	st := &fe.state[i]
 	cs := &st.ch[ch]
 	if stage {
 		q.stage = dropTicket(q.stage, i)
-		cmdAt := chBus.Free(now, bus.Controller)
-		if err := chBus.Reserve(cmdAt, 1, bus.Controller); err != nil {
+		cmdAt := q.bus.Free(now, bus.Controller)
+		if err := q.bus.Reserve(cmdAt, 1, bus.Controller); err != nil {
 			return err
 		}
-		dataAt := chBus.Free(cmdAt+1, bus.Banks)
-		if err := chBus.Reserve(dataAt, uint64(dataCycles(cs.live())), bus.Banks); err != nil {
+		dataAt := q.bus.Free(cmdAt+1, bus.Banks)
+		if err := q.bus.Reserve(dataAt, uint64(dataCycles(cs.live())), bus.Banks); err != nil {
 			return err
 		}
 		cs.stagingStarted = true
@@ -1070,12 +1038,12 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		// One transaction-ID pool spans all channels: claim the same ID
 		// on every channel's board so each wired-OR line tracks its
 		// channel's share independently.
-		txn, free := fe.boards[0].Alloc()
+		txn, free := fe.chans[0].board.Alloc()
 		if !free {
 			fault.Invariantf("pvaunit", "transaction pool empty with %d issued", fe.issuedLive)
 		}
-		for _, board := range fe.boards[1:] {
-			board.Claim(txn)
+		for other := 1; other < len(fe.chans); other++ {
+			fe.chans[other].board.Claim(txn)
 		}
 		st.txn = txn
 		st.issued = true
@@ -1090,7 +1058,7 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		// The command's shares on the other channels wait for their own
 		// buses; this one reserves its tenure below.
 		for other := range st.ch {
-			if other != ch && st.ch[other].active {
+			if other != ch && st.ch[other].count > 0 {
 				fe.enqueue(other, i)
 			}
 		}
@@ -1104,10 +1072,8 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 			// Copy into a pool-owned buffer: WriteData may return the
 			// command's own preset Data, and the pools must never
 			// capture caller memory.
-			buf := fe.getLine(uint32(len(data)))
-			copy(buf, data)
-			st.line = buf
-			fe.lines[i] = buf
+			fe.lines[i] = fe.getLine(uint32(len(data)))
+			copy(fe.lines[i], data)
 		}
 	} else {
 		fe.dequeue(ch, i)
@@ -1126,8 +1092,8 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 	if c.Op == memsys.Write {
 		burst += uint64(dataCycles(cs.count)) + 1
 	}
-	at := chBus.Free(now, bus.Controller)
-	if err := chBus.Reserve(at, burst, bus.Controller); err != nil {
+	at := q.bus.Free(now, bus.Controller)
+	if err := q.bus.Reserve(at, burst, bus.Controller); err != nil {
 		return err
 	}
 	q.ten = tenure{kind: broadcastTenure, cmd: i, at: at + burst - 1}
@@ -1175,7 +1141,7 @@ func (fe *frontEnd) pick(ch int, now uint64) (int, bool) {
 	}
 	for i := fe.issued; i < end; i++ {
 		st := &fe.state[i]
-		if st.issued || !st.ch[ch].active {
+		if st.issued || st.ch[ch].count == 0 {
 			continue
 		}
 		if fe.dropGuard && fe.olderConflictPending(i, ch) {
@@ -1203,8 +1169,8 @@ func (fe *frontEnd) sealed(now uint64) bool {
 	if fe.issuedLive >= bus.MaxTransactions {
 		return true
 	}
-	for ch, b := range fe.buses {
-		if b.BusyUntil() > now {
+	for ch := range fe.chans {
+		if fe.chans[ch].bus.BusyUntil() > now {
 			continue // no decision point this cycle
 		}
 		if i, _ := fe.pick(ch, now); i < 0 {
@@ -1231,18 +1197,25 @@ func (fe *frontEnd) runFallback(i int, st *cmdState, ch int) {
 	c := &fe.cmds[i]
 	cs := &st.ch[ch]
 	if c.Op == memsys.Read {
-		if st.line == nil {
-			st.line = fe.getLine(c.V.Length)
-		}
+		line := fe.readLine(i)
 		for _, e := range cs.fbIdxs {
-			st.line[e] = fe.store.Read(c.Addr(e))
+			line[e] = fe.store.Read(c.Addr(e))
 		}
 	} else {
 		for _, e := range cs.fbIdxs {
-			fe.store.Write(c.Addr(e), st.line[e])
+			fe.store.Write(c.Addr(e), fe.lines[i][e])
 		}
 	}
-	fe.chans[ch].fallbk += uint64(len(cs.fbIdxs))
+	fe.chans[ch].stats.DegradedElements += uint64(len(cs.fbIdxs))
+}
+
+// readLine returns read i's line, taking it from the pool at the first
+// word collected or fetched by the fallback.
+func (fe *frontEnd) readLine(i int) []uint32 {
+	if fe.lines[i] == nil {
+		fe.lines[i] = fe.getLine(fe.cmds[i].V.Length)
+	}
+	return fe.lines[i]
 }
 
 // observe forwards a bus-level event to the configured sink.
@@ -1252,22 +1225,18 @@ func (fe *frontEnd) observe(e trace.Event) {
 	}
 }
 
-// finish retires a command: records data and completion time, releases
-// the transaction on every channel's board and the staging state of the
+// finish retires a command: records its completion time, releases the
+// transaction on every channel's board and the staging state of the
 // banks that took it.
-func (fe *frontEnd) finish(i int, st *cmdState, now uint64) {
+func (fe *frontEnd) finish(st *cmdState, now uint64) {
 	st.completed = true
 	st.completedAt = now
 	fe.observe(trace.Event{Cycle: now, Bank: -1, Kind: trace.TxnComplete, Txn: st.txn})
-	if st.line != nil {
-		fe.lines[i] = st.line
-	}
-	for _, board := range fe.boards {
-		board.Release(st.txn)
-	}
-	for ch := range st.ch {
+	for ch := range fe.chans {
+		q := &fe.chans[ch]
+		q.board.Release(st.txn)
 		for m := st.ch[ch].took; m != 0; m &= m - 1 {
-			fe.bcs[ch][bits.TrailingZeros64(m)].Release(st.txn)
+			q.bcs[bits.TrailingZeros64(m)].Release(st.txn)
 		}
 	}
 	fe.remaining--

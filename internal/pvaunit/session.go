@@ -34,10 +34,10 @@ import (
 //
 // A Session is not safe for concurrent use, and a System supports one
 // live Session at a time: Open builds the hardware once and every later
-// Open returns the same Session rewound to cycle zero (hardware state,
-// pools and controller groups are recycled in place), so opening a
-// new session invalidates the previous handle and every buffer it
-// exposed through Result or TicketInfo.
+// Open returns the same Session rewound to cycle zero (hardware state
+// and pools are recycled in place), so opening a new session
+// invalidates the previous handle and every buffer it exposed through
+// Result or TicketInfo.
 type Session struct {
 	sys        *System
 	fe         *frontEnd
@@ -70,15 +70,6 @@ type Session struct {
 // bit-identical to a freshly built one — the fault injector is stateless
 // and each bank controller's reset clears its row predictors.
 func (s *Session) reuse() {
-	for ch := range s.fe.boards {
-		s.fe.boards[ch].Reset()
-		s.fe.buses[ch].Reset()
-	}
-	for _, row := range s.fe.bcs {
-		for _, bc := range row {
-			bc.Reset()
-		}
-	}
 	s.fe.reset()
 	s.now = 0
 	s.feWake = 0
@@ -109,10 +100,10 @@ type TicketInfo struct {
 	Data []uint32
 }
 
-// Open builds the session's hardware — per-channel transaction boards,
-// vector buses and bank controllers, each channel's live controllers
-// in one group — and returns a Session accepting commands at cycle
-// zero. The batch Run is exactly Open + Issue-everything + Drain.
+// Open builds the session's hardware — per channel, a transaction
+// board, a vector bus and one bank controller per bank — and returns a
+// Session accepting commands at cycle zero. The batch Run is exactly
+// Open + Issue-everything + Drain.
 //
 // The hardware is built once per System: a second Open returns the same
 // Session rewound in place, which invalidates the previous handle (and
@@ -127,15 +118,11 @@ func (s *System) Open() (*Session, error) {
 	M := s.cfg.Banks
 	dec := s.cfg.Decoder
 	// Decoders whose combined (channel, bank) selection is plain word
-	// interleaving keep the paper's closed-form hit math: bank b of
-	// channel ch is interleave unit b*C+ch of a C*M-unit system. Under
-	// other decoders each controller addresses its device through a
-	// BankView and receives every command pre-claimed.
-	var geom core.Geometry
+	// interleaving keep the paper's closed-form hit math: each bank
+	// controller is one interleave unit (HitUnit) of a C*M-unit system.
+	// Under other decoders each controller addresses its device through
+	// a BankView and receives every command pre-claimed.
 	hm, closedForm := dec.(addrmap.HitMath)
-	if closedForm {
-		geom = hm.HitGeometry()
-	}
 	inj := fault.NewInjector(s.cfg.Fault)
 	chans := make([]channel, C)
 	anyOffline := false
@@ -143,13 +130,12 @@ func (s *System) Open() (*Session, error) {
 		chans[db/M].offline |= 1 << (db % M)
 		anyOffline = true
 	}
-	boards := make([]*bus.Board, C)
-	buses := make([]*bus.Bus, C)
-	bcs := make([][]*bankctl.BC, C)
 	for ch := uint32(0); ch < C; ch++ {
-		boards[ch] = bus.NewBoard(M)
-		buses[ch] = bus.New()
-		bcs[ch] = make([]*bankctl.BC, M)
+		q := &chans[ch]
+		q.board = bus.NewBoard(M)
+		q.bus = bus.New()
+		q.bcs = make([]*bankctl.BC, M)
+		q.wake = make([]uint64, M) // every controller due immediately
 		for b := uint32(0); b < M; b++ {
 			bcfg := bankctl.Config{
 				SGeom:    s.cfg.SGeom,
@@ -161,58 +147,28 @@ func (s *System) Open() (*Session, error) {
 				Injector: inj,
 			}
 			if closedForm {
-				bcfg.Bank = b*C + ch
+				bcfg.Bank = hm.HitUnit(ch, b)
 				bcfg.Banks = C * M
-				bcfg.Geom = geom
+				bcfg.Geom = hm.HitGeometry()
 			} else {
 				bcfg.Bank = ch*M + b
 				bcfg.Banks = M
 				bcfg.Geom = core.MustGeometry(M)
 				bcfg.View = addrmap.BankView{D: dec, Channel: ch, Bank: b}
 			}
-			bcfg.FHCDelay = 2
-			bc := bankctl.New(bcfg, s.store, boards[ch])
-			bc.SetBoardBank(b)
-			bcs[ch][b] = bc
+			q.bcs[b] = bankctl.New(bcfg, s.store, q.board)
+			q.bcs[b].SetBoardBank(b)
 		}
 	}
-	// Serial-fallback per-element cost: a degraded bank's elements are
-	// serviced one at a time over a dedicated maintenance path — each
-	// element pays one closed-row access on the device's timing plus the
-	// transfer cycle (DESIGN.md §11).
-	fbCost := s.cfg.Tech.Timing(s.cfg.Timing).ClosedAccess() + 1
 	fe := &frontEnd{
 		cfg:        s.cfg,
-		boards:     boards,
-		buses:      buses,
-		bcs:        bcs,
 		store:      s.store,
 		inj:        inj,
 		dropGuard:  inj != nil && s.cfg.Fault.DropRate > 0,
 		chans:      chans,
 		anyOffline: anyOffline,
-		fbCost:     fbCost,
-		wakeSeen:   make([]bool, C),
+		fbCost:     s.cfg.Tech.Timing(s.cfg.Timing).ClosedAccess() + 1,
 		closedForm: closedForm,
-	}
-	// Member order is tick order: channel-major, bank-minor, the order
-	// the historical batch loop used. Each channel's live controllers
-	// form one group, which the loop skips whole while its group-wide
-	// wake lies ahead, and the groups step in channel order. Hard-faulted
-	// controllers are powered off and never added.
-	fe.groups = make([]*bcGroup, C)
-	fe.gidx = make([][]int, C)
-	for ch := uint32(0); ch < C; ch++ {
-		g := &bcGroup{}
-		fe.groups[ch] = g
-		fe.gidx[ch] = make([]int, M)
-		for b := uint32(0); b < M; b++ {
-			if chans[ch].offline&(1<<b) != 0 {
-				fe.gidx[ch][b] = -1
-				continue
-			}
-			fe.gidx[ch][b] = g.add(bcs[ch][b])
-		}
 	}
 	ses := &Session{
 		sys:        s,
@@ -346,30 +302,21 @@ func (s *Session) Result() (memsys.Result, error) {
 		s.readData = rd
 		res.ReadData = rd
 	}
-	// Fold device and bus counters into the common stats, keeping the
+	// Fold device and bus counters into each channel's own, keeping the
 	// per-channel breakdown.
-	if cap(s.chanStats) < int(s.sys.cfg.Channels) {
-		s.chanStats = make([]memsys.Stats, s.sys.cfg.Channels)
+	if cap(s.chanStats) < len(s.fe.chans) {
+		s.chanStats = make([]memsys.Stats, len(s.fe.chans))
 	}
-	s.chanStats = s.chanStats[:s.sys.cfg.Channels]
-	for i := range s.chanStats {
-		s.chanStats[i] = memsys.Stats{}
-	}
-	res.ChannelStats = s.chanStats
-	for ch := range s.fe.bcs {
+	res.ChannelStats = s.chanStats[:len(s.fe.chans)]
+	for ch := range s.fe.chans {
+		q := &s.fe.chans[ch]
 		cs := &res.ChannelStats[ch]
-		for _, bc := range s.fe.bcs[ch] {
+		*cs = q.stats
+		for _, bc := range q.bcs {
 			cs.Merge(deviceStats(bc.Device().Stats()))
 		}
-		cs.BusBusyCycles = s.fe.buses[ch].BusyCycles()
-		cs.TurnaroundCycles = s.fe.buses[ch].TurnaroundCycles()
-		q := &s.fe.chans[ch]
-		cs.BusNACKs = q.nacks
-		cs.BusRetries = q.retries
-		cs.DegradedElements = q.fallbk
-		cs.IndexBusCycles = q.idxBus
-		cs.IndexedElements = q.idxElems
-		cs.IndexedMaxBankClaim = q.idxMaxClaim
+		cs.BusBusyCycles = q.bus.BusyCycles()
+		cs.TurnaroundCycles = q.bus.TurnaroundCycles()
 		res.Stats.Merge(*cs)
 	}
 	return res, nil
@@ -397,10 +344,10 @@ func (s *Session) pump(cond func() bool) (err error) {
 
 // step runs one cycle of the machine: the MaxCycles backstop and the
 // watchdog, the front end's Step when its cached wake is due or it was
-// poked, each channel's due controller group in channel order, then
-// the clock advance. Skipping, the advance jumps straight to the next
-// cycle at which the front end or a group may change state, which
-// elides only cycles in which every Step would have been a no-op.
+// poked, each due channel's bank controllers in channel order, then the
+// clock advance. Skipping, the advance jumps straight to the next cycle
+// at which the front end or a channel may change state, which elides
+// only cycles in which every Step and tick would have been a no-op.
 func (s *Session) step() error {
 	cfg := &s.sys.cfg
 	fe := s.fe
@@ -429,11 +376,12 @@ func (s *Session) step() error {
 			s.feWake = fe.NextWake(now + 1)
 		}
 	}
-	for _, g := range fe.groups {
-		if !strict && g.due > now {
+	for ch := range fe.chans {
+		q := &fe.chans[ch]
+		if !strict && q.due > now {
 			continue
 		}
-		if err := g.Step(now, strict); err != nil {
+		if err := q.tick(now, strict); err != nil {
 			return err
 		}
 	}
@@ -457,16 +405,16 @@ func (s *Session) step() error {
 }
 
 // nextWake returns the earliest cycle >= now at which the front end or
-// any controller group may change state. The wakes are current: due
-// groups refreshed theirs in the step that just ran, and skipped
-// groups' wakes still lie in the future by construction.
+// any channel's controllers may change state. The wakes are current:
+// due channels refreshed theirs in the step that just ran, and skipped
+// channels' wakes still lie in the future by construction.
 func (s *Session) nextWake(now uint64) uint64 {
 	if s.fe.Poked() {
 		return now // a controller just settled a transaction line
 	}
 	next := s.feWake
-	for _, g := range s.fe.groups {
-		next = min(next, g.due)
+	for ch := range s.fe.chans {
+		next = min(next, s.fe.chans[ch].due)
 		if next <= now {
 			return now
 		}

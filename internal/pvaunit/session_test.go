@@ -2,6 +2,7 @@ package pvaunit
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -226,6 +227,63 @@ func TestSessionDeadlockDumpNamesTickets(t *testing.T) {
 	}
 	if ses.Err() == nil {
 		t.Fatal("Err() nil after deadlock")
+	}
+}
+
+// TestReuseAfterFailedRun: a run that fails with commands in flight
+// leaves their per-channel state and an unfinished read's line for the
+// next Open to recycle. On the four-channel xor PCM-4p machine, in both
+// loops, half the dispatcher trace plus a write whose Compute returns
+// one word fails when that write takes its transaction ID; then three
+// runs of the whole trace, each from the restored cold snapshot, must
+// match a fresh System's cycles, statistics and gathered data.
+func TestReuseAfterFailedRun(t *testing.T) {
+	tr := dispatchTrace(t)
+	bad := append(slices.Clone(tr.Cmds[:len(tr.Cmds)/2]), memsys.VectorCmd{
+		Op:      memsys.Write,
+		V:       core.Vector{Base: 1 << 20, Stride: 1, Length: 32},
+		Compute: func([][]uint32) []uint32 { return []uint32{0} },
+	})
+	for _, strict := range []bool{false, true} {
+		cfg := machineConfig(t, 4, "xor", "pcm", 4)
+		cfg.DisableIdleSkip = strict
+		want, err := MustNew(cfg).Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := MustNew(cfg)
+		cold := sys.Snapshot()
+		if _, err := sys.Run(memsys.Trace{Cmds: bad}); err == nil || !strings.Contains(err.Error(), "Compute returned 1 words") {
+			t.Fatalf("strict=%v: failing run returned %v", strict, err)
+		}
+		fe := sys.ses.fe
+		var open, lined int
+		for i, st := range fe.state {
+			if !st.completed && st.ch != nil {
+				open++
+			}
+			if !st.completed && fe.cmds[i].Op == memsys.Read && fe.lines[i] != nil {
+				lined++
+			}
+		}
+		if open < 2 || lined == 0 {
+			t.Fatalf("strict=%v: the run failed with %d commands and %d read lines in flight", strict, open, lined)
+		}
+		for k := range 3 {
+			if err := sys.Restore(cold); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sys.Run(tr)
+			if err != nil {
+				t.Fatalf("strict=%v run %d: %v", strict, k, err)
+			}
+			if got.Cycles != want.Cycles || got.Stats != want.Stats ||
+				!slices.Equal(got.ChannelStats, want.ChannelStats) ||
+				!slices.EqualFunc(got.ReadData, want.ReadData, slices.Equal[[]uint32]) {
+				t.Fatalf("strict=%v run %d: %d cycles %+v; fresh %d cycles %+v",
+					strict, k, got.Cycles, got.Stats, want.Cycles, want.Stats)
+			}
+		}
 	}
 }
 

@@ -250,7 +250,7 @@ func TestMissedControllerSleeps(t *testing.T) {
 	if _, err := sys.Run(memsys.Trace{Cmds: cmds}); err != nil {
 		t.Fatal(err)
 	}
-	bcs := sys.ses.fe.bcs[0]
+	bcs := sys.ses.fe.chans[0].bcs
 	if s := bcs[0].Stats(); s.Requests != 3 {
 		t.Fatalf("bank 0 took %d requests, want 3", s.Requests)
 	}
@@ -305,8 +305,8 @@ func TestPreClaimedBroadcastReachesOwnersOnly(t *testing.T) {
 			for _, d := range dead {
 				want[d] = 0
 			}
-			for ch, row := range sys.ses.fe.bcs {
-				for b, bc := range row {
+			for ch, q := range sys.ses.fe.chans {
+				for b, bc := range q.bcs {
 					key := uint32(ch)*M + uint32(b)
 					if s := bc.Stats(); s.Requests != want[key] || s.NoHitCommands != 0 {
 						t.Fatalf("%s dead=%v ch %d bank %d: %d requests, %d missed broadcasts; want %d and 0",
