@@ -411,10 +411,7 @@ func BenchmarkSweepVerified(b *testing.B) {
 // is the default two-rung search on one small fixed budget, with
 // survivor evaluations fanned out over GOMAXPROCS goroutines;
 // ladder/serial is the same search on one goroutine (the
-// candidate-evaluation scaling); fullsim is the identical budget with
-// the surrogate rung disabled, every greedy step a full simulation —
-// the cost the surrogate prune saves. Full simulations dominate all
-// three.
+// candidate-evaluation scaling). Full simulations dominate both.
 // paper-swap is the default-budget search for swap at the paper
 // strides on 1024-element vectors, where the surrogate climbs dominate.
 // The benchstat gate tracks ladder/pooled and paper-swap.
@@ -422,8 +419,6 @@ func BenchmarkAutotuneSearch(b *testing.B) {
 	base := AutotuneOptions{Seed: 1, Restarts: 2, MaskBits: 8}
 	serial := base
 	serial.Workers = 1
-	fullsim := base
-	fullsim.DisableSurrogate = true
 	ladder := []uint32{1, 19}
 	for _, c := range []struct {
 		name     string
@@ -434,7 +429,6 @@ func BenchmarkAutotuneSearch(b *testing.B) {
 	}{
 		{"ladder/pooled", "copy", ladder, 64, base},
 		{"ladder/serial", "copy", ladder, 64, serial},
-		{"fullsim", "copy", ladder, 64, fullsim},
 		{"paper-swap", "swap", nil, 1024, AutotuneOptions{Seed: 1}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

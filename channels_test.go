@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"pva/internal/harness"
 )
 
 // seedPoint mirrors one row of testdata/seed_cycles.json: the cycle
@@ -57,6 +59,51 @@ func TestSeedCycleEquivalence(t *testing.T) {
 			t.Errorf("%s stride %d align %d on %s: %d cycles, seed had %d",
 				w.Kernel, w.Stride, w.Align, w.System, p.Cycles, w.Cycles)
 		}
+	}
+}
+
+// TestFigure11SeedRatios pins Figure 11's comparison to the seed golden
+// without simulating: over the 240 paper cells PVA-SDRAM runs at worst
+// 1.0894x the cycles of PVA-SRAM (saxpy, stride 16, alignment 2: 3,412
+// against 3,132) and at 1.0184x on average, the ratios EXPERIMENTS.md
+// and README.md report.
+func TestFigure11SeedRatios(t *testing.T) {
+	type cell struct {
+		kernel string
+		stride uint32
+		align  int
+	}
+	var points []SweepPoint
+	sram := map[cell]uint64{}
+	for _, g := range loadSeedGolden(t) {
+		p := SweepPoint{Kernel: g.Kernel, Stride: g.Stride, Alignment: g.Align, Cycles: g.Cycles}
+		switch g.System {
+		case PVASDRAM.String():
+			p.System = PVASDRAM
+		case PVASRAM.String():
+			p.System = PVASRAM
+			sram[cell{g.Kernel, g.Stride, g.Align}] = g.Cycles
+		default:
+			continue
+		}
+		points = append(points, p)
+	}
+	if got, want := harness.SDRAMvsSRAMWorst(points), 3412.0/3132.0; got != want {
+		t.Errorf("worst PVA-SDRAM/PVA-SRAM ratio %.6f, want %.6f", got, want)
+	}
+	var sum float64
+	var cells int
+	for _, p := range points {
+		if p.System == PVASDRAM {
+			sum += float64(p.Cycles) / float64(sram[cell{p.Kernel, p.Stride, p.Alignment}])
+			cells++
+		}
+	}
+	if cells != 240 || len(sram) != 240 {
+		t.Fatalf("%d PVA-SDRAM and %d PVA-SRAM cells, want 240 each", cells, len(sram))
+	}
+	if mean := fmt.Sprintf("%.4f", sum/float64(cells)); mean != "1.0184" {
+		t.Errorf("mean PVA-SDRAM/PVA-SRAM ratio %s, want 1.0184", mean)
 	}
 }
 

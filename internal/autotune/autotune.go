@@ -93,11 +93,6 @@ type Options struct {
 	// the full simulations in turn. The Result is bit-identical at any
 	// value.
 	Workers int
-	// DisableSurrogate makes every evaluation — greedy refinement
-	// included — a full cycle-accurate simulation. It exists to measure
-	// what the surrogate rung saves (see BenchmarkAutotuneSearch); on
-	// real budgets it is orders of magnitude slower.
-	DisableSurrogate bool
 	// MaskBits caps the bank-word bits the search may hash (0: every
 	// bit that varies across the workload).
 	MaskBits uint
@@ -147,7 +142,7 @@ type Result struct {
 	Baselines map[string]uint64 `json:"baselines"`
 	// SurrogateEvals and FullEvals count the two rungs of the ladder:
 	// FullEvals is one simulation per survivor and per fixed decoder
-	// matching none, plus every climb step under DisableSurrogate.
+	// matching none.
 	SurrogateEvals int `json:"surrogate_evals"`
 	FullEvals      int `json:"full_evals"`
 }
@@ -195,9 +190,7 @@ func Search(w Workload, o Options) (*Result, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		if !o.DisableSurrogate {
-			s.surEval += c.evals
-		}
+		s.surEval += c.evals
 		d := s.tuned(c.masks)
 		spec := d.String()
 		if built[spec] != nil {
@@ -227,12 +220,9 @@ func Search(w Workload, o Options) (*Result, error) {
 			continue
 		}
 		built[spec] = d
-		c := Candidate{Masks: lmk, Spec: spec}
-		if !o.DisableSurrogate {
-			s.surEval++
-			c.Surrogate, _ = s.scorer.load(lmk) // the surrogate never fails
-		}
-		locals = append(locals, c)
+		s.surEval++
+		sur, _ := s.scorer.load(lmk) // the surrogate never fails
+		locals = append(locals, Candidate{Masks: lmk, Spec: spec, Surrogate: sur})
 	}
 	decs := make([]addrmap.Decoder, len(locals))
 	for i, c := range locals {
@@ -268,9 +258,6 @@ func Search(w Workload, o Options) (*Result, error) {
 	}
 	for i := range locals {
 		locals[i].Cycles = cycles[i]
-		if o.DisableSurrogate {
-			locals[i].Surrogate = 0 // never surrogate-scored
-		}
 	}
 	sort.Slice(locals, func(i, j int) bool {
 		if locals[i].Cycles != locals[j].Cycles {
@@ -357,8 +344,8 @@ func (s *searcher) tuned(masks []uint32) *addrmap.Map {
 	return addrmap.MustTuned(s.o.Channels, s.o.Banks, masks)
 }
 
-// rung scores one climb's candidates: the surrogate (*scorer), or full
-// simulation (fullRung) under Options.DisableSurrogate.
+// rung scores one climb's candidates: the surrogate (*scorer), or a
+// test's fake.
 type rung interface {
 	// load makes masks the climb's current set and scores it.
 	load(masks []uint32) (uint64, error)
@@ -368,16 +355,6 @@ type rung interface {
 	// accept makes that neighbour the current set.
 	accept(j int, b uint)
 }
-
-// fullRung scores every candidate by full simulation and keeps no
-// state between calls.
-type fullRung struct{ s *searcher }
-
-func (r fullRung) load(masks []uint32) (uint64, error) { return r.s.fullCycles(r.s.tuned(masks)) }
-
-func (r fullRung) neighbour(masks []uint32, _ int, _ uint) (uint64, error) { return r.load(masks) }
-
-func (fullRung) accept(int, uint) {}
 
 // climb is one start's greedy refinement: the local optimum, its cost,
 // and how many candidates the climb scored.
@@ -449,24 +426,21 @@ func (s *searcher) greedy(r rung, start []uint32) climb {
 
 // climbAll refines every start into its own slot, on the goroutines
 // workers allows, which take starts in turn, each climbing on its own
-// rung. Surrogate rungs are forked before any climb starts, one per
+// scorer. Scorers are forked before any climb starts, one per
 // goroutine, and reused across that goroutine's climbs: load relabels
 // every element, so no climb sees another's state.
 func (s *searcher) climbAll(starts [][]uint32) []climb {
 	out := make([]climb, len(starts))
 	n := s.workers(len(starts))
-	rungs := make([]rung, n)
-	for i := range rungs {
-		switch {
-		case s.o.DisableSurrogate:
-			rungs[i] = fullRung{s}
-		case i == 0:
-			rungs[i] = s.scorer
-		default:
-			rungs[i] = s.scorer.fork()
+	scorers := make([]*scorer, n)
+	for i := range scorers {
+		if i == 0 {
+			scorers[i] = s.scorer
+		} else {
+			scorers[i] = s.scorer.fork()
 		}
 	}
-	fanOut(n, len(starts), func(w, i int) { out[i] = s.greedy(rungs[w], starts[i]) })
+	fanOut(n, len(starts), func(w, i int) { out[i] = s.greedy(scorers[w], starts[i]) })
 	return out
 }
 

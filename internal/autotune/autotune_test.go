@@ -25,16 +25,16 @@ func testWorkload(t *testing.T, name string) Workload {
 }
 
 // TestAutotuneSearchDeterministic pins the Result to the seed alone:
-// rerunning, pooling the climbs and the full simulations, running the
-// full-simulation-only climbs pooled, and handing the pool more starts
-// than it has workers must all reproduce the serial search bit for bit.
+// rerunning, pooling the climbs and the full simulations, capping the
+// toggleable bits, and handing the pool more starts than it has workers
+// must all reproduce the serial search bit for bit.
 // The CI race job runs it at GOMAXPROCS 1, 2 and 8.
 func TestAutotuneSearchDeterministic(t *testing.T) {
 	w := testWorkload(t, "copy")
 	for _, opts := range []Options{
 		{Seed: 42, Restarts: 3},
 		{Seed: 42, Restarts: 9}, // 11 starts: more than the climbing tasks below GOMAXPROCS 11
-		{Seed: 5, Restarts: 2, MaskBits: 3, DisableSurrogate: true},
+		{Seed: 5, Restarts: 2, MaskBits: 3},
 	} {
 		serial := opts
 		serial.Workers = 1
@@ -170,26 +170,6 @@ func TestAutotuneLadderCounts(t *testing.T) {
 				t.Errorf("%d channels: baseline %s = %d, a simulation of it gives %d", c.channels, name, got, want)
 			}
 		}
-	}
-}
-
-func TestAutotuneDisableSurrogate(t *testing.T) {
-	w := testWorkload(t, "copy")
-	res, err := Search(w, Options{Seed: 5, Restarts: 1, Workers: 1, MaskBits: 3, DisableSurrogate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SurrogateEvals != 0 {
-		t.Fatalf("surrogate ran %d times with DisableSurrogate", res.SurrogateEvals)
-	}
-	// At one channel every fixed decoder reuses a survivor's total, so
-	// the promoted survivors alone account for len(Survivors) runs; the
-	// climbs must add theirs.
-	if res.FullEvals <= len(res.Survivors) {
-		t.Fatalf("full-sim-only search did too few simulations: %d for %d survivors", res.FullEvals, len(res.Survivors))
-	}
-	if _, best := res.BestFixed(); res.Best.Cycles > best {
-		t.Fatalf("full-sim search lost to fixed baseline: %d vs %d", res.Best.Cycles, best)
 	}
 }
 
@@ -381,36 +361,28 @@ func TestGreedyQuietLapSkipsAcceptedPair(t *testing.T) {
 
 // TestGreedyMatchesFullPassClimb: stopping after one quiet lap reaches
 // the same optimum at the same cost as repeating whole passes, with no
-// more evaluations, on the surrogate and under full simulation.
+// more evaluations, on the surrogate.
 func TestGreedyMatchesFullPassClimb(t *testing.T) {
 	restarts := 20
 	if testing.Short() {
 		restarts = 4
 	}
 	for _, name := range []string{"saxpy", "swap", "gather"} {
-		w := testWorkload(t, name)
-		for _, o := range []Options{{}, {DisableSurrogate: true, MaskBits: 3}} {
-			o.Seed, o.Restarts = 0x9e11, restarts
-			s, err := newSearcher(w, o)
-			if err != nil {
-				t.Fatal(err)
+		s, err := newSearcher(testWorkload(t, name), Options{Seed: 0x9e11, Restarts: restarts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range s.starts { // both landmarks, then the seeded starts
+			got, want := s.greedy(s.scorer, st), fullPassClimb(s, s.scorer, st)
+			if got.err != nil || want.err != nil {
+				t.Fatal(got.err, want.err)
 			}
-			var r rung = s.scorer
-			if o.DisableSurrogate {
-				r = fullRung{s}
+			if !reflect.DeepEqual(got.masks, want.masks) || got.cost != want.cost {
+				t.Fatalf("%s from %#x: cyclic climb %#x cost %d, full passes %#x cost %d",
+					name, st, got.masks, got.cost, want.masks, want.cost)
 			}
-			for _, st := range s.starts { // both landmarks, then the seeded starts
-				got, want := s.greedy(r, st), fullPassClimb(s, r, st)
-				if got.err != nil || want.err != nil {
-					t.Fatal(got.err, want.err)
-				}
-				if !reflect.DeepEqual(got.masks, want.masks) || got.cost != want.cost {
-					t.Fatalf("%s %+v from %#x: cyclic climb %#x cost %d, full passes %#x cost %d",
-						name, o, st, got.masks, got.cost, want.masks, want.cost)
-				}
-				if got.evals > want.evals {
-					t.Fatalf("%s %+v from %#x: cyclic climb scored %d, full passes %d", name, o, st, got.evals, want.evals)
-				}
+			if got.evals > want.evals {
+				t.Fatalf("%s from %#x: cyclic climb scored %d, full passes %d", name, st, got.evals, want.evals)
 			}
 		}
 	}

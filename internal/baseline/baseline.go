@@ -136,7 +136,7 @@ func (s *Serial) Run(t memsys.Trace) (memsys.Result, error) {
 		case memsys.Write:
 			data, err := memsys.WriteData(c, lines)
 			if err != nil {
-				return memsys.Result{}, err
+				return memsys.Result{}, fmt.Errorf("baseline: cmd %d: %w", i, err)
 			}
 			lines[i] = data
 			if c.Indexed() {

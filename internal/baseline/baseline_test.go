@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"pva/internal/core"
@@ -155,15 +156,33 @@ func TestBaselineComputeChain(t *testing.T) {
 	}
 }
 
+// TestBaselineValidation: both baselines refuse an invalid trace, and a
+// write whose Compute returns a short line fails naming its command.
 func TestBaselineValidation(t *testing.T) {
-	bad := memsys.Trace{Cmds: []memsys.VectorCmd{
-		{Op: memsys.Read, V: core.Vector{Length: 0}},
-	}}
-	if _, err := NewCacheLineSerialChannels(1).Run(bad); err == nil {
-		t.Error("cacheline: invalid trace accepted")
-	}
-	if _, err := NewGatheringSerialChannels(nil).Run(bad); err == nil {
-		t.Error("gathering: invalid trace accepted")
+	short := write(64, 1, 32, nil)
+	short.DependsOn = []int{0}
+	short.Compute = func([][]uint32) []uint32 { return []uint32{0} }
+	for _, c := range []struct {
+		name string
+		tr   memsys.Trace
+		want []string // substrings the error must hold
+	}{
+		{"invalid trace", memsys.Trace{Cmds: []memsys.VectorCmd{read(0, 1, 0)}}, nil},
+		{"short Compute", memsys.Trace{Cmds: []memsys.VectorCmd{read(0, 1, 32), short}},
+			[]string{"cmd 1", "Compute returned 1 words"}},
+	} {
+		for _, sys := range []*Serial{NewCacheLineSerialChannels(1), NewGatheringSerialChannels(nil)} {
+			_, err := sys.Run(c.tr)
+			if err == nil {
+				t.Errorf("%s: %s accepted it", sys.Name(), c.name)
+				continue
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: %s: error %q does not name %q", sys.Name(), c.name, err, w)
+				}
+			}
+		}
 	}
 }
 

@@ -6,14 +6,12 @@
 // access memory, incrementing the original address and repeating" — and
 // the paper observes that the resulting scatter/gather is inherently
 // sequential for word-interleaved memory but parallelizable for block
-// interleaving. Analyze makes that observation quantitative.
+// interleaving. Analyze makes that observation quantitative. The
+// reorder itself runs on the simulator: examples/fft_bitrev sends the
+// Addresses list as indexed commands and checks every gathered element.
 package bitrev
 
-import (
-	"fmt"
-
-	"pva/internal/core"
-)
+import "fmt"
 
 // Reverse returns x with its low `bits` bits reversed (x < 2^bits).
 func Reverse(x uint32, bits uint) uint32 {
@@ -83,23 +81,4 @@ func Analyze(addrs []uint32, chunkLen int, bank func(uint32) uint32) Analysis {
 		a.MinBanksPerChunk = 0
 	}
 	return a
-}
-
-// Permutation applies the bit-reversal reorder to a slice of 2^bits
-// values (the functional FFT shuffle, for end-to-end checks).
-func Permutation(in []uint32, bits uint) ([]uint32, error) {
-	if len(in) != 1<<bits {
-		return nil, fmt.Errorf("bitrev: %d values for %d bits", len(in), bits)
-	}
-	out := make([]uint32, len(in))
-	for i := range in {
-		out[Reverse(uint32(i), bits)] = in[i]
-	}
-	return out, nil
-}
-
-// Vector is a convenience: the unit-stride vector the reordered data
-// compacts into (what the PVA returns to the cache).
-func Vector(base uint32, bits uint) core.Vector {
-	return core.Vector{Base: base, Stride: 1, Length: 1 << bits}
 }

@@ -84,35 +84,3 @@ func TestAnalyzeEdges(t *testing.T) {
 	}()
 	Analyze([]uint32{1}, 0, func(a uint32) uint32 { return 0 })
 }
-
-func TestPermutation(t *testing.T) {
-	in := []uint32{10, 11, 12, 13, 14, 15, 16, 17}
-	out, err := Permutation(in, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// out[Reverse(i)] = in[i]: out[4] = in[1] = 11.
-	if out[4] != 11 || out[0] != 10 || out[7] != 17 {
-		t.Errorf("permutation = %v", out)
-	}
-	// Applying the permutation twice restores the input.
-	back, err := Permutation(out, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if back[i] != in[i] {
-			t.Fatalf("double permutation not identity at %d", i)
-		}
-	}
-	if _, err := Permutation(in, 4); err == nil {
-		t.Error("wrong-length permutation accepted")
-	}
-}
-
-func TestVector(t *testing.T) {
-	v := Vector(64, 5)
-	if v.Base != 64 || v.Stride != 1 || v.Length != 32 {
-		t.Errorf("Vector = %+v", v)
-	}
-}

@@ -1,7 +1,7 @@
 // Brute-force oracles for the hit functions. These expand vectors element
 // by element — exactly the serial expansion the PVA exists to avoid — and
-// are used by the test suite to validate the closed forms and the
-// recursive solvers on exhaustive small spaces.
+// are used by the test suite to validate the closed forms on exhaustive
+// small spaces.
 
 package core
 
@@ -39,36 +39,4 @@ func BruteSubVectorWord(g Geometry, v Vector, b uint32) Hit {
 		h.Delta = g.NextHit(v.Stride)
 	}
 	return h
-}
-
-// BruteFirstHitLine is the serial-expansion oracle for cache-line
-// interleaved FirstHit.
-func BruteFirstHitLine(g LineGeometry, v Vector, b uint32) uint32 {
-	for i := uint32(0); i < v.Length; i++ {
-		if g.DecodeBank(v.Addr(i)) == b {
-			return i
-		}
-	}
-	return NoHit
-}
-
-// BruteNextHitLine returns the least delta >= 1 with
-// (theta + delta*S0) mod NM < N, searching one full period of the
-// residue sequence; ok is false if no element ever returns.
-func BruteNextHitLine(g LineGeometry, theta, stride uint32) (uint32, bool) {
-	nm := g.nm()
-	s0 := uint64(stride) % nm
-	if s0 == 0 {
-		if uint64(theta)%nm < uint64(g.N) {
-			return 1, true
-		}
-		return 0, false
-	}
-	period := nm / gcd(s0, nm)
-	for d := uint64(1); d <= period; d++ {
-		if (uint64(theta)+d*s0)%nm < uint64(g.N) {
-			return uint32(d), true
-		}
-	}
-	return 0, false
 }

@@ -22,11 +22,14 @@
 // 2^(m-s). Banks whose distance d from b0 is not a multiple of 2^s hold no
 // element at all (Lemma 4.2), and only S mod M matters (Lemma 4.1).
 //
-// This package provides those closed forms (Geometry), their PLA
-// lookup-table hardware model (pla.go), the general recursive algorithm
-// for cache-line interleaved memory from Section 4.1.2 (generic.go), a
-// faithful port of the paper's draft NextHit C listing (paper.go), and
-// brute-force oracles used by the test suite (brute.go).
+// This package provides those closed forms (Geometry), the stride-indexed
+// PLA every bank controller evaluates them with (pla.go), and brute-force
+// oracles used by the test suite (brute.go). It has no solver for the
+// general cache-line interleaved problem of Section 4.1.2, which the
+// paper rejects for hardware because of its data-dependent divisions:
+// the simulator's line-interleaved decoders claim elements address by
+// address. The tests keep that section's worked examples, its draft
+// NextHit listing and the Section 4.1.3 logical-bank reduction.
 package core
 
 import "fmt"
@@ -203,12 +206,4 @@ func (g Geometry) firstHitClass(v Vector, b uint32, c StrideClass) uint32 {
 		return NoHit
 	}
 	return ki
-}
-
-// HitBanks returns how many banks hold at least one element of a vector
-// with the given stride, assuming the vector is long enough to visit all
-// of them: M / 2^s. This is the degree of parallelism the PVA can exploit
-// (Section 6.3.1).
-func (g Geometry) HitBanks(stride uint32) uint32 {
-	return g.Classify(stride).Delta // M/2^s == 2^(m-s) == Delta
 }

@@ -2,17 +2,18 @@
 // 4.2. In the real design "most of the variables used to explain the
 // functional operation of these components will never be calculated
 // explicitly; instead, their values will be compiled into the circuitry
-// in the form of look-up tables." These types are that compilation step:
-// they precompute every table entry at construction so that per-request
-// work is a pair of indexed loads plus (for non-power-of-two strides) a
-// small multiply — mirroring the two hardware organizations the paper
-// sketches:
+// in the form of look-up tables." K1PLA is that compilation step: it
+// precomputes every table entry at construction so that per-request work
+// is an indexed load plus (for non-power-of-two strides) a small
+// multiply. The paper sketches two hardware organizations:
 //
 //   - K1PLA: indexed by S mod M, returns (s, delta, K1). FirstHit is then
 //     K1 * (d >> s) masked to m-s bits. PLA size grows linearly in M;
-//     this is the organization recommended for large M (Section 4.3.1).
+//     this is the organization recommended for large M (Section 4.3.1),
+//     and the one every bank controller runs.
 //   - FullPLA: indexed by (S mod M, d), directly returns K_i. Size grows
-//     as M^2, viable up to about 16 banks.
+//     as M^2, viable up to about 16 banks. It is not built here;
+//     internal/complexity accounts for its size against K1PLA's.
 
 package core
 
@@ -77,57 +78,3 @@ func (p *K1PLA) FirstHit(v Vector, b uint32) uint32 {
 
 // NextHit returns delta via the table.
 func (p *K1PLA) NextHit(stride uint32) uint32 { return p.Lookup(stride).Delta }
-
-// Entries returns the number of table rows (for complexity accounting).
-func (p *K1PLA) Entries() int { return len(p.entries) }
-
-// FullPLA is the quadratic-size organization: K_i precomputed for every
-// (stride residue, bank distance) pair.
-type FullPLA struct {
-	geom  Geometry
-	ki    []uint32 // ki[sm*M + d]; NoHit when bank d never hits
-	delta []uint32 // delta[sm]
-}
-
-// NewFullPLA compiles the full K_i table for the geometry.
-func NewFullPLA(g Geometry) *FullPLA {
-	f := &FullPLA{
-		geom:  g,
-		ki:    make([]uint32, g.M*g.M),
-		delta: make([]uint32, g.M),
-	}
-	for sm := uint32(0); sm < g.M; sm++ {
-		c := g.Classify(sm)
-		f.delta[sm] = c.Delta
-		for d := uint32(0); d < g.M; d++ {
-			// Probe with an unbounded-length vector based at bank 0 so the
-			// table stores the pure index; callers apply the length check.
-			v := Vector{Base: 0, Stride: sm, Length: ^uint32(0)}
-			f.ki[sm*g.M+d] = g.FirstHit(v, d)
-		}
-	}
-	return f
-}
-
-// FirstHit evaluates FirstHit by direct table lookup plus length check.
-func (f *FullPLA) FirstHit(v Vector, b uint32) uint32 {
-	if v.Length == 0 {
-		return NoHit
-	}
-	sm := v.Stride & (f.geom.M - 1)
-	d := (b - f.geom.DecodeBank(v.Base)) & (f.geom.M - 1)
-	ki := f.ki[sm*f.geom.M+d]
-	if ki == NoHit || ki >= v.Length {
-		return NoHit
-	}
-	return ki
-}
-
-// NextHit returns delta via the table.
-func (f *FullPLA) NextHit(stride uint32) uint32 {
-	return f.delta[stride&(f.geom.M-1)]
-}
-
-// Entries returns the number of K_i table cells (grows as M^2, the
-// scaling limit Section 4.3.1 discusses).
-func (f *FullPLA) Entries() int { return len(f.ki) }

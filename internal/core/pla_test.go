@@ -22,41 +22,11 @@ func TestK1PLAMatchesGeometry(t *testing.T) {
 	}
 }
 
-func TestFullPLAMatchesGeometry(t *testing.T) {
-	g := MustGeometry(16)
-	pla := NewFullPLA(g)
-	for stride := uint32(0); stride < 48; stride++ {
-		for base := uint32(0); base < 16; base++ {
-			for _, length := range []uint32{1, 5, 16, 32} {
-				v := Vector{Base: base, Stride: stride, Length: length}
-				for b := uint32(0); b < 16; b++ {
-					if got, want := pla.FirstHit(v, b), g.FirstHit(v, b); got != want {
-						t.Fatalf("FullPLA FirstHit(%+v, %d) = %d, want %d", v, b, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestPLASizes(t *testing.T) {
-	g := MustGeometry(16)
-	if got := NewK1PLA(g).Entries(); got != 16 {
-		t.Errorf("K1PLA entries = %d, want 16 (linear in M)", got)
-	}
-	if got := NewFullPLA(g).Entries(); got != 256 {
-		t.Errorf("FullPLA entries = %d, want 256 (quadratic in M)", got)
-	}
-}
-
 func TestPLAZeroLength(t *testing.T) {
 	g := MustGeometry(8)
 	v := Vector{Base: 0, Stride: 1, Length: 0}
 	if got := NewK1PLA(g).FirstHit(v, 0); got != NoHit {
 		t.Errorf("K1PLA empty vector = %d", got)
-	}
-	if got := NewFullPLA(g).FirstHit(v, 0); got != NoHit {
-		t.Errorf("FullPLA empty vector = %d", got)
 	}
 }
 
@@ -74,22 +44,5 @@ func BenchmarkFirstHitK1PLA(b *testing.B) {
 	v := Vector{Base: 7, Stride: 19, Length: 32}
 	for i := 0; i < b.N; i++ {
 		pla.FirstHit(v, uint32(i)&15)
-	}
-}
-
-func BenchmarkFirstHitFullPLA(b *testing.B) {
-	g := MustGeometry(16)
-	pla := NewFullPLA(g)
-	v := Vector{Base: 7, Stride: 19, Length: 32}
-	for i := 0; i < b.N; i++ {
-		pla.FirstHit(v, uint32(i)&15)
-	}
-}
-
-func BenchmarkGenericFirstHitLine(b *testing.B) {
-	g := MustLineGeometry(16, 32)
-	v := Vector{Base: 7, Stride: 19, Length: 32}
-	for i := 0; i < b.N; i++ {
-		g.FirstHit(v, uint32(i)&15)
 	}
 }

@@ -51,22 +51,16 @@ func (t Timing) ReadToWrite() uint64 { return t.CL + 1 }
 // SDRAM allows postponing a bounded burst; eight is the customary bound).
 const MaxPostponedRefreshes = 8
 
-// timing is a preset's core timing in device terms.
-func (t Tech) timing() Timing {
-	return Timing{TRCD: t.RowOpen, CL: t.FirstWord, TRP: t.Precharge}
-}
-
 // PaperTiming is the prototype's timing: RAS and CAS latencies of two
-// cycles, precharge of two cycles. Derived from the SDRAM preset so the
-// Chapter-2 table and the executable device cannot drift.
-func PaperTiming() Timing { return presets[SDRAM].timing() }
+// cycles, precharge of two cycles.
+func PaperTiming() Timing { return Timing{TRCD: 2, CL: 2, TRP: 2} }
 
-// PCMTiming is the phase-change back end's core timing from the PCM
-// preset: slower row opens, cheap precharge (the row buffer is just a
-// latch), and no refresh obligation — PCM cells are non-volatile. The
-// write-side asymmetry lives in Spec.WriteBusy, not here, because it
-// occupies only the written partition.
-func PCMTiming() Timing { return presets[PCM].timing() }
+// PCMTiming is the phase-change back end's core timing: slower row
+// opens, cheap precharge (the row buffer is just a latch), and no
+// refresh obligation — PCM cells are non-volatile. The write-side
+// asymmetry lives in Spec.WriteBusy, not here, because it occupies only
+// the written partition.
+func PCMTiming() Timing { return Timing{TRCD: 4, CL: 2, TRP: 1} }
 
 // Cmd is an SDRAM command.
 type Cmd uint8

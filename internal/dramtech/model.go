@@ -76,14 +76,14 @@ type Spec struct {
 }
 
 // Timing returns the timing a device of this back end runs on, given the
-// configured timing. The rowless SRAM runs on the SRAM preset: "this
-// system incurs no precharge or RAS latencies: all memory accesses take
-// a single cycle" (Section 6.1). PCM runs on PCMTiming. Every other back
-// end runs on the configured timing.
+// configured timing. The rowless SRAM runs on a one-cycle CL and nothing
+// else: "this system incurs no precharge or RAS latencies: all memory
+// accesses take a single cycle" (Section 6.1). PCM runs on PCMTiming.
+// Every other back end runs on the configured timing.
 func (s Spec) Timing(configured Timing) Timing {
 	switch s.Backend {
 	case BackendSRAM:
-		return presets[SRAM].timing()
+		return Timing{CL: 1}
 	case BackendPCM:
 		return PCMTiming()
 	default:
@@ -122,9 +122,12 @@ func ValidateSelection(tech string, subarrays, partitions uint32) error {
 	return nil
 }
 
+// pcmWriteBusy is the cycles a PCM partition stays occupied after a
+// WRITE: cell programming dominates the write cost.
+const pcmWriteBusy = 8
+
 // SpecFor builds the executable Spec for a validated (tech, subarrays,
-// partitions) selection. PCM pulls its write occupancy from the
-// technology preset table, the same source Compare() renders.
+// partitions) selection.
 func SpecFor(tech string, subarrays, partitions uint32) (Spec, error) {
 	if err := ValidateSelection(tech, subarrays, partitions); err != nil {
 		return Spec{}, err
@@ -135,7 +138,7 @@ func SpecFor(tech string, subarrays, partitions uint32) (Spec, error) {
 	case "salp":
 		return Spec{Backend: BackendSALP, Units: max(subarrays, 1)}, nil
 	default: // "pcm"
-		return Spec{Backend: BackendPCM, Units: max(partitions, 1), WriteBusy: presets[PCM].WriteBusy}, nil
+		return Spec{Backend: BackendPCM, Units: max(partitions, 1), WriteBusy: pcmWriteBusy}, nil
 	}
 }
 

@@ -40,31 +40,6 @@ func (o Op) String() string {
 	}
 }
 
-// CmdKind distinguishes the two access-pattern shapes a vector command
-// can carry: the paper's base-stride vectors and the Section 7
-// vector-indirect extension's explicit index lists.
-type CmdKind uint8
-
-const (
-	// KindStrided is a base-stride command: element i at V.Addr(i).
-	KindStrided CmdKind = iota
-	// KindIndexed is an indexed gather/scatter: element i at
-	// V.Base + Idx[i].
-	KindIndexed
-)
-
-// String implements fmt.Stringer.
-func (k CmdKind) String() string {
-	switch k {
-	case KindStrided:
-		return "strided"
-	case KindIndexed:
-		return "indexed"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
 // VectorCmd is one vector bus command: a base-stride vector or an
 // explicit index list, plus the dataflow needed to execute it.
 type VectorCmd struct {
@@ -95,14 +70,6 @@ type VectorCmd struct {
 
 	// Data is the preset dense line for writes without a Compute.
 	Data []uint32
-}
-
-// Kind reports the command's access-pattern shape.
-func (c *VectorCmd) Kind() CmdKind {
-	if c.Idx != nil {
-		return KindIndexed
-	}
-	return KindStrided
 }
 
 // Indexed reports whether the command carries an explicit index list.

@@ -1067,7 +1067,7 @@ func (fe *frontEnd) scheduleChannel(ch int, now uint64) error {
 		if c.Op == memsys.Write {
 			data, err := memsys.WriteData(*c, fe.lines)
 			if err != nil {
-				return err
+				return fmt.Errorf("pvaunit: ticket %d at cycle %d: %w", i, now, err)
 			}
 			// Copy into a pool-owned buffer: WriteData may return the
 			// command's own preset Data, and the pools must never
