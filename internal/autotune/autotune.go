@@ -8,9 +8,10 @@
 // The search is a two-rung evaluation ladder. The bottom rung is the
 // decode-only surrogate (surrogate.go): greedy per-bit refinement with
 // seeded random restarts walks the mask space on surrogate cost alone,
-// each neighbour scored from per-command summaries kept under the
-// climb's current masks, walking elements only where a command
-// straddles the toggled bit. The climbs are independent, so they fan
+// each neighbour scored from per-command summaries and per-trace costs
+// kept under the climb's current masks, pricing only the traces in
+// which the toggled bit varies and walking elements only where a
+// command straddles it. The climbs are independent, so they fan
 // out over at most GOMAXPROCS goroutines, one scorer per goroutine. The
 // top rung is the real cycle-accurate simulator: only the surrogate's
 // best few locally optimal candidates (Options.Survivors) are

@@ -15,15 +15,6 @@ type AddressTrace struct {
 	Cmds [][]uint32
 }
 
-// Elements returns the total element count across all commands.
-func (t AddressTrace) Elements() int {
-	n := 0
-	for _, c := range t.Cmds {
-		n += len(c)
-	}
-	return n
-}
-
 // CaptureAddresses records the element addresses of every command in a
 // trace, strided and indexed alike.
 func CaptureAddresses(tr memsys.Trace) AddressTrace {
