@@ -166,6 +166,9 @@ func newScorer(traces []kernels.AddressTrace, geom addr.SDRAMGeom, channels, ban
 			labelBits, ibBits+rowBits)
 	}
 	kShift := labelBits + uint(bits.TrailingZeros32(geom.RowWords))
+	if kShift >= 32 {
+		return nil, fmt.Errorf("autotune: %d units of %d-word rows put the internal bank above address bit 31", units, geom.RowWords)
+	}
 	s := &scorer{
 		traces:   traces,
 		spans:    make([]traceSpan, len(traces)),
@@ -362,9 +365,11 @@ func (s *scorer) traceCost(t int, b uint, flip uint32) uint64 {
 // its elements plus its most-loaded unit's claim. It is its own
 // function so the compiler keeps the loop's state in registers.
 func (s *scorer) cmdCost(cmd []uint32, labels []uint16, bs uint, flip uint32) uint64 {
-	bs &= 31 // a no-op (bank-word bits sit below bit 32) that drops the shift's range check
-	kShift, keyMask, ibBits := s.kShift, s.keyMask, s.ibBits
-	ibMask := uint32(1)<<ibBits - 1
+	// The masks are no-ops that drop the shifts' range checks: bank-word
+	// bits and the key sit below bit 32 (newScorer checks kShift), and
+	// a uint32 count of internal banks has ibBits below 32.
+	bs, kShift, ibBits := bs&31, s.kShift&31, s.ibBits&31
+	keyMask, ibMask := s.keyMask, uint32(1)<<ibBits-1
 	claims, lastRow := s.claims, s.lastRow
 	labels = labels[:len(cmd)]
 	var switches uint64

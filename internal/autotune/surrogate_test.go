@@ -253,7 +253,8 @@ func TestSurrogateTouchCapacity(t *testing.T) {
 // TestSurrogateRejectsWideTouchRecords: a touch record packs a unit
 // label above a (row, internal bank) key in 32 bits. newScorer refuses
 // a shape whose two do not fit, naming both sizes, and prices one that
-// fills all 32 bits exactly as the decoder does.
+// fills all 32 bits exactly as the decoder does. It also refuses rows so
+// long that the internal bank would sit above the address.
 func TestSurrogateRejectsWideTouchRecords(t *testing.T) {
 	geom := addr.MustSDRAMGeom(4, 512, 1<<28) // a 30-bit key
 	var cmd []uint32
@@ -267,6 +268,10 @@ func TestSurrogateRejectsWideTouchRecords(t *testing.T) {
 	}
 	sc := mustScorer(t, trs, geom, 1, 4)
 	checkNeighbours(t, sc, trs, geom, 1, 4, []uint32{0x12345, 0x0f0f0f0})
+	// 16 units of 2^28-word rows start the internal bank at address bit 32.
+	if _, err := newScorer(trs, addr.MustSDRAMGeom(4, 1<<28, 4), 1, 16); err == nil || !strings.Contains(err.Error(), "above address bit 31") {
+		t.Fatalf("internal bank at address bit 32: got error %v", err)
+	}
 }
 
 // checkNeighbours loads masks on sc and fails unless the load and every
